@@ -4,7 +4,9 @@
 Workloads mirror the package's hot paths: sliding a radius-2 local rule
 along a long Thue-Morse prefix (code enumeration and verification),
 mismatch profiles of two long windows (pair classification at H = 2^16),
-and 2-block decoding (odometer addresses).
+and 2-block decoding (odometer addresses).  Whole `classify_pair` calls
+on the three kinds of seam pair at the same H are timed too, on the
+backend the package selected.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
@@ -12,8 +14,10 @@ Usage: python benchmarks/bench_kernels.py [--repeat N]
 import argparse
 import time
 
+from minflow import kernels
 from minflow.codes import shift_code
 from minflow.kernels import backends
+from minflow.pairs import classify_pair
 from minflow.points import seam_points
 from minflow.words import get_system
 
@@ -65,6 +69,16 @@ def main():
         if "compiled" in times and "pure" in times:
             row.append("%9.1fx" % (times["pure"] / times["compiled"]))
         print(*row)
+
+    print()
+    print("classify_pair H=2^16, L=64 on the %s kernels" % kernels.BACKEND)
+    for first, second in (("mu", "nu"), ("mu", "nu_prime"),
+                          ("mu", "mu_prime")):
+        t = best_of(args.repeat, classify_pair, seam[first], seam[second],
+                    h, l)
+        verdict = classify_pair(seam[first], seam[second], h, l).verdict
+        print("%-32s %10.2fms  %s" % ("  %s,%s" % (first, second), t * 1e3,
+                                       verdict))
 
     for n, impl in sorted(impls.items()):
         got = impl.apply_rule(word[:64], 2, table, 2)

@@ -16,7 +16,7 @@ import sys
 from . import factors, joins, pairs
 from .codes import (apply_code, classify_aut_group, compose,
                     enumerate_endomorphisms)
-from .errors import MinflowError
+from .errors import DomainError, MinflowError
 from .points import parse_point_spec, seam_points
 from .words import REGISTRY, fixed_point_prefix, get_system, substitute
 
@@ -78,10 +78,16 @@ def cmd_point(args):
 def _parse_code_spec(system, text):
     """Code mini-syntax: id | flip | shift^K | shift^K.flip | @file.json."""
     from .codes import SlidingBlockCode, flip_code, identity_code, shift_code
-    from .errors import DomainError
     if text.startswith("@"):
-        with open(text[1:]) as fh:
-            return SlidingBlockCode.from_json(system, json.load(fh))
+        try:
+            with open(text[1:]) as fh:
+                obj = json.load(fh)
+        except OSError as exc:
+            raise DomainError("cannot read code file: %s" % exc) from None
+        except json.JSONDecodeError as exc:
+            raise DomainError("code file %s is not JSON: %s"
+                              % (text[1:], exc)) from None
+        return SlidingBlockCode.from_json(system, obj)
     flip = text.endswith(".flip")
     if flip:
         text = text[:-len(".flip")]
@@ -90,7 +96,11 @@ def _parse_code_spec(system, text):
     elif text == "flip":
         return flip_code(system)
     elif text.startswith("shift^"):
-        base = shift_code(system, int(text[len("shift^"):]))
+        try:
+            k = int(text[len("shift^"):])
+        except ValueError:
+            raise DomainError("bad code spec %r" % text) from None
+        base = shift_code(system, k)
     else:
         raise DomainError("bad code spec %r" % text)
     return compose(base, flip_code(system)) if flip else base
@@ -152,6 +162,8 @@ def cmd_factor(args):
         _emit_json(args, {"word": args.word, "preimage": preimage,
                           "offset": offset})
         return
+    if args.address_of is None:
+        raise DomainError("factor needs --word or --address-of")
     point = _point(args, args.address_of)
     addr = factors.address(system, point, args.levels)
     _emit_json(args, {"spec": args.address_of, "levels": args.levels,
@@ -398,6 +410,8 @@ def _apply_config(argv):
     if "--config" not in argv:
         return argv
     i = argv.index("--config")
+    if i + 1 == len(argv):
+        raise DomainError("--config needs a FILE argument")
     path = argv[i + 1]
     extra = []
     with open(path) as fh:
@@ -424,7 +438,7 @@ def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         argv = _apply_config(argv)
-    except OSError as exc:
+    except (OSError, DomainError) as exc:
         print("minflow: %s" % exc, file=sys.stderr)
         return 2
     parser = build_parser()

@@ -308,9 +308,12 @@ def word_frequencies(system, n: int, steps: int) -> FrequencyTable:
     if n < 1 or steps < 1:
         raise DomainError("need n >= 1 and steps >= 1")
     prefix = system.test_word(steps + n)
+    if len(prefix) != steps + n:
+        # a short prefix would count truncated words near its end
+        raise IntegrityError("test word has length %d, not %d"
+                             % (len(prefix), steps + n))
     counts = {}
     for i in range(steps):
         w = prefix[i:i + n]
         counts[w] = counts.get(w, 0) + 1
-    assert sum(counts.values()) == steps
     return FrequencyTable(system.name, n, steps, tuple(sorted(counts.items())))

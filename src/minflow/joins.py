@@ -72,6 +72,8 @@ def joint_language(p, q, resolution=DEFAULT_RESOLUTION,
     if p.system is not q.system:
         raise DomainError("points live in different systems")
     L, T = resolution, steps
+    if L < 0 or T < 0:
+        raise DomainError("need resolution >= 0 and steps >= 0")
     a = p.window(-L, T + L)
     b = q.window(-L, T + L)
     width = 2 * L + 1

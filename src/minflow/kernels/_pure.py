@@ -6,17 +6,23 @@ flat byte arrays indexed by the base-`base` value of a block (most
 significant symbol first), with 0xFF marking entries outside the
 admissible set.
 
-`apply_rule` and `window_diffs` are per-symbol loops, which the `.pyx`
-mirrors line by line.  `decode_blocks` is table-driven: whole columns of
-blocks go through `bytes.translate` and big-integer sums, so it runs in
-C without a per-symbol Python loop.  It returns what the `.pyx` loop
-returns and raises ValueError in the same cases, with the same messages.
-Blocks whose code does not fit a byte keep the loop.
+`apply_rule` is a per-symbol loop, which the `.pyx` mirrors line by
+line.  The other two run in C without a per-symbol Python loop.
+`window_diffs` XORs the two words as big integers, maps every nonzero
+byte to 1 with `bytes.translate`, and subtracts prefix sums of that
+mismatch map.  `decode_blocks` is table-driven: whole columns of blocks
+go through `bytes.translate` and big-integer sums; blocks whose code
+does not fit a byte keep the loop.  Both return what the `.pyx` loops
+return and raise ValueError in the same cases, with the same messages.
 """
 
 import functools
+import itertools
+import operator
 
 UNSET = 0xFF
+# maps each byte of a ^ b to 1 where the symbols differ, 0 where they agree
+_DIFFERS = bytes([0]) + bytes([1]) * 255
 # blocks decode_blocks decodes per pass; bounds its temporary buffers to
 # a few times this many bytes whatever the word's length
 CHUNK_BLOCKS = 1 << 14
@@ -67,19 +73,12 @@ def window_diffs(a: bytes, b: bytes, width: int) -> list:
         raise ValueError("length mismatch")
     if width < 1 or width > n:
         raise ValueError("bad window width")
-    run = 0
-    for i in range(width):
-        if a[i] != b[i]:
-            run += 1
-    out = [0] * (n - width + 1)
-    out[0] = run
-    for i in range(1, n - width + 1):
-        if a[i - 1] != b[i - 1]:
-            run -= 1
-        if a[i + width - 1] != b[i + width - 1]:
-            run += 1
-        out[i] = run
-    return out
+    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    mismatches = x.to_bytes(n, "big").translate(_DIFFERS)
+    # window i's count is the difference of two prefix sums; tee keeps
+    # only the `width` sums between them, not all n + 1
+    hi, lo = itertools.tee(itertools.accumulate(mismatches, initial=0))
+    return list(map(operator.sub, itertools.islice(hi, width, None), lo))
 
 
 def decode_blocks(word: bytes, start: int, block_len: int, table: bytes,

@@ -4,6 +4,13 @@ Verdicts are deliberately bounded claims: "proximal within horizon H"
 and "distal up to horizon H" at window resolution L.  Asymptotic
 verdicts record the window index from which (or up to which) the two
 points agree window-for-window.
+
+Verdicts come from the pair's mismatch map, one byte per coordinate, 1
+where the two points differ: `find`/`rfind` on it locate the first and
+last bad window and the agreeing windows nearest the center, so no
+Python loop runs per symbol or per window.  Only a distal pair whose
+windows partly agree needs the per-window counts of
+`kernels.window_diffs`, for its separation.
 """
 
 from dataclasses import dataclass
@@ -21,6 +28,9 @@ NEGATIVE = "negatively-asymptotic"
 DOUBLE = "doubly-asymptotic"
 PROXIMAL = "proximal-within-horizon"
 DISTAL = "distal-up-to-horizon"
+
+# maps each byte of a ^ b to 1 where the symbols differ, 0 where they agree
+_DIFFERS = bytes([0]) + bytes([1]) * 255
 
 
 @dataclass(frozen=True)
@@ -47,18 +57,15 @@ def classify_pair(p, q, horizon=DEFAULT_HORIZON,
         raise DomainError("need horizon >= 1 and resolution >= 0")
     a = p.window(-H - L, H + L).encode()
     b = q.window(-H - L, H + L).encode()
-    diffs = kernels.window_diffs(a, b, 2 * L + 1)   # centers -H..H
-    n = len(diffs)
-    sep = min(diffs)
-
-    last_bad = None
-    first_bad = None
-    for i in range(n):
-        if diffs[i]:
-            first_bad = i if first_bad is None else first_bad
-            last_bad = i
-    if last_bad is None:
+    width = 2 * L + 1
+    m = _mismatch_map(a, b)
+    n = len(m) - width + 1                  # windows, centers -H..H
+    # window i covers m[i:i + width], so it is bad iff it holds a 1
+    first = m.find(1)
+    if first < 0:
         return PairClassification(DOUBLE, H, L, -H, 0)
+    first_bad = max(0, first - width + 1)
+    last_bad = min(n - 1, m.rfind(1))
     pos_from = (last_bad + 1) - H          # windows agree on [pos_from, H]
     neg_to = (first_bad - 1) - H           # windows agree on [-H, neg_to]
     positive = last_bad + 1 < n and pos_from <= H // 2
@@ -70,11 +77,23 @@ def classify_pair(p, q, horizon=DEFAULT_HORIZON,
         return PairClassification(POSITIVE, H, L, pos_from, 0)
     if negative:
         return PairClassification(NEGATIVE, H, L, neg_to, 0)
-    if sep == 0:
-        zeros = [i - H for i in range(n) if diffs[i] == 0]
+    # the agreeing windows nearest the center on either side; a tie
+    # goes to the right one
+    clean = bytes(width)
+    right = m.find(clean, H)
+    left = m.rfind(clean, 0, H - 1 + width)
+    zeros = [i - H for i in (right, left) if i >= 0]
+    if zeros:
         witness = min(zeros, key=lambda t: (abs(t), t < 0))
         return PairClassification(PROXIMAL, H, L, witness, 0)
+    sep = width if m.find(0) < 0 else min(kernels.window_diffs(a, b, width))
     return PairClassification(DISTAL, H, L, None, sep)
+
+
+def _mismatch_map(a: bytes, b: bytes) -> bytes:
+    """Byte i is 1 where a[i] != b[i] and 0 where they agree."""
+    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return x.to_bytes(len(a), "big").translate(_DIFFERS)
 
 
 @dataclass(frozen=True)

@@ -154,6 +154,36 @@ def test_usage_errors():
     assert main(["point", "morse", "warp(fix0)"]) == 2
 
 
+def usage_failure(capsys, *argv):
+    """The exit status and stderr of a run that should fail cleanly."""
+    code = main(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["--config"], "--config needs a FILE argument"),
+    (["lang", "morse", "--config"], "--config needs a FILE argument"),
+    (["aut", "morse", "--apply", "@missing.json"], "cannot read code file"),
+    (["aut", "morse", "--apply", "shift^x"], "bad code spec 'shift^x'"),
+    (["factor", "morse"], "factor needs --word or --address-of"),
+    (["join", "morse", "fix0", "fix0", "--steps", "-5"],
+     "need resolution >= 0 and steps >= 0"),
+])
+def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
+                                         argv, message):
+    monkeypatch.chdir(tmp_path)
+    code, err = usage_failure(capsys, *argv)
+    assert code == 2
+    assert err.startswith("minflow: " + message) and err.count("\n") == 1
+
+
+def test_code_file_that_is_not_json(capsys, tmp_path):
+    bad = tmp_path / "code.json"
+    bad.write_text("{radius")
+    code, err = usage_failure(capsys, "aut", "morse", "--apply", "@%s" % bad)
+    assert code == 2 and "is not JSON" in err and err.count("\n") == 1
+
+
 def test_reports_are_byte_identical(capsys):
     _, first = run(capsys, "aut", "morse", "--radius", "1")
     _, second = run(capsys, "aut", "morse", "--radius", "1")

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from minflow.errors import AmbiguityError, DomainError, NoParseError
+from minflow.errors import (AmbiguityError, DomainError, IntegrityError,
+                            NoParseError)
 from minflow.factors import (OdometerAddress, address, desubstitute,
                              fiber_census, point_address,
                              recognizability_length, word_frequencies)
@@ -131,6 +132,17 @@ def test_word_frequencies_morse(morse):
     assert sum(counts.values()) == 1 << 12
     for w, c in counts.items():
         assert abs(c - counts[flip_word(w)]) <= 2
+
+
+def test_word_frequencies_rejects_short_test_word(morse):
+    class ShortWords:
+        name = "short"
+
+        def test_word(self, length):
+            return morse.test_word(length - 1)
+
+    with pytest.raises(IntegrityError, match="length 101, not 102"):
+        word_frequencies(ShortWords(), 2, 100)
 
 
 def test_word_frequencies_fibonacci(fib):

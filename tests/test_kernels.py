@@ -88,10 +88,19 @@ def test_window_diffs_matches_naive(name):
     for width in (1, 7, 33):
         assert impl.window_diffs(a, b, width) == naive_diffs(a, b, width)
     assert impl.window_diffs(a, a, 9) == [0] * 292
-    with pytest.raises(ValueError):
+    c = bytes(rng.randrange(3) + 48 for _ in range(300))
+    d = bytes(rng.randrange(3) + 48 for _ in range(300))
+    for width in (1, 7, 300):
+        assert impl.window_diffs(c, d, width) == naive_diffs(c, d, width)
+    with pytest.raises(ValueError, match="length mismatch"):
         impl.window_diffs(a, b[:-1], 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="bad window width"):
         impl.window_diffs(a, b, 0)
+    with pytest.raises(ValueError, match="bad window width"):
+        impl.window_diffs(a, b, 301)
+    a = bytes(rng.randrange(2) + 48 for _ in range(1 << 17))
+    b = bytes(x ^ (rng.random() < 0.1) for x in a)
+    assert impl.window_diffs(a, b, 129) == naive_diffs(a, b, 129)
 
 
 @pytest.mark.parametrize("name", sorted(kernels.backends()))

@@ -1,17 +1,151 @@
+import collections
 import itertools
+import random
 
 import pytest
 
 from minflow.errors import DomainError, UndeterminedError
 from minflow.pairs import (DISTAL, DOUBLE, NEGATIVE, POSITIVE, PROXIMAL,
-                           asymptotic_collapse, classify_pair,
-                           distal_certificate)
+                           PairClassification, asymptotic_collapse,
+                           classify_pair, distal_certificate)
 from minflow.points import point_from_address, seam_points
 
 
 @pytest.fixture(scope="module")
 def seam(morse):
     return seam_points(morse)
+
+
+def naive_classify(p, q, horizon, resolution):
+    """classify_pair the plain way: a running mismatch count per window,
+    then a scan of every window for the first and last bad one."""
+    H, L = horizon, resolution
+    a = p.window(-H - L, H + L)
+    b = q.window(-H - L, H + L)
+    width = 2 * L + 1
+    run = sum(x != y for x, y in zip(a[:width], b[:width]))
+    diffs = [run]
+    for i in range(1, len(a) - width + 1):
+        run += (a[i + width - 1] != b[i + width - 1]) - (a[i - 1] != b[i - 1])
+        diffs.append(run)
+    n = len(diffs)
+    sep = min(diffs)
+    last_bad = None
+    first_bad = None
+    for i in range(n):
+        if diffs[i]:
+            first_bad = i if first_bad is None else first_bad
+            last_bad = i
+    if last_bad is None:
+        return PairClassification(DOUBLE, H, L, -H, 0)
+    pos_from = (last_bad + 1) - H
+    neg_to = (first_bad - 1) - H
+    positive = last_bad + 1 < n and pos_from <= H // 2
+    negative = first_bad > 0 and neg_to >= -(H // 2)
+    if positive and negative:
+        return PairClassification(DOUBLE, H, L, pos_from, 0)
+    if positive:
+        return PairClassification(POSITIVE, H, L, pos_from, 0)
+    if negative:
+        return PairClassification(NEGATIVE, H, L, neg_to, 0)
+    if sep == 0:
+        zeros = [i - H for i in range(n) if diffs[i] == 0]
+        witness = min(zeros, key=lambda t: (abs(t), t < 0))
+        return PairClassification(PROXIMAL, H, L, witness, 0)
+    return PairClassification(DISTAL, H, L, None, sep)
+
+
+class StubPoint:
+    """A point whose window over [-H-L, H+L] is the fixed string `text`."""
+
+    system = object()
+
+    def __init__(self, text):
+        self.text = text
+
+    def window(self, lo, hi):
+        assert hi - lo + 1 == len(self.text)
+        return self.text
+
+
+def random_pair(rng, H, L, base):
+    """Two windows of length 2H+2L+1 over `base` symbols, mismatching in
+    one of several patterns so that every verdict turns up."""
+    size = 2 * (H + L) + 1
+    a = [rng.randrange(base) for _ in range(size)]
+    b = list(a)
+    mode = rng.randrange(6)  # 0: identical
+    if mode == 1:            # independent
+        b = [rng.randrange(base) for _ in range(size)]
+    elif mode == 2:          # a few isolated mismatches
+        for _ in range(rng.randint(1, 3)):
+            b[rng.randrange(size)] = rng.randrange(base)
+    elif mode == 3:          # one bad segment
+        lo = rng.randrange(size)
+        for i in range(lo, rng.randint(lo, size)):
+            b[i] = rng.randrange(base)
+    elif mode >= 4:          # everywhere but a few agreement runs
+        b = [(x + rng.randrange(1, base)) % base for x in a]
+        for _ in range(rng.randint(0, 4) if mode == 4 else 1):
+            lo = rng.randrange(size)
+            run = rng.randint(1, 2 * L + 3)
+            b[lo:lo + run] = a[lo:lo + run]
+    return "".join(map(str, a)), "".join(map(str, b))
+
+
+def check_against_naive(a, b, H, L):
+    p, q = StubPoint(a), StubPoint(b)
+    got = classify_pair(p, q, H, L)
+    assert got == naive_classify(p, q, H, L), (a, b, H, L)
+    return got
+
+
+def test_classify_pair_matches_naive_on_random_windows():
+    rng = random.Random(7)
+    verdicts = collections.Counter()
+    partial_distal = 0
+    for _ in range(6000):
+        H, L, base = rng.randint(1, 40), rng.randint(0, 6), rng.choice((2, 3))
+        got = check_against_naive(*random_pair(rng, H, L, base), H, L)
+        verdicts[got.verdict] += 1
+        # a separation below the width needs the per-window counts
+        partial_distal += got.verdict == DISTAL and \
+            0 < got.separation < 2 * L + 1
+    assert set(verdicts) == {DOUBLE, POSITIVE, NEGATIVE, PROXIMAL, DISTAL}
+    assert partial_distal > 0
+
+
+@pytest.mark.parametrize("H,L", [(20, 1), (9, 0), (40, 6)])
+def test_classify_pair_edge_windows(H, L):
+    size, width = 2 * (H + L) + 1, 2 * L + 1
+    a = "0" * size
+    for t in (width, H // 2 + 1, H):
+        # only the windows centred at -t and +t agree: a tie, won by +t
+        m = ["1"] * size
+        for i in (H - t, H + t):
+            m[i:i + width] = "0" * width
+        got = check_against_naive(a, "".join(m), H, L)
+        assert got.verdict == PROXIMAL and got.witness_time == t
+    for pos in range(width):
+        # one mismatch inside the first window (at 0, only it sees the
+        # mismatch), then one inside the last
+        b = a[:pos] + "1" + a[pos + 1:]
+        got = check_against_naive(a, b, H, L)
+        assert got.verdict == POSITIVE
+        b = a[:size - 1 - pos] + "1" + a[size - pos:]
+        got = check_against_naive(a, b, H, L)
+        assert got.verdict == NEGATIVE
+    got = check_against_naive(a, "1" * size, H, L)
+    assert got.verdict == DISTAL and got.separation == width
+
+
+def test_classify_pair_matches_naive_on_seam_pairs(seam):
+    H, L = 1 << 16, 64
+    names = sorted(seam)
+    for shift in (-1024, 1024):
+        for first, second in itertools.combinations(names, 2):
+            p, q = seam[first].shift(shift), seam[second].shift(shift)
+            assert classify_pair(p, q, H, L) == naive_classify(p, q, H, L)
 
 
 def test_seam_pair_verdicts(seam):
