@@ -8,18 +8,26 @@ and 2-block decoding (odometer addresses).  Whole `classify_pair` calls
 on the three kinds of seam pair at the same H are timed too, on the
 backend the package selected.
 
+The window scan `words.first_windows` is timed through its callers
+(`joint_language` at L = 32, T = 2^16, and a cold `language(64)` of each
+built-in system) and against the plain per-position loop on a random
+binary word of 2^17 symbols, where long repeats are rare (its worst
+case; no caller feeds it such a word).
+
 Usage: python benchmarks/bench_kernels.py [--repeat N]
 """
 
 import argparse
+import random
 import time
 
 from minflow import kernels
 from minflow.codes import shift_code
+from minflow.joins import joint_language
 from minflow.kernels import backends
 from minflow.pairs import classify_pair
-from minflow.points import seam_points
-from minflow.words import get_system
+from minflow.points import point_from_address, seam_points
+from minflow.words import REGISTRY, first_windows, get_system
 
 
 def best_of(repeat, fn, *args):
@@ -29,6 +37,49 @@ def best_of(repeat, fn, *args):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def naive_first_windows(word, width):
+    """The per-position loop `first_windows` replaces."""
+    first = {}
+    for n in range(len(word) - width + 1):
+        key = word[n:n + width]
+        if key not in first:
+            first[key] = n
+    return first
+
+
+def bench_windows(repeat, seam, morse):
+    print()
+    print("joint_language L=32, T=2^16")
+    x0 = point_from_address(morse, tuple(j % 2 for j in range(20)), "0")
+    for label, p, q in (("mu,nu", seam["mu"], seam["nu"]),
+                        ("x0,shift(x0,3)", x0, x0.shift(3))):
+        p.window(-32, (1 << 16) + 32)       # build the points' buffers
+        q.window(-32, (1 << 16) + 32)
+        t = best_of(repeat, joint_language, p, q, 32, 1 << 16)
+        print("%-32s %10.2fms" % ("  " + label, t * 1e3))
+
+    print()
+    print("cold language(64): a fresh system per run")
+    for name in sorted(REGISTRY):
+        t = best_of(repeat, lambda: REGISTRY[name]().language(64))
+        print("%-32s %10.2fms" % ("  " + name, t * 1e3))
+
+    print()
+    print("first_windows against the per-position loop, random binary "
+          "word of 2^17 symbols")
+    rng = random.Random(20190609)
+    word = "".join(rng.choice("01") for _ in range(1 << 17))
+    print("%-32s %12s %12s %9s" % ("width", "loop", "first_windows",
+                                    "ratio"))
+    for width in (3, 8, 20, 65):
+        assert list(first_windows(word, width).items()) == \
+            list(naive_first_windows(word, width).items())
+        loop = best_of(repeat, naive_first_windows, word, width)
+        fast = best_of(repeat, first_windows, word, width)
+        print("%-32s %10.2fms %10.2fms %8.2fx" % ("  %d" % width, loop * 1e3,
+                                                  fast * 1e3, fast / loop))
 
 
 def main():
@@ -79,6 +130,8 @@ def main():
         verdict = classify_pair(seam[first], seam[second], h, l).verdict
         print("%-32s %10.2fms  %s" % ("  %s,%s" % (first, second), t * 1e3,
                                        verdict))
+
+    bench_windows(args.repeat, seam, morse)
 
     for n, impl in sorted(impls.items()):
         got = impl.apply_rule(word[:64], 2, table, 2)

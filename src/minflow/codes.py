@@ -106,7 +106,19 @@ class SlidingBlockCode:
 
     @classmethod
     def from_json(cls, system, obj):
-        return cls(system, obj["radius"], dict(tuple(kv) for kv in obj["blocks"]))
+        """The code `to_json` wrote; DomainError for any other shape."""
+        try:
+            radius, blocks = obj["radius"], obj["blocks"]
+            rule = {block: out for block, out in blocks}
+        except (KeyError, TypeError, ValueError):
+            raise DomainError('a code object needs "radius" and "blocks": '
+                              '[[block, symbol], ...]') from None
+        if type(radius) is not int or radius < 0:
+            raise DomainError("code radius must be an integer >= 0, got %r"
+                              % (radius,))
+        if not all(type(s) is str for kv in rule.items() for s in kv):
+            raise DomainError("code blocks and symbols must be strings")
+        return cls(system, radius, rule)
 
     def __repr__(self):
         nf = self.normal_form

@@ -1,9 +1,12 @@
 """Finite-resolution orbit closures of pairs and the dichotomy experiment.
 
 The joint language of (p, q) is the set of simultaneous centered windows
-seen along the first T steps of the orbit of the pair.  Membership of a
-pair of windows is a semi-decision: present means observed, absent means
-only "not found within (L, T)".  The dichotomy either finds the flipped
+seen along the first T steps of the orbit of the pair.  It is read off
+one byte string holding both points' symbols, time by time, with
+`words.first_windows`, which skips the long repeats of substitutive
+orbits instead of slicing all T + 1 windows.  Membership of a pair of
+windows is a semi-decision: present means observed, absent means only
+"not found within (L, T)".  The dichotomy either finds the flipped
 target pair in the joint language (Case 1 evidence) or extracts a local
 rule from the graph, verifies it as an automorphism, and returns it
 (Case 2); anything else is reported inconclusive, never silently
@@ -19,11 +22,15 @@ from .codes import (SlidingBlockCode, classify_aut_group, compose,
                     verify_endomorphism)
 from .errors import DomainError, PreconditionError
 from .points import parse_point_spec, point_from_address
-from .words import get_system
+from .words import MAX_ALPHABET, first_windows, get_system
 
 DEFAULT_RESOLUTION = 32
 DEFAULT_STEPS = 1 << 16
 DEFAULT_RADIUS_BUDGET = 4
+
+_DIGITS = bytes(range(48, 48 + MAX_ALPHABET))
+_TENS = bytes.maketrans(_DIGITS, bytes(range(0, 10 * MAX_ALPHABET, 10)))
+_UNITS = bytes.maketrans(_DIGITS, bytes(range(MAX_ALPHABET)))
 
 
 @dataclass(frozen=True)
@@ -77,11 +84,13 @@ def joint_language(p, q, resolution=DEFAULT_RESOLUTION,
     a = p.window(-L, T + L)
     b = q.window(-L, T + L)
     width = 2 * L + 1
-    times = {}
-    for n in range(T + 1):
-        key = (a[n:n + width], b[n:n + width])
-        if key not in times:
-            times[key] = n
+    # one byte 10*a[i] + b[i] per time (no carries: digits < MAX_ALPHABET),
+    # so the pair windows are the windows of one byte string
+    pair = (int.from_bytes(a.encode().translate(_TENS), "big")
+            + int.from_bytes(b.encode().translate(_UNITS), "big")
+            ).to_bytes(len(a), "big")
+    times = {(a[n:n + width], b[n:n + width]): n
+             for n in first_windows(pair, width).values()}
     return JointLanguage(L, T, times, p, q)
 
 

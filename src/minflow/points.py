@@ -9,7 +9,7 @@ offending window instead of silently emitting junk.
 
 from .errors import (DomainError, IntegrityError, ResourceError,
                      UndeterminedError)
-from .words import fixed_point_prefix, flip_word
+from .words import first_windows, fixed_point_prefix, flip_word
 
 HORIZON_CAP = 1 << 20
 _ADDRESS_BLOCK_CAP = 1 << 22
@@ -91,9 +91,10 @@ def _find_violation(system, word, base_coord):
     """Locate a short inadmissible factor to name in an error message."""
     for m in range(2, min(len(word), 64) + 1):
         lang = system.language(m)
-        for i in range(len(word) - m + 1):
-            if word[i:i + m] not in lang:
-                return word[i:i + m], base_coord + i
+        # the first window outside lang, by first start, is the leftmost
+        for window, i in first_windows(word, m).items():
+            if window not in lang:
+                return window, base_coord + i
     return word, base_coord
 
 
@@ -114,7 +115,7 @@ class SplicePoint(Point):
         self.system = left.system
         self.left = left
         self.right = right
-        self._half = 0
+        self._half = -1      # no buffer yet, so even window(0, 0) builds one
         self._buf = ""
 
     def _ensure(self, half):

@@ -5,6 +5,8 @@ subshift is presented by a primitive substitution iterated from a
 prolongable seed; its language cache is built by collecting factors of a
 long generated prefix (exact for primitive substitutions in the cached
 range, since every factor occurs in every sufficiently long image block).
+`first_windows` collects them, jumping over stretches of the prefix that
+repeat an earlier one.
 
 Admissibility of words longer than the cache bound is decided exactly by
 a desubstitution certificate: a word is admissible iff it decomposes as
@@ -23,12 +25,60 @@ LANGUAGE_CAP = 256        # longest n the language cache will enumerate
 SHORT_WORD_LEN = 64       # direct membership below, parse certificate above
 _PARSE_DEPTH_CAP = 64
 _PARSE_BRANCH_CAP = 64
+_PROBE = 8                # first_windows: symbols past a repeat worth a skip
+_PROBE_GAP_CAP = 64       # first_windows: longest wait after a failed probe
 
 FLIP = str.maketrans("01", "10")
 
 
 def flip_word(word: str) -> str:
     return word.translate(FLIP)
+
+
+def first_windows(word, width) -> dict:
+    """Each distinct width-`width` window of `word` -> its first start.
+
+    Keys come in order of first start; `word` may be a str or bytes.
+    Repeats are skipped Lempel-Ziv style: when the window at n already
+    began at j < n and the next _PROBE symbols after both agree too, the
+    longest common extension m of j and n is found by galloping and then
+    halving on slice equality.  Every window inside that match equals one
+    that starts earlier, so the walk jumps to n + m - width + 1.
+    Substitutive words repeat long stretches, so only a few positions per
+    distinct window are sliced.  A failed probe delays the next one by a
+    gap that doubles up to _PROBE_GAP_CAP, so that text with few long
+    repeats (random words) costs little more than one slice per position.
+    """
+    first = {}
+    last = len(word) - width
+    n = probe_at = 0
+    gap = 1
+    while n <= last:
+        for n in range(n, last + 1):
+            window = word[n:n + width]
+            if window not in first:
+                first[window] = n
+            elif n >= probe_at:
+                j = first[window]
+                if word[j + width:j + width + _PROBE] == \
+                        word[n + width:n + width + _PROBE]:
+                    break
+                probe_at = n + gap
+                gap = min(2 * gap, _PROBE_GAP_CAP)
+        else:
+            break
+        # a slice running past the end is short, so it never compares equal
+        m, step = width + _PROBE, 1
+        while word[j + m:j + m + step] == word[n + m:n + m + step]:
+            m += step
+            step *= 2
+        while step > 1:
+            step //= 2
+            if word[j + m:j + m + step] == word[n + m:n + m + step]:
+                m += step
+        n += m - width + 1
+        gap = 1
+    return first
 
 
 class Substitution:
@@ -175,8 +225,7 @@ class SubshiftSystem:
             return self._lang[n]
 
     def _collect_factors(self, n):
-        prefix = self.test_word(max(4096, 8 * n))
-        return frozenset(prefix[i:i + n] for i in range(len(prefix) - n + 1))
+        return frozenset(first_windows(self.test_word(max(4096, 8 * n)), n))
 
     def _build_language(self, n):
         # build upward so the closure/extendability assertions run for

@@ -160,6 +160,11 @@ def usage_failure(capsys, *argv):
     return code, capsys.readouterr().err
 
 
+# JSON files that hold no code object, written beside each run below
+CODE_FILES = {"empty.json": "{}", "list.json": "[1, 2]",
+              "half.json": '{"radius": 0.5, "blocks": []}'}
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--config"], "--config needs a FILE argument"),
     (["lang", "morse", "--config"], "--config needs a FILE argument"),
@@ -168,10 +173,18 @@ def usage_failure(capsys, *argv):
     (["factor", "morse"], "factor needs --word or --address-of"),
     (["join", "morse", "fix0", "fix0", "--steps", "-5"],
      "need resolution >= 0 and steps >= 0"),
+    (["aut", "morse", "--apply", "@empty.json"],
+     'a code object needs "radius" and "blocks"'),
+    (["aut", "morse", "--apply", "@list.json"],
+     'a code object needs "radius" and "blocks"'),
+    (["aut", "morse", "--apply", "@half.json"],
+     "code radius must be an integer >= 0, got 0.5"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):
     monkeypatch.chdir(tmp_path)
+    for name, text in CODE_FILES.items():
+        (tmp_path / name).write_text(text)
     code, err = usage_failure(capsys, *argv)
     assert code == 2
     assert err.startswith("minflow: " + message) and err.count("\n") == 1

@@ -6,7 +6,7 @@ from minflow.joins import (coalescence_check, dichotomy, fit_local_rule,
                            joint_address_profile, joint_language, member_pair,
                            odometer_sr_witness, sr_report)
 from minflow.pairs import distal_certificate
-from minflow.points import fixed_point, point_from_address
+from minflow.points import fixed_point, point_from_address, seam_points
 
 
 @pytest.fixture(scope="module")
@@ -19,6 +19,31 @@ def cert(x0):
     c = distal_certificate(x0, level=12)
     assert c.granted
     return c
+
+
+def naive_joint(p, q, L, T):
+    a = p.window(-L, T + L)
+    b = q.window(-L, T + L)
+    width = 2 * L + 1
+    times = {}
+    for n in range(T + 1):
+        key = (a[n:n + width], b[n:n + width])
+        if key not in times:
+            times[key] = n
+    return times
+
+
+@pytest.mark.parametrize("L", [0, 8, 32])
+@pytest.mark.parametrize("T", [0, 1, 2048, 1 << 16])
+def test_joint_language_matches_naive(morse, x0, L, T):
+    seam = seam_points(morse)
+    pairs = [(seam["mu"], seam[name])
+             for name in ("mu", "nu", "mu_prime", "nu_prime")]
+    pairs += [(x0, x0.shift(k).flip() if flip else x0.shift(k))
+              for k in (-3, 0, 1, 5) for flip in (False, True)]
+    for p, q in pairs:
+        assert list(joint_language(p, q, L, T).pair_times.items()) == \
+            list(naive_joint(p, q, L, T).items())
 
 
 def test_joint_language_diagonal(morse):

@@ -115,6 +115,23 @@ def test_inadmissible_splice_fails_loudly(pd):
     assert "splice" in str(err.value)
 
 
+def test_inadmissible_splice_names_leftmost_shortest_window(fib):
+    # no 2- to 7-factor is missing from Fibonacci; the leftmost 8-factor
+    # that is sits across the seam
+    splice = parse_point_spec(fib, "splice(rev(fix(0)),fix(0))")
+    with pytest.raises(IntegrityError) as err:
+        splice.window(-8, 8)
+    assert str(err.value) == (
+        "splice splice(rev(fix(0)),fix(0)) produced inadmissible window "
+        "'00100100' at coordinate -4")
+
+
+def test_fresh_splice_serves_the_seam_symbol(morse):
+    for spec, symbol in (("splice(rev(fix(0)),fix(0))", "0"),
+                         ("splice(rev(fix(0)),fix(1))", "1")):
+        assert parse_point_spec(morse, spec).window(0, 0) == symbol
+
+
 def test_inadmissible_flip_fails_loudly(pd):
     p = point_from_address(pd, (0,) * 10, "0")
     assert p.window(0, 7) == "01000101"

@@ -1,10 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minflow.errors import ConstructionError, DomainError, ResourceError
-from minflow.words import (Substitution, SubshiftSystem, fixed_point_prefix,
-                           flip_word, get_system, substitute)
+from minflow.words import (REGISTRY, Substitution, SubshiftSystem,
+                           first_windows, fixed_point_prefix, flip_word,
+                           get_system, substitute)
 
 TM = {"0": "01", "1": "10"}
 PD = {"0": "01", "1": "00"}
@@ -21,6 +23,74 @@ def oracle_prefix(rule, seed, n):
 def oracle_factors(rule, seed, n, plen):
     s = oracle_prefix(rule, seed, plen)
     return {s[i:i + n] for i in range(len(s) - n + 1)}
+
+
+def naive_first_windows(word, width):
+    first = {}
+    for n in range(len(word) - width + 1):
+        first.setdefault(word[n:n + width], n)
+    return first
+
+
+def assert_first_windows(word, widths):
+    for width in widths:
+        assert list(first_windows(word, width).items()) == \
+            list(naive_first_windows(word, width).items()), (word, width)
+
+
+ALPHABETS = ["0", "01", "012", "0123456789"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ALPHABETS).flatmap(
+    lambda a: st.text(alphabet=a, max_size=120)), st.data())
+def test_first_windows_matches_naive(word, data):
+    width = data.draw(st.integers(0, len(word) + 1))
+    assert_first_windows(word, [width])
+    assert_first_windows(word.encode(), [width])
+
+
+@pytest.mark.parametrize("alphabet", ALPHABETS)
+def test_first_windows_random_words(alphabet):
+    rng = random.Random(len(alphabet))
+    for size in (0, 1, 2, 7, 64, 300):
+        word = "".join(rng.choice(alphabet) for _ in range(size))
+        assert_first_windows(word, range(1, size + 2))
+    word = "".join(rng.choice(alphabet) for _ in range(1 << 12))
+    assert_first_windows(word, [1, 2, 3, 8, 20, 65, 4095, 4096, 4097])
+
+
+def test_first_windows_periodic_words():
+    for period in ("0", "01", "001", "0110", "0123456789", "0010010001"):
+        word = period * (300 // len(period)) + period[:len(period) // 2]
+        assert_first_windows(word, range(1, len(word) + 2))
+
+
+@pytest.mark.parametrize("rule", [TM, FIB, PD])
+def test_first_windows_substitutive_prefixes(rule):
+    word = oracle_prefix(rule, "0", 2000)
+    assert_first_windows(word, range(1, 130))
+    assert_first_windows(word, [255, 256, 1024, 1999, 2000, 2001])
+    assert_first_windows(word[:300], range(1, 302))
+
+
+def test_first_windows_edge_widths():
+    assert first_windows("", 1) == {}
+    assert first_windows("", 0) == {"": 0}
+    assert first_windows("0110", 4) == {"0110": 0}
+    assert first_windows("0110", 5) == {}
+    assert list(first_windows("0110100110", 3).items()) == \
+        [("011", 0), ("110", 1), ("101", 2), ("010", 3), ("100", 4),
+         ("001", 5)]
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_language_is_the_naive_factor_set(name):
+    system = REGISTRY[name]()                  # cold caches
+    for n in [*range(1, 81), 128, 256]:
+        prefix = system.test_word(max(4096, 8 * n))
+        naive = {prefix[i:i + n] for i in range(len(prefix) - n + 1)}
+        assert system.language(n) == naive, (name, n)
 
 
 def test_substitute_examples(morse):
