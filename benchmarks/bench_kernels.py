@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled kernels against the pure-Python fallback.
+"""Benchmark the kernels against the per-symbol loops they replaced.
 
-Workloads mirror the package's hot paths: sliding a radius-2 local rule
-along a long Thue-Morse prefix (code enumeration and verification),
-mismatch profiles of two long windows (pair classification at H = 2^16),
-and 2-block decoding (odometer addresses).  Whole `classify_pair` calls
-on the three kinds of seam pair at the same H are timed too, on the
-backend the package selected.
+Workloads mirror the package's hot paths: sliding local rules of radius
+0..3 along a long Thue-Morse prefix (code enumeration and verification),
+plus one radius-4 rule whose codes do not fit a byte; mismatch profiles
+of two long windows (pair classification at H = 2^16); and 2-block
+decoding (odometer addresses).  Each kernel is checked against its loop
+and timed beside it.  Whole `classify_pair` calls on the three kinds of
+seam pair at the same H are timed too.
 
 The window scan `words.first_windows` is timed through its callers
 (`joint_language` at L = 32, T = 2^16, and a cold `language(64)` of each
@@ -14,7 +15,7 @@ built-in system) and against the plain per-position loop on a random
 binary word of 2^17 symbols, where long repeats are rare (its worst
 case; no caller feeds it such a word).
 
-Usage: python benchmarks/bench_kernels.py [--repeat N]
+Usage: python benchmarks/bench_kernels.py [--repeat N] [--size N]
 """
 
 import argparse
@@ -24,7 +25,6 @@ import time
 from minflow import kernels
 from minflow.codes import shift_code
 from minflow.joins import joint_language
-from minflow.kernels import backends
 from minflow.pairs import classify_pair
 from minflow.points import point_from_address, seam_points
 from minflow.words import REGISTRY, first_windows, get_system
@@ -37,6 +37,42 @@ def best_of(repeat, fn, *args):
         fn(*args)
         best = min(best, time.perf_counter() - t0)
     return best
+
+
+def naive_apply(word, radius, table, base):
+    """apply_rule one symbol at a time, with a rolling block code."""
+    width = 2 * radius + 1
+    high = base ** (width - 1)
+    code = 0
+    for d in word[:width]:
+        code = code * base + d - 48
+    out = bytearray(len(word) - width + 1)
+    for i in range(len(out)):
+        if i:
+            code = (code % high) * base + word[i + width - 1] - 48
+        out[i] = table[code]
+    return bytes(out)
+
+
+def naive_diffs(a, b, width):
+    """window_diffs with a running mismatch count."""
+    run = sum(x != y for x, y in zip(a[:width], b[:width]))
+    out = [run]
+    for i in range(1, len(a) - width + 1):
+        run += (a[i + width - 1] != b[i + width - 1]) - (a[i - 1] != b[i - 1])
+        out.append(run)
+    return out
+
+
+def naive_decode(word, start, block_len, table, base):
+    """decode_blocks one block, and one symbol, at a time."""
+    out = bytearray()
+    for pos in range(start, len(word) - block_len + 1, block_len):
+        code = 0
+        for d in word[pos:pos + block_len]:
+            code = code * base + d - 48
+        out.append(table[code])
+    return bytes(out)
 
 
 def naive_first_windows(word, width):
@@ -90,39 +126,37 @@ def main():
 
     morse = get_system("morse")
     word = morse.test_word(args.size).encode()
-    code = shift_code(morse, 1, radius=2)
-    table = code._rule_table()
     seam = seam_points(morse)
     h, l = 1 << 16, 64
     a = seam["mu"].window(-h - l, h + l).encode()
     b = seam["nu"].window(-h - l, h + l).encode()
     decode_table = morse._block_decode_table()
 
-    workloads = [
-        ("apply_rule  r=2, %.1e syms" % len(word),
-         lambda impl: impl.apply_rule(word, 2, table, 2)),
-        ("window_diffs H=2^16, L=64",
-         lambda impl: impl.window_diffs(a, b, 2 * l + 1)),
-        ("decode_blocks %.1e syms" % len(word),
-         lambda impl: impl.decode_blocks(word, 0, 2, decode_table, 2)),
+    workloads = []
+    for radius in (0, 1, 2, 3, 4):
+        table = shift_code(morse, min(radius, 1), radius=radius)._rule_table()
+        workloads.append((
+            "apply_rule r=%d, %.1e syms" % (radius, len(word)),
+            kernels.apply_rule, naive_apply, (word, radius, table, 2)))
+    workloads += [
+        ("window_diffs H=2^16, L=64", kernels.window_diffs, naive_diffs,
+         (a, b, 2 * l + 1)),
+        ("decode_blocks %.1e syms" % len(word), kernels.decode_blocks,
+         naive_decode, (word, 0, 2, decode_table, 2)),
     ]
 
-    impls = backends()
-    print("kernel backends available: %s" % ", ".join(sorted(impls)))
-    print()
-    print("%-32s" % "workload", *("%12s" % n for n in sorted(impls)),
-          "%10s" % "speedup")
-    for name, fn in workloads:
-        times = {n: best_of(args.repeat, fn, impl)
-                 for n, impl in impls.items()}
-        row = ["%-32s" % name]
-        row += ["%10.2fms" % (times[n] * 1e3) for n in sorted(impls)]
-        if "compiled" in times and "pure" in times:
-            row.append("%9.1fx" % (times["pure"] / times["compiled"]))
-        print(*row)
+    print("%-32s %12s %12s %9s" % ("kernel (r=4: codes above a byte)",
+                                    "loop", "kernel", "speedup"))
+    for name, fast, loop, kargs in workloads:
+        assert fast(*kargs) == loop(*kargs), name
+        t_loop = best_of(args.repeat, loop, *kargs)
+        t_fast = best_of(args.repeat, fast, *kargs)
+        print("%-32s %10.2fms %10.2fms %8.1fx" % (name, t_loop * 1e3,
+                                                  t_fast * 1e3,
+                                                  t_loop / t_fast))
 
     print()
-    print("classify_pair H=2^16, L=64 on the %s kernels" % kernels.BACKEND)
+    print("classify_pair H=2^16, L=64")
     for first, second in (("mu", "nu"), ("mu", "nu_prime"),
                           ("mu", "mu_prime")):
         t = best_of(args.repeat, classify_pair, seam[first], seam[second],
@@ -132,12 +166,6 @@ def main():
                                        verdict))
 
     bench_windows(args.repeat, seam, morse)
-
-    for n, impl in sorted(impls.items()):
-        got = impl.apply_rule(word[:64], 2, table, 2)
-        assert got == word[3:63], "backend %s disagrees" % n
-    print()
-    print("consistency check: backends agree on a shared workload")
 
 
 if __name__ == "__main__":

@@ -5,10 +5,11 @@ points and sliding block codes, proximal/asymptotic pair classification,
 dyadic odometer factor maps, and semi-regularity experiments.
 """
 
-from .kernels import BACKEND
 from .words import REGISTRY, SubshiftSystem, Substitution, get_system
 
 __version__ = "0.1.0"
+# the kernels are pure Python; kept as a name for tools that record it
+BACKEND = "pure"
 
 __all__ = ["BACKEND", "REGISTRY", "SubshiftSystem", "Substitution",
            "get_system", "__version__"]

@@ -84,7 +84,8 @@ def _parse_code_spec(system, text):
                 obj = json.load(fh)
         except OSError as exc:
             raise DomainError("cannot read code file: %s" % exc) from None
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # JSONDecodeError, UnicodeDecodeError, or nesting too deep
             raise DomainError("code file %s is not JSON: %s"
                               % (text[1:], exc)) from None
         return SlidingBlockCode.from_json(system, obj)
@@ -413,15 +414,19 @@ def _apply_config(argv):
     if i + 1 == len(argv):
         raise DomainError("--config needs a FILE argument")
     path = argv[i + 1]
+    try:
+        with open(path) as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise DomainError("config file %s is not text: %s"
+                          % (path, exc)) from None
     extra = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            extra.extend(["--" + key.strip().replace("_", "-"),
-                          value.strip()])
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        extra.extend(["--" + key.strip().replace("_", "-"), value.strip()])
     # config-supplied options go right after the subcommand so explicit
     # flags still win (argparse keeps the last occurrence)
     head = argv[:i] + argv[i + 2:]

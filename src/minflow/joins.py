@@ -314,18 +314,21 @@ def odometer_sr_witness(levels: int, seed=20190609):
 
     The commuting bijections of (Z/2^k, +1) are exactly the 2^k
     translations: each translation is verified to commute (exhaustively
-    for small k, on a deterministic sample otherwise), commuting forces
-    f(x) = f(0) + x (checked constructively), and sampled
-    non-translations are rejected.
+    for small k; above that, a deterministic sample of translations on a
+    sample of points), commuting forces f(x) = f(0) + x (checked
+    constructively for small k), and non-translations are rejected.
     """
     if levels < 0 or levels > 20:
         raise DomainError("levels must lie in 0..20")
     size = 2 ** levels
     exhaustive = size <= 4096
     rng = random.Random(seed)
-    points = range(size) if exhaustive else \
-        sorted(rng.randrange(size) for _ in range(1024))
-    for c in range(size):
+    if exhaustive:
+        translations = points = range(size)
+    else:
+        points = sorted(rng.randrange(size) for _ in range(1024))
+        translations = sorted(rng.randrange(size) for _ in range(1024))
+    for c in translations:
         for x in points:
             if (x + 1 + c) % size != ((x + c) % size + 1) % size:
                 raise DomainError("translation %d does not commute" % c)
@@ -339,15 +342,19 @@ def odometer_sr_witness(levels: int, seed=20190609):
                 raise DomainError("forcing failed")
         forced += 1
     rejected = 0
-    attempts = 0
     # every bijection of Z/1 and Z/2 is a translation; nothing to reject
-    while size > 2 and rejected < 20 and attempts < 200:
-        attempts += 1
-        perm = list(range(size))
-        rng.shuffle(perm)
-        if all(perm[(x + 1) % size] == (perm[x] + 1) % size
-               for x in range(size)):
-            continue   # shuffled into a translation; try again
+    for _ in range(20 if size > 2 else 0):
+        # the translation by c with the images of a and b swapped is a
+        # bijection and no translation (it agrees with x + c elsewhere),
+        # so it fails to commute, and only where x or x + 1 is a or b
+        c = rng.randrange(size)
+        a, b = rng.sample(range(size), 2)
+        f = {x % size: (x + c) % size
+             for x in (a - 1, a, a + 1, b - 1, b, b + 1)}
+        f[a], f[b] = f[b], f[a]
+        if all(f[(x + 1) % size] == (f[x] + 1) % size
+               for x in ((a - 1) % size, a, (b - 1) % size, b)):
+            raise DomainError("a non-translation commutes")
         rejected += 1
     return {"levels": levels, "translation_count": size,
             "verification": "exhaustive" if exhaustive else "sampled",

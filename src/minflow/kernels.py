@@ -1,0 +1,177 @@
+"""The three hot loops of the package, in pure Python.
+
+Words travel as ASCII digit bytes (symbols '0' .. '0' + base - 1), rule
+tables as flat byte arrays indexed by the base-`base` value of a block
+(most significant symbol first), with 0xFF marking entries outside the
+admissible set.
+
+No kernel runs Python code once per symbol.  `apply_rule` and
+`decode_blocks` ask one question, which `_lookup` answers: the table
+entry of each width-`width` window at start, start + step, ... (step 1
+for a sliding rule, the block length for a block decoding).  The codes
+of all windows come out of a few big-integer shifts, products and sums
+(`_window_codes`); codes that fit a byte are read in the table with
+`bytes.translate`, wider ones through `array` and `map`.  `window_diffs`
+subtracts prefix sums of a byte mismatch map.
+
+Errors come in the order of a window-by-window scan: a window with no
+table entry that lies wholly before the first symbol outside the
+alphabet, else that symbol.
+"""
+
+import functools
+import itertools
+import operator
+import sys
+from array import array
+
+UNSET = 0xFF
+# maps each byte of a ^ b to 1 where the symbols differ, 0 where they agree
+_DIFFERS = bytes([0]) + bytes([1]) * 255
+# windows looked up per pass; bounds the temporary buffers to a few times
+# this many bytes whatever the word's length
+CHUNK_BLOCKS = 1 << 14
+# pads a table of the codes that fit a byte to all 256 of them
+_PAD = bytes([UNSET]) * 256
+# array typecode of each slot size that wider codes travel in
+_TYPECODES = {array(c).itemsize: c for c in "LIH"}
+
+
+def apply_rule(word: bytes, radius: int, table: bytes, base: int) -> bytes:
+    """Slide a radius-`radius` local rule along `word`.
+
+    Returns the image of length len(word) - 2*radius.  Raises ValueError
+    on a symbol outside the alphabet or a block with no table entry.
+    """
+    if radius < 0:
+        raise ValueError("bad radius")
+    width = 2 * radius + 1
+    n = len(word)
+    if n < width:
+        raise ValueError("word shorter than the rule window")
+    out, foreign = _lookup(word, 0, n - width + 1, 1, width, table, base)
+    unmapped = out.find(UNSET)
+    if unmapped >= 0:
+        raise ValueError("block with no rule entry at %d" % unmapped)
+    if foreign >= 0:
+        raise ValueError("symbol outside alphabet at %d" % foreign)
+    return out
+
+
+def window_diffs(a: bytes, b: bytes, width: int) -> list:
+    """Mismatch count of a vs b in every length-`width` window.
+
+    Returns a list of len(a)-width+1 counts (a and b must have equal
+    length >= width).
+    """
+    n = len(a)
+    if len(b) != n:
+        raise ValueError("length mismatch")
+    if width < 1 or width > n:
+        raise ValueError("bad window width")
+    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    mismatches = x.to_bytes(n, "big").translate(_DIFFERS)
+    # window i's count is the difference of two prefix sums; tee keeps
+    # only the `width` sums between them, not all n + 1
+    hi, lo = itertools.tee(itertools.accumulate(mismatches, initial=0))
+    return list(map(operator.sub, itertools.islice(hi, width, None), lo))
+
+
+def decode_blocks(word: bytes, start: int, block_len: int, table: bytes,
+                  base: int) -> bytes:
+    """Decode the full `block_len`-blocks of `word` beginning at `start`.
+
+    Trailing symbols that do not fill a block are ignored.  Raises
+    ValueError on a symbol outside the alphabet (its position in `word`)
+    or on a block that is not a substitution image (its index counted
+    from `start`), whichever comes first.
+    """
+    n = len(word)
+    if start < 0 or start > n:
+        raise ValueError("bad start")
+    if block_len < 1:
+        raise ValueError("bad block length")
+    out, foreign = _lookup(word, start, (n - start) // block_len, block_len,
+                           block_len, table, base)
+    unmapped = out.find(UNSET)
+    if unmapped >= 0:
+        raise ValueError("block %d is not a substitution image" % unmapped)
+    if foreign >= 0:
+        raise ValueError("symbol outside alphabet at %d" % foreign)
+    return out
+
+
+def _lookup(word, start, count, step, width, table, base):
+    """Table entries of the `count` width-`width` windows of `word` at
+    start, start + step, ...
+
+    Returns (entries, foreign).  `foreign` is the position in `word` of
+    the first symbol outside the alphabet, or -1; the entries then stop
+    at the last window wholly before it.  They also stop after the pass
+    that met the first UNSET entry, so the callers' `find(UNSET)` names
+    the first unmapped window.
+    """
+    size = base ** width
+    if len(table) < size:
+        raise ValueError("rule table shorter than base ** width")
+    digits = _digit_map(base)
+    slot = 1 if size <= 1 << 8 else 2 if size <= 1 << 16 else 4
+    if slot == 1:
+        lookup = table[:size] + _PAD[size:]
+    parts = []
+    for first in range(0, count, CHUNK_BLOCKS):
+        m = min(CHUNK_BLOCKS, count - first)
+        lo = start + first * step
+        body = word[lo:lo + (m - 1) * step + width].translate(digits)
+        foreign = body.find(UNSET)
+        if foreign >= 0:
+            body = body[:foreign]
+            m = min(m, max(0, (foreign - width) // step + 1))
+        codes = _window_codes(body, width, base, slot)
+        if slot == 1:
+            part = codes[:m * step:step].translate(lookup)
+        else:
+            codes = array(_TYPECODES[slot], codes)
+            if sys.byteorder == "big":
+                codes.byteswap()
+            part = bytes(map(table.__getitem__, codes[:m * step:step]))
+        parts.append(part)
+        if foreign >= 0:
+            return b"".join(parts), lo + foreign
+        if UNSET in part:
+            break
+    return b"".join(parts), -1
+
+
+def _window_codes(digits, width, base, slot):
+    """The base-`base` code of the width-`width` window at every position
+    of `digits`, each in a little-endian `slot`-byte slot.
+
+    The slots of one big integer hold the codes of width k; doubling k
+    (or adding one) shifts a copy down by k slots and adds it to the
+    integer times base**k.  No slot carries, since every code is below
+    base**width <= 256**slot.  The last width - 1 slots hold codes of
+    windows cut short by the end.
+    """
+    if slot > 1:
+        spread = bytearray(len(digits) * slot)
+        spread[::slot] = digits
+        digits = spread
+    one = int.from_bytes(digits, "little")
+    bits = 8 * slot
+    codes, k = one, 1
+    for bit in bin(width)[3:]:
+        codes = codes * base ** k + (codes >> bits * k)
+        k *= 2
+        if bit == "1":
+            codes = codes * base + (one >> bits * k)
+            k += 1
+    return codes.to_bytes(len(digits), "little")
+
+
+@functools.lru_cache(maxsize=16)
+def _digit_map(base):
+    """Translate table from each alphabet symbol to its digit and every
+    other byte to UNSET."""
+    return bytes(c - 48 if 48 <= c < 48 + base else UNSET
+                 for c in range(256))

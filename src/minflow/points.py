@@ -322,26 +322,28 @@ class _SpecParser:
             self.error("expected %r" % tok)
         self.pos += len(tok)
 
+    def digits_end(self, i):
+        """End of the run of ASCII digits at i (str.isdigit() also holds
+        for '²' and '٣', which int() refuses)."""
+        while i < len(self.text) and self.text[i] in "0123456789":
+            i += 1
+        return i
+
     def take_int(self):
-        i = self.pos
-        if i < len(self.text) and self.text[i] in "+-":
-            i += 1
-        while i < len(self.text) and self.text[i].isdigit():
-            i += 1
-        if i == self.pos:
+        first = self.pos + (self.text[self.pos:self.pos + 1] in ("+", "-"))
+        end = self.digits_end(first)
+        if end == first:
             self.error("expected integer")
-        val = int(self.text[self.pos:i])
-        self.pos = i
+        val = int(self.text[self.pos:end])
+        self.pos = end
         return val
 
     def take_digits(self):
-        i = self.pos
-        while i < len(self.text) and self.text[i].isdigit():
-            i += 1
-        if i == self.pos:
+        end = self.digits_end(self.pos)
+        if end == self.pos:
             self.error("expected digit string")
-        out = self.text[self.pos:i]
-        self.pos = i
+        out = self.text[self.pos:end]
+        self.pos = end
         return out
 
     def expect_end(self):

@@ -2,8 +2,7 @@
 
 Run with `pytest tests/test_acceptance.py -v -s`.  Tolerances are exact
 unless a criterion states otherwise.  The runtime targets are gates that
-hold on the pure kernels, which `PYTHONPATH=src` gives without a build
-step, as well as on the compiled backend.
+hold under a plain `PYTHONPATH=src`, with no build step.
 """
 
 import random
@@ -12,7 +11,6 @@ from fractions import Fraction
 
 import pytest
 
-from minflow import kernels
 from minflow.codes import classify_aut_group, enumerate_endomorphisms
 from minflow.factors import (OdometerAddress, address, fiber_census,
                              word_frequencies)
@@ -189,6 +187,3 @@ def test_criterion_10_odometer_sr_witness():
         assert witness["translation_count"] == 2 ** k
     report(10, "levels k<=10 realize exactly 2^k commuting translations")
 
-
-def test_backend_note():
-    print("kernel backend: %s" % kernels.BACKEND)

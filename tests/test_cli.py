@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from minflow.cli import main
 
@@ -160,9 +161,12 @@ def usage_failure(capsys, *argv):
     return code, capsys.readouterr().err
 
 
-# JSON files that hold no code object, written beside each run below
-CODE_FILES = {"empty.json": "{}", "list.json": "[1, 2]",
-              "half.json": '{"radius": 0.5, "blocks": []}'}
+# files that hold no code object (or no config), written beside each run
+# below
+CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
+              "half.json": b'{"radius": 0.5, "blocks": []}',
+              "latin1.json": b"\x80", "deep.json": b"[" * 5000 + b"]" * 5000,
+              "latin1.cfg": b"length=\x80"}
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -179,12 +183,26 @@ CODE_FILES = {"empty.json": "{}", "list.json": "[1, 2]",
      'a code object needs "radius" and "blocks"'),
     (["aut", "morse", "--apply", "@half.json"],
      "code radius must be an integer >= 0, got 0.5"),
+    (["aut", "morse", "--apply", "@latin1.json"],
+     "code file latin1.json is not JSON"),
+    (["aut", "morse", "--apply", "@deep.json"],
+     "code file deep.json is not JSON"),
+    (["--config", "latin1.cfg", "lang", "morse"],
+     "config file latin1.cfg is not text"),
+    (["point", "morse", "shift(fix0,-_1)"],
+     "bad point spec 'shift(fix0,-_1)': expected integer (at 11)"),
+    (["point", "morse", "shift(fix0,+)"],
+     "bad point spec 'shift(fix0,+)': expected integer (at 11)"),
+    (["point", "morse", "shift(fix0,\u00b2)"],
+     "bad point spec 'shift(fix0,\u00b2)': expected integer (at 11)"),
+    (["point", "morse", "addr(\u0663,0)"],
+     "bad point spec 'addr(\u0663,0)': expected digit string (at 5)"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):
     monkeypatch.chdir(tmp_path)
     for name, text in CODE_FILES.items():
-        (tmp_path / name).write_text(text)
+        (tmp_path / name).write_bytes(text)
     code, err = usage_failure(capsys, *argv)
     assert code == 2
     assert err.startswith("minflow: " + message) and err.count("\n") == 1
@@ -225,3 +243,110 @@ def test_config_file(tmp_path, capsys):
     code, out = run(capsys, "--config", str(cfg), "lang", "morse",
                     "--length", "1")
     assert out.splitlines() == ["0", "1"]
+
+
+# -- fuzzing the exit-status contract ------------------------------------
+
+SYMBOLS = st.sampled_from("0123")
+ONE_SIDED = st.recursive(
+    st.builds("fix({})".format, SYMBOLS) | st.builds("fix{}".format, SYMBOLS),
+    lambda inner: st.builds("rev({})".format, inner)
+    | st.builds("flip({})".format, inner),
+    max_leaves=3)
+POINTS = st.recursive(
+    st.builds("splice({},{})".format, ONE_SIDED, ONE_SIDED)
+    | st.builds("fix({})".format, SYMBOLS)
+    | st.builds("addr({},{})".format,
+                st.text("0123", min_size=0, max_size=12), SYMBOLS),
+    lambda inner: st.builds("shift({},{})".format, inner,
+                            st.integers(-40, 40))
+    | st.builds("flip({})".format, inner),
+    max_leaves=3)
+# grammar specs, cut or spliced with characters int() and isdigit() read
+NOISE = st.text("()+-_ ,0123456789²٣fixrevsplicehftadr", max_size=6)
+POINT_SPECS = st.one_of(
+    POINTS,
+    st.tuples(POINTS, st.integers(0, 40), st.integers(0, 3), NOISE).map(
+        lambda t: t[0][:t[1]] + t[3] + t[0][t[1] + t[2]:]),
+    st.text(max_size=12))
+JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 5) | st.floats(-2, 2)
+    | st.text("01", max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["radius", "blocks", "x"]), inner,
+                      max_size=3),
+    max_leaves=8)
+# what a code file holds: JSON, deeply nested JSON, or any bytes
+CODE_FILES_TEXT = st.one_of(
+    JSON.map(lambda obj: json.dumps(obj).encode()),
+    st.integers(1, 5000).map(lambda n: b"[" * n + b"]" * n),
+    st.binary(max_size=12))
+CODE_SPECS = st.one_of(
+    st.sampled_from(["id", "flip", "id.flip", "flip.flip"]),
+    st.builds("shift^{}".format, st.integers(-3, 3)),
+    st.builds("shift^{}.flip".format, st.integers(-3, 3)),
+    st.builds("shift^{}".format, NOISE),
+    st.just("@code.json"),
+    st.text(max_size=10))
+CONFIG_KEYS = st.sampled_from(["length", "count", "check", "lo", "hi",
+                               "levels", "expect", "fixed_point", "word",
+                               "", "=", "-", "config"])
+CONFIG_LINES = st.lists(
+    st.builds("{}={}".format, CONFIG_KEYS | st.text(max_size=4),
+              st.integers(-3, 12).map(str) | st.text(max_size=4))
+    | st.text(max_size=8), max_size=4).map("\n".join)
+
+
+def exit_status(capsys, argv):
+    """main's exit status, and that it printed no traceback."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:        # argparse's usage errors
+        code = exc.code
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return code
+
+
+FUZZ = settings(max_examples=100, deadline=None,
+                suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@FUZZ
+@given(system=st.sampled_from(["morse", "fibonacci", "period-doubling"]),
+       spec=POINT_SPECS, lo=st.integers(-40, 40), width=st.integers(-2, 40))
+def test_fuzz_point_specs(capsys, system, spec, lo, width):
+    argv = ["point", system, spec, "--lo", str(lo), "--hi", str(lo + width)]
+    assert exit_status(capsys, argv) in (0, 1, 2)
+
+
+@FUZZ
+@given(system=st.sampled_from(["morse", "fibonacci", "period-doubling"]),
+       apply=CODE_SPECS, compose=st.none() | CODE_SPECS,
+       code=CODE_FILES_TEXT,
+       word=st.none() | st.text("0123", max_size=12))
+def test_fuzz_code_specs(capsys, tmp_path_factory, system, apply, compose,
+                         code, word):
+    path = tmp_path_factory.mktemp("code") / "code.json"
+    path.write_bytes(code)
+    argv = ["aut", system, "--apply", apply.replace("@code.json",
+                                                    "@%s" % path)]
+    if compose is not None:
+        argv += ["--compose", compose.replace("@code.json", "@%s" % path)]
+    if word is not None:
+        argv += ["--word", word]
+    assert exit_status(capsys, argv) in (0, 1, 2)
+
+
+@FUZZ
+@given(command=st.sampled_from([["lang", "morse"], ["odometer"],
+                                ["point", "morse", "fix0"]]),
+       text=CONFIG_LINES, raw=st.none() | st.binary(max_size=12))
+def test_fuzz_config_lines(capsys, tmp_path_factory, command, text, raw):
+    path = tmp_path_factory.mktemp("config") / "run.cfg"
+    if raw is None:
+        path.write_text(text)
+    else:
+        path.write_bytes(raw)
+    argv = ["--config", str(path)] + command
+    assert exit_status(capsys, argv) in (0, 1, 2)

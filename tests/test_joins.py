@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from minflow.codes import flip_code, shift_code
@@ -187,3 +189,16 @@ def test_odometer_sr_witness():
     assert report["non_translations_rejected"] > 0
     with pytest.raises(DomainError):
         odometer_sr_witness(21)
+
+
+def test_odometer_sr_witness_top_level_is_quick():
+    # the sampled path checks sampled translations on sampled points and
+    # builds its non-translations without touching all 2^20 points
+    t0 = time.monotonic()
+    report = odometer_sr_witness(20)
+    assert time.monotonic() - t0 < 10
+    assert report == {"levels": 20, "translation_count": 1 << 20,
+                      "verification": "sampled", "forced_translations": 0,
+                      "non_translations_rejected": 20,
+                      "sample_generator": {"name": "random.Random",
+                                           "seed": 20190609}}

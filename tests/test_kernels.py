@@ -4,18 +4,41 @@ import pytest
 
 from minflow import kernels
 
+# the kernels have one implementation; the "pure" id keeps these tests'
+# names from when a compiled one was tested beside it
+pure = pytest.mark.parametrize("impl", [kernels], ids=["pure"])
+# bytes that int() reads as part of a number; the kernels must report
+# them as symbols outside the alphabet
+INT_TRAPS = b"_ +-"
+
 
 def naive_apply(word, radius, table, base):
+    """The per-symbol loop `apply_rule` replaced, verbatim."""
     width = 2 * radius + 1
-    out = []
-    for i in range(len(word) - width + 1):
-        code = 0
-        for c in word[i:i + width]:
-            code = code * base + (c - 48)
+    n = len(word)
+    if n < width:
+        raise ValueError("word shorter than the rule window")
+    high = base ** (width - 1)
+    code = 0
+    for j in range(width):
+        d = word[j] - 48
+        if d < 0 or d >= base:
+            raise ValueError("symbol outside alphabet at %d" % j)
+        code = code * base + d
+    out = bytearray(n - width + 1)
+    i = 0
+    while True:
         t = table[code]
         if t == 0xFF:
-            raise ValueError
-        out.append(t)
+            raise ValueError("block with no rule entry at %d" % i)
+        out[i] = t
+        i += 1
+        if i + width > n:
+            break
+        d = word[i + width - 1] - 48
+        if d < 0 or d >= base:
+            raise ValueError("symbol outside alphabet at %d" % (i + width - 1))
+        code = (code % high) * base + d
     return bytes(out)
 
 
@@ -50,14 +73,8 @@ def outcome(fn, *args):
         return "ValueError: %s" % exc
 
 
-def test_backend_selection():
-    assert kernels.BACKEND in ("pure", "compiled")
-    assert "pure" in kernels.backends()
-
-
-@pytest.mark.parametrize("name", sorted(kernels.backends()))
-def test_apply_rule_matches_naive(name):
-    impl = kernels.backends()[name]
+@pure
+def test_apply_rule_matches_naive(impl):
     rng = random.Random(0)
     for radius in (0, 1, 2):
         width = 2 * radius + 1
@@ -67,9 +84,88 @@ def test_apply_rule_matches_naive(name):
             naive_apply(word, radius, table, 2)
 
 
-@pytest.mark.parametrize("name", sorted(kernels.backends()))
-def test_apply_rule_errors(name):
-    impl = kernels.backends()[name]
+def random_table(rng, base, width, holes):
+    """A rule table with random outputs and about a `holes` share of its
+    entries unmapped, at least one mapped and one not when `holes`."""
+    size = base ** width
+    table = bytearray(48 + rng.randrange(base) for _ in range(size))
+    if holes:
+        unmapped = rng.sample(range(size), max(1, int(size * holes)))
+        for code in unmapped[:size - 1]:
+            table[code] = 0xFF
+    return bytes(table)
+
+
+def random_word(rng, base, n):
+    return bytes(48 + rng.randrange(base) for _ in range(n))
+
+
+# codes travel in 1-byte slots up to base**width = 256, then in 2-byte
+# slots ((3, 3), (10, 1), (2, 4)) and 4-byte ones ((2, 8))
+@pytest.mark.parametrize("base,radius", [(2, 0), (2, 1), (2, 2), (2, 3),
+                                         (3, 0), (3, 1), (3, 2),
+                                         (3, 3), (10, 1), (2, 4), (2, 8)])
+def test_apply_rule_matches_loop(base, radius):
+    rng = random.Random(100 * base + radius)
+    width = 2 * radius + 1
+    full = random_table(rng, base, width, 0)
+    holes = random_table(rng, base, width, 0.02)
+    traps = INT_TRAPS + bytes([47, 48 + base, 58, 0x80, 0xFF])
+    for table in (full, holes):
+        for n in (width - 1, width, width + 1, 50, 300):
+            word = random_word(rng, base, n)
+            assert outcome(kernels.apply_rule, word, radius, table, base) \
+                == outcome(naive_apply, word, radius, table, base)
+        word = random_word(rng, base, 300)
+        # a foreign symbol inside the first window, at the last symbol,
+        # and before, between and after unmapped windows
+        for at in sorted({0, width // 2, width - 1, 299,
+                          *range(width, 300, 7)}):
+            bad = word[:at] + traps[at % len(traps):][:1] + word[at + 1:]
+            assert outcome(kernels.apply_rule, bad, radius, table, base) \
+                == outcome(naive_apply, bad, radius, table, base)
+    for trap in traps:
+        word = random_word(rng, base, width + 5)
+        bad = word[:width + 2] + bytes([trap]) + word[width + 3:]
+        assert outcome(kernels.apply_rule, bad, radius, full, base) == \
+            "ValueError: symbol outside alphabet at %d" % (width + 2)
+
+
+@pytest.mark.parametrize("base,radius", [(3, 1), (3, 3), (3, 5)])
+def test_apply_rule_long_word(base, radius):
+    # several passes of CHUNK_BLOCKS windows; positions count over the
+    # whole word.  The word uses only 0 and 1, and every window with a
+    # 2 is unmapped.
+    rng = random.Random(5)
+    width = 2 * radius + 1
+    table = bytearray(b"\xff" * base ** width)
+    for code in range(2 ** width):
+        table[int(format(code, "0%db" % width), base)] = \
+            48 + rng.randrange(base)
+    table = bytes(table)
+    word = random_word(rng, 2, 1 << 17)
+    assert kernels.apply_rule(word, radius, table, base) == \
+        naive_apply(word, radius, table, base)
+    for patches, message in [
+            ({100000: b"2"},
+             "block with no rule entry at %d" % (100000 - width + 1)),
+            ({100000: b"2", 100003: b"+"},
+             "block with no rule entry at %d" % (100000 - width + 1)),
+            ({100000: b"2", 99999: b"_"}, "symbol outside alphabet at 99999"),
+            ({131071: b"-"}, "symbol outside alphabet at 131071"),
+            ({131071: b"2"},
+             "block with no rule entry at %d" % (131072 - width))]:
+        bad = bytearray(word)
+        for at, patch in patches.items():
+            bad[at:at + 1] = patch
+        bad = bytes(bad)
+        assert outcome(kernels.apply_rule, bad, radius, table, base) == \
+            outcome(naive_apply, bad, radius, table, base) == \
+            "ValueError: " + message
+
+
+@pure
+def test_apply_rule_errors(impl):
     with pytest.raises(ValueError):
         impl.apply_rule(b"01", 1, bytes(8), 2)          # too short
     with pytest.raises(ValueError):
@@ -79,9 +175,8 @@ def test_apply_rule_errors(name):
         impl.apply_rule(b"001", 0, table, 2)            # unmapped block
 
 
-@pytest.mark.parametrize("name", sorted(kernels.backends()))
-def test_window_diffs_matches_naive(name):
-    impl = kernels.backends()[name]
+@pure
+def test_window_diffs_matches_naive(impl):
     rng = random.Random(1)
     a = bytes(rng.randrange(2) + 48 for _ in range(300))
     b = bytes(rng.randrange(2) + 48 for _ in range(300))
@@ -103,9 +198,8 @@ def test_window_diffs_matches_naive(name):
     assert impl.window_diffs(a, b, 129) == naive_diffs(a, b, 129)
 
 
-@pytest.mark.parametrize("name", sorted(kernels.backends()))
-def test_decode_blocks(name):
-    impl = kernels.backends()[name]
+@pure
+def test_decode_blocks(impl):
     # Thue-Morse inverse table: 01 -> 0, 10 -> 1
     table = bytearray(b"\xff" * 4)
     table[0b01] = ord("0")
@@ -126,11 +220,10 @@ def block(code, block_len, base):
                  for j in range(block_len))
 
 
-@pytest.mark.parametrize("name", sorted(kernels.backends()))
+@pure
 @pytest.mark.parametrize("block_len,base", [(2, 2), (3, 2), (2, 3), (3, 3),
                                             (9, 2), (6, 3)])
-def test_decode_blocks_matches_naive(name, block_len, base):
-    impl = kernels.backends()[name]
+def test_decode_blocks_matches_naive(impl, block_len, base):
     rng = random.Random(block_len * 10 + base)
     size = base ** block_len
     table = bytearray(b"\xff" * size)
@@ -158,6 +251,10 @@ def test_decode_blocks_matches_naive(name, block_len, base):
     for word, message in [
             (body[:5] + b"7" + body[6:], "symbol outside alphabet at 5"),
             (body[:5] + b"/" + body[6:], "symbol outside alphabet at 5"),
+            *((body[:5] + bytes([c]) + body[6:],
+               "symbol outside alphabet at 5") for c in INT_TRAPS),
+            (body[:block_len] + b"_" + body,
+             "symbol outside alphabet at %d" % block_len),
             (body[:block_len] + unmapped + body,
              "block 1 is not a substitution image"),
             (body[:block_len] + unmapped + b"9" + body,
@@ -175,11 +272,10 @@ def test_decode_blocks_matches_naive(name, block_len, base):
             impl.decode_blocks(body, start, block_len, table, base)
 
 
-@pytest.mark.parametrize("name", sorted(kernels.backends()))
-def test_decode_blocks_long_word(name):
-    # long enough that a pure backend may decode it in several passes;
+@pure
+def test_decode_blocks_long_word(impl):
+    # several passes of CHUNK_BLOCKS blocks;
     # error positions and block indices count over the whole word
-    impl = kernels.backends()[name]
     table = bytes([0xFF, 48, 49, 0xFF])
     rng = random.Random(3)
     body = b"".join(rng.choice((b"01", b"10")) for _ in range(1 << 17))
@@ -193,18 +289,3 @@ def test_decode_blocks_long_word(name):
         assert outcome(impl.decode_blocks, bad, 1, 2, table, 2) == \
             outcome(naive_decode, bad, 1, 2, table, 2) == \
             "ValueError: " + message
-
-
-def test_backends_agree_on_random_workloads():
-    impls = kernels.backends()
-    if len(impls) < 2:
-        pytest.skip("compiled backend unavailable")
-    rng = random.Random(2)
-    word = bytes(rng.randrange(2) + 48 for _ in range(5000))
-    other = bytes(rng.randrange(2) + 48 for _ in range(5000))
-    table = bytes(rng.randrange(2) + 48 for _ in range(32))
-    results = set()
-    for impl in impls.values():
-        results.add((impl.apply_rule(word, 2, table, 2),
-                     tuple(impl.window_diffs(word, other, 65))))
-    assert len(results) == 1
