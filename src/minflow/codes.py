@@ -17,6 +17,9 @@ from .words import flip_word
 DEFAULT_CHECK_LEN = 4096
 _PRUNE_WINDOW = 16
 _NODE_CAP = 2_000_000
+# entries of the dense table a code is applied through (base ** (2r+1));
+# 16 MB, e.g. radius 11 on two symbols
+_RULE_TABLE_CAP = 1 << 24
 
 
 class SlidingBlockCode:
@@ -43,6 +46,11 @@ class SlidingBlockCode:
             if self.system.alphabet != "0123456789"[:base]:
                 raise IntegrityError("alphabet must be contiguous digits")
             width = 2 * self.radius + 1
+            if base ** width > _RULE_TABLE_CAP:
+                raise ResourceError("a radius-%d code needs a rule table of "
+                                    "%d^%d entries, over the cap %d"
+                                    % (self.radius, base, width,
+                                       _RULE_TABLE_CAP))
             table = bytearray(b"\xff" * base ** width)
             for block, out in self.rule.items():
                 code = 0

@@ -197,6 +197,11 @@ CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
      "bad point spec 'shift(fix0,\u00b2)': expected integer (at 11)"),
     (["point", "morse", "addr(\u0663,0)"],
      "bad point spec 'addr(\u0663,0)': expected digit string (at 5)"),
+    (["aut", "morse", "--apply", "id", "--compose", "shift^20"],
+     "a radius-20 code needs a rule table of 2^41 entries, over the cap"),
+    (["aut", "morse", "--apply", "shift^12", "--word",
+      "01101001100101101001011001101001"],
+     "a radius-12 code needs a rule table of 2^25 entries, over the cap"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):
@@ -308,7 +313,9 @@ def exit_status(capsys, argv):
     return code
 
 
-FUZZ = settings(max_examples=100, deadline=None,
+# derandomized: every run tries the same examples, so that the suite's
+# verdict does not depend on the run
+FUZZ = settings(max_examples=100, deadline=None, derandomize=True,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
