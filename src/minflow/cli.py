@@ -17,7 +17,7 @@ from . import factors, joins, pairs
 from .codes import (apply_code, classify_aut_group, compose,
                     enumerate_endomorphisms)
 from .errors import DomainError, MinflowError
-from .points import parse_point_spec, seam_points
+from .points import INTEGER, parse_point_spec, seam_points
 from .words import REGISTRY, fixed_point_prefix, get_system, substitute
 
 CHECK_FAILED = True  # handler return value mapped to exit status 1
@@ -97,11 +97,10 @@ def _parse_code_spec(system, text):
     elif text == "flip":
         return flip_code(system)
     elif text.startswith("shift^"):
-        try:
-            k = int(text[len("shift^"):])
-        except ValueError:
-            raise DomainError("bad code spec %r" % text) from None
-        base = shift_code(system, k)
+        k = text[len("shift^"):]
+        if not INTEGER.fullmatch(k):
+            raise DomainError("bad code spec %r" % text)
+        base = shift_code(system, int(k))
     else:
         raise DomainError("bad code spec %r" % text)
     return compose(base, flip_code(system)) if flip else base

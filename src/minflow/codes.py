@@ -5,14 +5,17 @@ system.  Enumeration searches the rule space depth-first in block
 first-appearance order along a generated test word, pruning as soon as a
 determined stretch of the image stops being admissible; survivors are
 verified exactly against the full test corpus, so the published list is
-certified up to the check length.
+certified up to the check length.  Each assignment determines one more
+range of the image: the kernel fills it in one call through a dense rule
+table, and the range is pruned when one of its distinct windows lies
+outside the language.
 """
 
 from dataclasses import dataclass
 
 from . import kernels
 from .errors import DomainError, IntegrityError, ResourceError
-from .words import flip_word
+from .words import first_windows, flip_word, pack_pair
 
 DEFAULT_CHECK_LEN = 4096
 _PRUNE_WINDOW = 16
@@ -42,21 +45,10 @@ class SlidingBlockCode:
 
     def _rule_table(self):
         if self._table is None:
+            table = _empty_table(self.system, self.radius)
             base = len(self.system.alphabet)
-            if self.system.alphabet != "0123456789"[:base]:
-                raise IntegrityError("alphabet must be contiguous digits")
-            width = 2 * self.radius + 1
-            if base ** width > _RULE_TABLE_CAP:
-                raise ResourceError("a radius-%d code needs a rule table of "
-                                    "%d^%d entries, over the cap %d"
-                                    % (self.radius, base, width,
-                                       _RULE_TABLE_CAP))
-            table = bytearray(b"\xff" * base ** width)
             for block, out in self.rule.items():
-                code = 0
-                for c in block:
-                    code = code * base + (ord(c) - 48)
-                table[code] = ord(out)
+                table[_block_code(block, base)] = ord(out)
             self._table = bytes(table)
         return self._table
 
@@ -132,6 +124,27 @@ class SlidingBlockCode:
         nf = self.normal_form
         tag = " shift^%d.flip^%d" % nf if nf else ""
         return "<SlidingBlockCode r=%d%s>" % (self.radius, tag)
+
+
+def _empty_table(system, radius):
+    """A dense rule table for radius-`radius` codes with no entry set."""
+    base = len(system.alphabet)
+    if system.alphabet != "0123456789"[:base]:
+        raise IntegrityError("alphabet must be contiguous digits")
+    width = 2 * radius + 1
+    if base ** width > _RULE_TABLE_CAP:
+        raise ResourceError("a radius-%d code needs a rule table of "
+                            "%d^%d entries, over the cap %d"
+                            % (radius, base, width, _RULE_TABLE_CAP))
+    return bytearray(b"\xff" * base ** width)
+
+
+def _block_code(block, base):
+    """The table index of a block: its base-`base` value."""
+    code = 0
+    for c in block:
+        code = code * base + (ord(c) - 48)
+    return code
 
 
 # -- constructors -------------------------------------------------------
@@ -211,35 +224,37 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
     blocks = sorted(system.language(width))
     block_id = {b: i for i, b in enumerate(blocks)}
     master = system.test_word(check_len)
-    idx = [block_id[master[i:i + width]]
-           for i in range(len(master) - width + 1)]
-    order, first_pos, seen = [], [], set()
-    for pos, bid in enumerate(idx):
-        if bid not in seen:
-            seen.add(bid)
-            order.append(bid)
-            first_pos.append(pos)
-    if len(seen) != len(blocks):
+    first = first_windows(master, width)
+    if len(first) != len(blocks):
         raise IntegrityError("test word of length %d misses %d admissible "
-                             "blocks" % (check_len, len(blocks) - len(seen)))
-    first_pos.append(len(idx))
+                             "blocks" % (check_len, len(blocks) - len(first)))
+    order = [block_id[b] for b in first]
+    first_pos = [*first.values(), len(master) - width + 1]
 
     prune_w = min(_PRUNE_WINDOW, check_len - width + 1)
     lang_bytes = [None] + [frozenset(w.encode() for w in system.language(m))
                            for m in range(1, prune_w + 1)]
     outs = [ord(a) for a in system.alphabet]
-    image = bytearray(len(idx))
+    base = len(system.alphabet)
+    table = _empty_table(system, radius)
+    table_index = [_block_code(b, base) for b in blocks]
+    raw = master.encode()
+    image = bytearray(len(master) - width + 1)
     assign = [0] * len(blocks)
     results = []
     nodes = 0
 
     def admissible_prefix(begin, end):
-        for p in range(begin, end):
-            image[p] = assign[idx[p]]
-            m = min(prune_w, p + 1)
-            if bytes(image[p - m + 1:p + 1]) not in lang_bytes[m]:
+        # every block of the range is assigned, so the kernel fills it
+        image[begin:end] = kernels.apply_rule(raw[begin:end + width - 1],
+                                              radius, table, base)
+        for p in range(begin, min(end, prune_w - 1)):
+            if bytes(image[:p + 1]) not in lang_bytes[p + 1]:
                 return False
-        return True
+        # the prune_w-windows that end in the range
+        lo = max(begin - prune_w + 1, 0)
+        return first_windows(bytes(image[lo:end]), prune_w).keys() \
+            <= lang_bytes[prune_w]
 
     def dfs(j, prefix_end):
         nonlocal nodes
@@ -255,7 +270,7 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
             if nodes > node_cap:
                 raise ResourceError("enumeration node cap exceeded",
                                     partial=_sorted_codes(results, blocks))
-            assign[order[j]] = out
+            assign[order[j]] = table[table_index[order[j]]] = out
             if admissible_prefix(prefix_end, new_end):
                 dfs(j + 1, new_end)
 
@@ -290,25 +305,30 @@ def invert(code: SlidingBlockCode, max_radius,
     r = code.radius
     master = system.test_word(check_len)
     u = code.apply(master)
-    for rp in range(max_radius + 1):
+    n = len(u)
+    top = min(max_radius, (n - 1) // 2)
+    # the first starts of the distinct widest windows of u beside the
+    # symbols of master under them; every narrower window is the centre
+    # of one of these or lies within `top - rp` of an end
+    widest = first_windows(pack_pair(u, master[r:n + r]),
+                           2 * top + 1).values()
+    for rp in range(top + 1):
         width = 2 * rp + 1
-        if len(u) < width:
-            continue
+        d = top - rp
         mapping = {}
-        ok = True
-        for i in range(len(u) - width + 1):
+        for i in (*range(d), *(i + d for i in widest),
+                  *range(n - width - d + 1, n - width + 1)):
             b = u[i:i + width]
             t = master[i + rp + r]
             if mapping.setdefault(b, t) != t:
-                ok = False
                 break
-        if not ok:
-            continue
-        if set(mapping) != set(system.language(width)):
-            continue
-        cand = SlidingBlockCode(system, rp, mapping)
-        if is_identity(compose(cand, code)) and is_identity(compose(code, cand)):
-            return cand
+        else:
+            if set(mapping) != set(system.language(width)):
+                continue
+            cand = SlidingBlockCode(system, rp, mapping)
+            if is_identity(compose(cand, code)) and \
+                    is_identity(compose(code, cand)):
+                return cand
     return None
 
 

@@ -22,15 +22,11 @@ from .codes import (SlidingBlockCode, classify_aut_group, compose,
                     verify_endomorphism)
 from .errors import DomainError, PreconditionError
 from .points import parse_point_spec, point_from_address
-from .words import MAX_ALPHABET, first_windows, get_system
+from .words import first_windows, get_system, pack_pair
 
 DEFAULT_RESOLUTION = 32
 DEFAULT_STEPS = 1 << 16
 DEFAULT_RADIUS_BUDGET = 4
-
-_DIGITS = bytes(range(48, 48 + MAX_ALPHABET))
-_TENS = bytes.maketrans(_DIGITS, bytes(range(0, 10 * MAX_ALPHABET, 10)))
-_UNITS = bytes.maketrans(_DIGITS, bytes(range(MAX_ALPHABET)))
 
 
 @dataclass(frozen=True)
@@ -84,13 +80,8 @@ def joint_language(p, q, resolution=DEFAULT_RESOLUTION,
     a = p.window(-L, T + L)
     b = q.window(-L, T + L)
     width = 2 * L + 1
-    # one byte 10*a[i] + b[i] per time (no carries: digits < MAX_ALPHABET),
-    # so the pair windows are the windows of one byte string
-    pair = (int.from_bytes(a.encode().translate(_TENS), "big")
-            + int.from_bytes(b.encode().translate(_UNITS), "big")
-            ).to_bytes(len(a), "big")
     times = {(a[n:n + width], b[n:n + width]): n
-             for n in first_windows(pair, width).values()}
+             for n in first_windows(pack_pair(a, b), width).values()}
     return JointLanguage(L, T, times, p, q)
 
 
@@ -317,6 +308,8 @@ def odometer_sr_witness(levels: int, seed=20190609):
     for small k; above that, a deterministic sample of translations on a
     sample of points), commuting forces f(x) = f(0) + x (checked
     constructively for small k), and non-translations are rejected.
+    For small k both checks run in O(2^k), since each of them at a pair
+    (c, x) depends on the sum x + c alone.
     """
     if levels < 0 or levels > 20:
         raise DomainError("levels must lie in 0..20")
@@ -324,23 +317,25 @@ def odometer_sr_witness(levels: int, seed=20190609):
     exhaustive = size <= 4096
     rng = random.Random(seed)
     if exhaustive:
-        translations = points = range(size)
+        # translation c commutes at x iff +1 steps right at s = x + c,
+        # and following the cycle of +1 from f(0) = c reaches
+        # f(x) = x + c iff it steps right at every sum up to x + c - 1;
+        # so one pass over the 2^(k+1) - 1 sums checks every pair (c, x)
+        # for both, and commuting forces f(x) = f(0) + x for all 2^k
+        # choices of f(0)
+        for s in range(2 * size - 1):
+            if (s + 1) % size != (s % size + 1) % size:
+                raise DomainError("translation %d does not commute"
+                                  % max(0, s - size + 1))
+        forced = size
     else:
         points = sorted(rng.randrange(size) for _ in range(1024))
         translations = sorted(rng.randrange(size) for _ in range(1024))
-    for c in translations:
-        for x in points:
-            if (x + 1 + c) % size != ((x + c) % size + 1) % size:
-                raise DomainError("translation %d does not commute" % c)
-    # commuting forces translation: f(x) = f(0) + x by following the cycle
-    forced = 0
-    for c in range(size if exhaustive else 0):
-        f = c
-        for x in range(1, size):
-            f = (f + 1) % size
-            if f != (x + c) % size:
-                raise DomainError("forcing failed")
-        forced += 1
+        for c in translations:
+            for x in points:
+                if (x + 1 + c) % size != ((x + c) % size + 1) % size:
+                    raise DomainError("translation %d does not commute" % c)
+        forced = 0
     rejected = 0
     # every bijection of Z/1 and Z/2 is a translation; nothing to reject
     for _ in range(20 if size > 2 else 0):

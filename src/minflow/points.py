@@ -7,11 +7,18 @@ system language, so an inconsistent construction fails loudly with the
 offending window instead of silently emitting junk.
 """
 
+import re
+
 from .errors import (DomainError, IntegrityError, ResourceError,
                      UndeterminedError)
 from .words import first_windows, fixed_point_prefix, flip_word
 
 HORIZON_CAP = 1 << 20
+# an integer of the spec grammars: an optional sign, then ASCII digits
+# (int() also takes '1_0' and ' 3', and str.isdigit() holds for '²' and
+# '٣')
+INTEGER = re.compile(r"[+-]?[0-9]+")
+_DIGITS = re.compile(r"[0-9]+")
 _ADDRESS_BLOCK_CAP = 1 << 22
 
 
@@ -322,29 +329,19 @@ class _SpecParser:
             self.error("expected %r" % tok)
         self.pos += len(tok)
 
-    def digits_end(self, i):
-        """End of the run of ASCII digits at i (str.isdigit() also holds
-        for '²' and '٣', which int() refuses)."""
-        while i < len(self.text) and self.text[i] in "0123456789":
-            i += 1
-        return i
-
     def take_int(self):
-        first = self.pos + (self.text[self.pos:self.pos + 1] in ("+", "-"))
-        end = self.digits_end(first)
-        if end == first:
+        match = INTEGER.match(self.text, self.pos)
+        if match is None:
             self.error("expected integer")
-        val = int(self.text[self.pos:end])
-        self.pos = end
-        return val
+        self.pos = match.end()
+        return int(match.group())
 
     def take_digits(self):
-        end = self.digits_end(self.pos)
-        if end == self.pos:
+        match = _DIGITS.match(self.text, self.pos)
+        if match is None:
             self.error("expected digit string")
-        out = self.text[self.pos:end]
-        self.pos = end
-        return out
+        self.pos = match.end()
+        return match.group()
 
     def expect_end(self):
         if self.pos != len(self.text):

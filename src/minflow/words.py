@@ -8,10 +8,14 @@ range, since every factor occurs in every sufficiently long image block).
 `first_windows` collects them, jumping over stretches of the prefix that
 repeat an earlier one.
 
-Admissibility of words longer than the cache bound is decided exactly by
-a desubstitution certificate: a word is admissible iff it decomposes as
-(suffix of an image) + image of an admissible word + (prefix of an
-image), recursively.
+Admissibility of words longer than the cache bound is decided exactly,
+in two steps at every level of a recursion.  First occurrence: every
+factor of the fixed point is in the language of a primitive substitution
+(Queffelec, Substitution Dynamical Systems, LNM 1294), so a word found in
+the fixed-point prefix already cached for the seed is admissible; the
+prefix is never grown for this.  Then the desubstitution certificate: a
+word is admissible iff it decomposes as (suffix of an image) + image of
+an admissible word + (prefix of an image).  Only the parse says no.
 """
 
 import itertools
@@ -23,6 +27,7 @@ from .errors import ConstructionError, DomainError, IntegrityError, ResourceErro
 MAX_ALPHABET = 10
 LANGUAGE_CAP = 256        # longest n the language cache will enumerate
 SHORT_WORD_LEN = 64       # direct membership below, parse certificate above
+PREFIX_MIN = 4096         # shortest fixed-point prefix a system caches
 _PARSE_DEPTH_CAP = 64
 _PARSE_BRANCH_CAP = 64
 _PROBE = 8                # first_windows: symbols past a repeat worth a skip
@@ -31,8 +36,29 @@ _PROBE_GAP_CAP = 64       # first_windows: longest wait after a failed probe
 FLIP = str.maketrans("01", "10")
 
 
+_DIGITS = bytes(range(48, 48 + MAX_ALPHABET))
+_TENS = bytes.maketrans(_DIGITS, bytes(range(0, 10 * MAX_ALPHABET, 10)))
+_UNITS = bytes.maketrans(_DIGITS, bytes(range(MAX_ALPHABET)))
+
+
 def flip_word(word: str) -> str:
     return word.translate(FLIP)
+
+
+def pack_pair(a: str, b: str) -> bytes:
+    """One byte 10*a[i] + b[i] for each position of two equal-length words.
+
+    No byte carries, since the digits lie below MAX_ALPHABET = 10, so the
+    windows of the pair (a, b) are the windows of one byte string.
+    """
+    return (int.from_bytes(a.encode().translate(_TENS), "big")
+            + int.from_bytes(b.encode().translate(_UNITS), "big")
+            ).to_bytes(len(a), "big")
+
+
+def _over_alphabet(word: str, alphabet: str) -> bool:
+    """Whether every symbol of `word` lies in `alphabet`."""
+    return not word.translate(dict.fromkeys(map(ord, alphabet)))
 
 
 def first_windows(word, width) -> dict:
@@ -201,7 +227,7 @@ class SubshiftSystem:
             have = self._prefix.get(seed, "")
             if len(have) < n:
                 have = fixed_point_prefix(self.substitution, seed,
-                                          max(n, 2 * len(have), 4096))
+                                          max(n, 2 * len(have), PREFIX_MIN))
                 self._prefix[seed] = have
             return have[:n]
 
@@ -225,7 +251,8 @@ class SubshiftSystem:
             return self._lang[n]
 
     def _collect_factors(self, n):
-        return frozenset(first_windows(self.test_word(max(4096, 8 * n)), n))
+        return frozenset(first_windows(self.test_word(max(PREFIX_MIN, 8 * n)),
+                                       n))
 
     def _build_language(self, n):
         # build upward so the closure/extendability assertions run for
@@ -256,7 +283,7 @@ class SubshiftSystem:
         """True iff `word` is a factor of the subshift's language."""
         if word == "":
             return True
-        if any(c not in self.alphabet for c in word):
+        if not _over_alphabet(word, self.alphabet):
             return False
         if len(word) <= min(SHORT_WORD_LEN, self.language_cap):
             return word in self.language(len(word))
@@ -267,6 +294,8 @@ class SubshiftSystem:
             raise IntegrityError("parse recursion too deep")
         if len(word) <= min(SHORT_WORD_LEN, self.language_cap):
             return word in self.language(len(word))
+        if word in self._seed_prefix():
+            return True
         ell = self.constant_length
         if ell is not None:
             preimages = self._cl_decompositions(word, ell)
@@ -276,6 +305,15 @@ class SubshiftSystem:
             if self._admissible_by_parse(preimage, depth + 1):
                 return True
         return False
+
+    def _seed_prefix(self):
+        """The whole fixed-point prefix cached for the seed (at least
+        PREFIX_MIN symbols), to search for occurrences in."""
+        prefix = self._prefix.get(self.seed, "")
+        if len(prefix) < PREFIX_MIN:
+            self.fixed_prefix(self.seed, PREFIX_MIN)
+            prefix = self._prefix[self.seed]
+        return prefix
 
     def _block_decode_table(self):
         """image block -> letter, as a flat kernel table (constant length)."""
@@ -410,7 +448,7 @@ class FullShiftSystem(SubshiftSystem):
         return got
 
     def is_admissible(self, word):
-        return all(c in self.alphabet for c in word)
+        return _over_alphabet(word, self.alphabet)
 
     def test_word(self, length):
         # a de Bruijn cycle of order ~log covers every short block

@@ -47,6 +47,9 @@ def test_aut_apply_and_compose(capsys):
     assert code == 0 and out == "01\n"     # flip then shift: radius 1
     code, report = run_json(capsys, "aut", "morse", "--apply", "shift^1.flip")
     assert report["normal_form"] == [1, 1]
+    for spec, k in (("shift^-2", -2), ("shift^+2", 2), ("shift^-0", 0)):
+        code, report = run_json(capsys, "aut", "morse", "--apply", spec)
+        assert code == 0 and report["normal_form"] == [k, 0]
 
 
 def test_aut_report_and_expectations(capsys):
@@ -202,6 +205,12 @@ CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
     (["aut", "morse", "--apply", "shift^12", "--word",
       "01101001100101101001011001101001"],
      "a radius-12 code needs a rule table of 2^25 entries, over the cap"),
+    (["aut", "morse", "--apply", "shift^1_0"], "bad code spec 'shift^1_0'"),
+    (["aut", "morse", "--apply", "shift^ 3"], "bad code spec 'shift^ 3'"),
+    (["aut", "morse", "--apply", "shift^\u0661"],
+     "bad code spec 'shift^\u0661'"),
+    (["aut", "morse", "--apply", "id", "--compose", "shift^+-1.flip"],
+     "bad code spec 'shift^+-1'"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):

@@ -1,4 +1,6 @@
+import hashlib
 import json
+import time
 
 import pytest
 
@@ -6,7 +8,8 @@ from minflow.codes import (SlidingBlockCode, apply_code, classify_aut_group,
                            compose, enumerate_endomorphisms, flip_code,
                            identity_code, invert, is_identity, shift_code,
                            verify_endomorphism)
-from minflow.errors import DomainError
+from minflow.errors import DomainError, ResourceError
+from minflow.words import REGISTRY, FullShiftSystem
 
 
 def test_apply_examples(morse):
@@ -154,3 +157,109 @@ def test_serialization_round_trip(morse):
     assert json.dumps(again.to_json(), sort_keys=True) == blob
     obj = code.to_json()
     assert obj["blocks"] == sorted(obj["blocks"])
+
+
+def codes_digest(codes):
+    """First 16 hex digits of the SHA-256 of the codes' JSON, in order."""
+    blob = json.dumps([c.to_json() for c in codes], sort_keys=True)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+def fresh_system(name):
+    return FullShiftSystem("01") if name == "full-shift" else REGISTRY[name]()
+
+
+# (system, radius) -> (count, digest of every code's to_json), as the
+# search enumerated them before it filled ranges through the kernel and
+# certified images by occurrence in the fixed point
+ENUMERATION_PINS = {
+    ("morse", 0): (2, "4cf61edf3db7e564"),
+    ("morse", 1): (6, "db161c0a72570b53"),
+    ("morse", 2): (10, "5a1b03de51f2a322"),
+    ("morse", 3): (14, "60dd3d99ab0e33dc"),
+    ("fibonacci", 0): (1, "b291fcca21b8c889"),
+    ("fibonacci", 1): (3, "31d2adca5bb9a7ab"),
+    ("fibonacci", 2): (5, "a9a16679fd064c1b"),
+    ("fibonacci", 3): (7, "170170c646da8888"),
+    ("period-doubling", 0): (1, "b291fcca21b8c889"),
+    ("period-doubling", 1): (3, "8871df96a711cf00"),
+    ("period-doubling", 2): (5, "0655f0983936a127"),
+    ("full-shift", 0): (4, "7f6ee8bf961a4b74"),
+    ("full-shift", 1): (256, "6beb132ed62aea2b"),
+}
+
+
+@pytest.mark.parametrize("name,radius", sorted(ENUMERATION_PINS))
+def test_enumeration_is_pinned(name, radius):
+    codes = enumerate_endomorphisms(fresh_system(name), radius)
+    assert (len(codes), codes_digest(codes)) == \
+        ENUMERATION_PINS[name, radius]
+
+
+# (system, radius, node cap) -> normal forms and digest of the partial list
+NODE_CAP_PINS = {
+    ("morse", 3, 50): ([(-2, 1)], "1c3de5df575534bc"),
+    ("fibonacci", 3, 25): ([(-1, 0)], "6239888a82fc47ec"),
+    ("fibonacci", 3, 15): ([], "4f53cda18c2baa0c"),
+}
+
+
+@pytest.mark.parametrize("name,radius,cap", sorted(NODE_CAP_PINS))
+def test_node_cap_raises_with_the_partial_list(name, radius, cap):
+    t0 = time.monotonic()
+    with pytest.raises(ResourceError) as err:
+        enumerate_endomorphisms(fresh_system(name), radius, node_cap=cap)
+    assert time.monotonic() - t0 < 5
+    partial = err.value.partial
+    assert ([c.normal_form for c in partial], codes_digest(partial)) == \
+        NODE_CAP_PINS[name, radius, cap]
+
+
+def test_enumeration_refuses_tables_over_the_cap(morse, monkeypatch):
+    monkeypatch.setattr("minflow.codes._RULE_TABLE_CAP", 1 << 6)
+    assert len(enumerate_endomorphisms(morse, 2)) == 10     # 2^5 entries
+    with pytest.raises(ResourceError, match="radius-3 code needs a rule "
+                       "table of 2\\^7 entries"):
+        enumerate_endomorphisms(morse, 3)
+
+
+def naive_invert(code, max_radius, check_len=4096):
+    """invert with the graph read one window at a time."""
+    system = code.system
+    r = code.radius
+    master = system.test_word(check_len)
+    u = code.apply(master)
+    for rp in range(max_radius + 1):
+        width = 2 * rp + 1
+        mapping = {}
+        for i in range(len(u) - width + 1):
+            if mapping.setdefault(u[i:i + width], master[i + rp + r]) != \
+                    master[i + rp + r]:
+                break
+        else:
+            if set(mapping) == set(system.language(width)):
+                cand = SlidingBlockCode(system, rp, mapping)
+                if is_identity(compose(cand, code)) and \
+                        is_identity(compose(code, cand)):
+                    return cand
+    return None
+
+
+@pytest.mark.parametrize("name,radius,check_len", [
+    ("morse", 2, 4096), ("fibonacci", 2, 4096), ("period-doubling", 2, 4096),
+    ("full-shift", 1, 512), ("morse", 1, 9), ("fibonacci", 1, 4)])
+def test_invert_matches_the_window_by_window_graph(name, radius, check_len):
+    system = fresh_system(name)
+    codes = enumerate_endomorphisms(system, radius)
+    for code in codes:
+        for max_radius in range(5):
+            got = invert(code, max_radius, check_len)
+            want = naive_invert(code, max_radius, check_len)
+            assert (got and got.to_json()) == (want and want.to_json())
+
+
+def test_invert_every_morse_code(morse):
+    for code in enumerate_endomorphisms(morse, 2):
+        k, eps = code.normal_form
+        inverse = invert(code, max_radius=4)
+        assert (inverse.radius, inverse.normal_form) == (abs(k), (-k, eps))

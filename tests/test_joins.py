@@ -202,3 +202,24 @@ def test_odometer_sr_witness_top_level_is_quick():
                       "non_translations_rejected": 20,
                       "sample_generator": {"name": "random.Random",
                                            "seed": 20190609}}
+
+
+def test_odometer_sr_witness_reports_every_level():
+    for k in range(21):
+        exhaustive = k <= 12
+        assert odometer_sr_witness(k) == {
+            "levels": k, "translation_count": 1 << k,
+            "verification": "exhaustive" if exhaustive else "sampled",
+            "forced_translations": (1 << k) if exhaustive else 0,
+            "non_translations_rejected": 20 if k > 1 else 0,
+            "sample_generator": {"name": "random.Random", "seed": 20190609}}
+
+
+def test_odometer_sr_witness_exhaustive_top_level_is_quick():
+    # both exhaustive checks pass once over the sums x + c, not over
+    # every pair (c, x)
+    t0 = time.monotonic()
+    report = odometer_sr_witness(12)
+    assert time.monotonic() - t0 < 0.5
+    assert report["verification"] == "exhaustive"
+    assert report["forced_translations"] == 4096

@@ -1,10 +1,14 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minflow.errors import ConstructionError, DomainError, ResourceError
-from minflow.words import (REGISTRY, Substitution, SubshiftSystem,
+from minflow import kernels, words
+from minflow.errors import (ConstructionError, DomainError, IntegrityError,
+                            ResourceError)
+from minflow.words import (_PARSE_BRANCH_CAP, _PARSE_DEPTH_CAP, REGISTRY,
+                           SHORT_WORD_LEN, Substitution, SubshiftSystem,
                            first_windows, fixed_point_prefix, flip_word,
                            get_system, substitute)
 
@@ -247,3 +251,151 @@ def test_full_shift(full_shift):
     assert len(word) == 512
     blocks = {word[i:i + 3] for i in range(len(word) - 2)}
     assert blocks == full_shift.language(3)
+
+
+class ParseOracle(SubshiftSystem):
+    """Admissibility by the desubstitution parse alone, with no occurrence
+    certificate: the methods below are the parse as it stood before
+    occurrences in the fixed point were taken as certificates."""
+
+    def is_admissible(self, word: str) -> bool:
+        """True iff `word` is a factor of the subshift's language."""
+        if word == "":
+            return True
+        if any(c not in self.alphabet for c in word):
+            return False
+        if len(word) <= min(SHORT_WORD_LEN, self.language_cap):
+            return word in self.language(len(word))
+        return self._admissible_by_parse(word, 0)
+
+    def _admissible_by_parse(self, word, depth):
+        if depth > _PARSE_DEPTH_CAP:
+            raise IntegrityError("parse recursion too deep")
+        if len(word) <= min(SHORT_WORD_LEN, self.language_cap):
+            return word in self.language(len(word))
+        ell = self.constant_length
+        if ell is not None:
+            preimages = self._cl_decompositions(word, ell)
+        else:
+            preimages = self._decompositions(word)
+        for preimage in preimages:
+            if self._admissible_by_parse(preimage, depth + 1):
+                return True
+        return False
+
+    def _cl_decompositions(self, word, ell):
+        """Constant-length decompositions, decoded by the kernel."""
+        rule = self.substitution.rule
+        table = self._block_decode_table()
+        base = len(self.alphabet)
+        raw = word.encode()
+        n = len(word)
+        out = []
+        for start in range(ell):
+            try:
+                core = kernels.decode_blocks(raw, start, ell, table,
+                                             base).decode()
+            except ValueError:
+                continue
+            lefts = [""]
+            if start:
+                lefts = [a for a in self.alphabet
+                         if rule[a].endswith(word[:start])]
+            tail = n - (n - start) % ell
+            rights = [""]
+            if tail < n:
+                rights = [a for a in self.alphabet
+                          if rule[a].startswith(word[tail:])]
+            out.extend(l + core + r for l in lefts for r in rights)
+        return out
+
+    def _decompositions(self, word):
+        """Preimage candidates: word = (image suffix) + images + (image prefix)."""
+        rule = self.substitution.rule
+        n = len(word)
+        starts = [(0, "")]
+        for a, img in rule.items():
+            for p in range(1, len(img)):
+                if word[:p] == img[-p:]:
+                    starts.append((p, a))
+        out = []
+        for p0, left in starts:
+            # full-block chains from p0; branching is tiny for
+            # recognizable substitutions but handled generally
+            stack = [(p0, "")]
+            while stack:
+                pos, letters = stack.pop()
+                if pos == n:
+                    out.append(left + letters)
+                    continue
+                for a, img in rule.items():
+                    k = len(img)
+                    if pos + k <= n:
+                        if word[pos:pos + k] == img:
+                            stack.append((pos + k, letters + a))
+                    elif img.startswith(word[pos:]):
+                        out.append(left + letters + a)
+                if len(out) > _PARSE_BRANCH_CAP:
+                    raise ResourceError("decomposition branch cap exceeded")
+        return out
+
+
+def oracle_cases(system, rng):
+    """Words for the admissibility oracle: factors of length 65-2000 of a
+    2^16 prefix and their flips, seam splice buffers, factors that lie
+    beyond the PREFIX_MIN symbols a fresh system caches, and one-symbol
+    mutations of all of these."""
+    fixed = fixed_point_prefix(system.substitution, system.seed, 1 << 16)
+    cases = []
+    for _ in range(10):
+        n = rng.randint(65, 2000)
+        i = rng.randrange(len(fixed) - n)
+        cases += [fixed[i:i + n], flip_word(fixed[i:i + n])]
+    halves = (fixed, flip_word(fixed))
+    for n in (64, 1000):
+        cases += [a[:n][::-1] + b[:n + 1] for a in halves for b in halves]
+    cached = fixed[:words.PREFIX_MIN]
+    beyond = []
+    while len(beyond) < 5:
+        n = rng.randint(65, 2000)
+        i = rng.randrange(words.PREFIX_MIN, len(fixed) - n)
+        if fixed[i:i + n] not in cached:
+            beyond.append(fixed[i:i + n])
+    cases += beyond
+    mutants = []
+    for w in cases:
+        i = rng.randrange(len(w))
+        mutants.append(w[:i] + flip_word(w[i]) + w[i + 1:])
+    return cases + mutants
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_admissibility_matches_the_parse_oracle(name):
+    system = REGISTRY[name]()                  # cold caches
+    oracle = ParseOracle(name, system.substitution, system.seed)
+    cases = oracle_cases(system, random.Random(name))
+    cached = system.test_word(words.PREFIX_MIN)
+    assert len(system._prefix[system.seed]) == words.PREFIX_MIN
+    beyond = [w for w in cases if w not in cached]
+    assert len(beyond) > len(cases) // 2       # the parse runs on these
+    verdicts = [system.is_admissible(w) for w in cases]
+    assert verdicts == [oracle.is_admissible(w) for w in cases]
+    assert any(verdicts) and not all(verdicts)
+    # the occurrence certificate never grows the prefix
+    assert len(system._prefix[system.seed]) == words.PREFIX_MIN
+
+
+def test_parse_branch_cap_raises_quickly(monkeypatch):
+    fib = REGISTRY["fibonacci"]()
+    # ends in a 0 that may begin the image 01, so the parse has a partial
+    # last block, a branch the cap counts
+    word = fixed_point_prefix(fib.substitution, "0", 1 << 14)[8000:11001]
+    assert word.endswith("10")
+    assert word not in fib.test_word(words.PREFIX_MIN)
+    assert fib.is_admissible(word)
+    monkeypatch.setattr(words, "_PARSE_BRANCH_CAP", 0)
+    fib = REGISTRY["fibonacci"]()
+    t0 = time.monotonic()
+    with pytest.raises(ResourceError, match="branch cap"):
+        fib.is_admissible(word)
+    assert time.monotonic() - t0 < 5
