@@ -317,12 +317,10 @@ def odometer_sr_witness(levels: int, seed=20190609):
     exhaustive = size <= 4096
     rng = random.Random(seed)
     if exhaustive:
-        # translation c commutes at x iff +1 steps right at s = x + c,
-        # and following the cycle of +1 from f(0) = c reaches
-        # f(x) = x + c iff it steps right at every sum up to x + c - 1;
-        # so one pass over the 2^(k+1) - 1 sums checks every pair (c, x)
-        # for both, and commuting forces f(x) = f(0) + x for all 2^k
-        # choices of f(0)
+        # translation c commutes at x iff +1 steps right at x + c, and
+        # the cycle of +1 from f(0) = c reaches f(x) = x + c iff it steps
+        # right at every sum below x + c: the 2^(k+1) - 1 sums cover
+        # every pair (c, x) of both checks
         for s in range(2 * size - 1):
             if (s + 1) % size != (s % size + 1) % size:
                 raise DomainError("translation %d does not commute"

@@ -34,8 +34,7 @@ _PROBE = 8                # first_windows: symbols past a repeat worth a skip
 _PROBE_GAP_CAP = 64       # first_windows: longest wait after a failed probe
 
 FLIP = str.maketrans("01", "10")
-
-
+# pack_pair: each digit to ten times itself, and to itself
 _DIGITS = bytes(range(48, 48 + MAX_ALPHABET))
 _TENS = bytes.maketrans(_DIGITS, bytes(range(0, 10 * MAX_ALPHABET, 10)))
 _UNITS = bytes.maketrans(_DIGITS, bytes(range(MAX_ALPHABET)))
