@@ -263,3 +263,14 @@ def test_invert_every_morse_code(morse):
         k, eps = code.normal_form
         inverse = invert(code, max_radius=4)
         assert (inverse.radius, inverse.normal_form) == (abs(k), (-k, eps))
+
+
+@pytest.mark.parametrize("name", ["morse", "fibonacci", "period-doubling"])
+def test_cold_enumeration_certifies_images_by_occurrence(name):
+    # shifted images occur in the cached fixed point, Morse flip images'
+    # preimages too, so no parse reaches the language levels 33..64
+    system = fresh_system(name)
+    assert len(enumerate_endomorphisms(system, 3)) == \
+        (14 if name == "morse" else 7)
+    assert max(system._lang) <= 32
+    assert len(system._prefix[system.seed]) == 4096
