@@ -18,6 +18,7 @@ word is admissible iff it decomposes as (suffix of an image) + image of
 an admissible word + (prefix of an image).  Only the parse says no.
 """
 
+import functools
 import itertools
 import threading
 
@@ -57,7 +58,13 @@ def pack_pair(a: str, b: str) -> bytes:
 
 def _over_alphabet(word: str, alphabet: str) -> bool:
     """Whether every symbol of `word` lies in `alphabet`."""
-    return not word.translate(dict.fromkeys(map(ord, alphabet)))
+    return not word.translate(_deletion_table(alphabet))
+
+
+@functools.lru_cache(maxsize=16)
+def _deletion_table(alphabet):
+    """The str.translate table that deletes the symbols of `alphabet`."""
+    return dict.fromkeys(map(ord, alphabet))
 
 
 def first_windows(word, width) -> dict:
