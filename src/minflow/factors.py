@@ -248,10 +248,10 @@ def fiber_census(system, addr: OdometerAddress, resolution: int) -> FiberCensus:
     L = resolution
     if ell ** k > _CENSUS_BLOCK_CAP:
         raise ResourceError("level-%d blocks exceed cap" % k)
-    images = {a: a for a in system.alphabet}
     levels = []
-    for j in range(1, k + 1):
-        images = {a: system.substitution.apply(w) for a, w in images.items()}
+    powers = system.substitution.powers()
+    next(powers)
+    for j, images in zip(range(1, k + 1), powers):
         block = ell ** j
         rj = addr.truncate(j).to_int()
         t0 = (rj - L) // block

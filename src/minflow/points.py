@@ -7,6 +7,7 @@ system language, so an inconsistent construction fails loudly with the
 offending window instead of silently emitting junk.
 """
 
+import itertools
 import re
 
 from .errors import (DomainError, IntegrityError, ResourceError,
@@ -239,11 +240,9 @@ class AddressPoint(Point):
 
     def _ensure(self):
         if self._block is None:
-            sub = self.system.substitution
-            s = self.sheet
-            for _ in range(self.level):
-                s = sub.apply(s)
-            self._block = s
+            images = next(itertools.islice(
+                self.system.substitution.powers(), self.level, None))
+            self._block = images[self.sheet]
         return self._block
 
     def determined_range(self):

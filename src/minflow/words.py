@@ -8,6 +8,11 @@ range, since every factor occurs in every sufficiently long image block).
 `first_windows` collects them, jumping over stretches of the prefix that
 repeat an earlier one.
 
+Iterated images come from `Substitution.powers`, which builds each level
+σ^(j+1)(a) by joining the level-j images of the letters of σ(a), so no
+Python loop runs once per symbol; fixed-point prefixes, address blocks
+and fiber censuses all read it.
+
 Admissibility of words longer than the cache bound is decided exactly,
 in two steps at every level of a recursion.  First occurrence: every
 factor of the fixed point is in the language of a primitive substitution
@@ -142,6 +147,19 @@ class Substitution:
 
     __call__ = apply
 
+    def powers(self):
+        """Yield {a: σ^j(a)} for j = 0, 1, 2, ..., without end.
+
+        Each level is built by concatenation: σ^(j+1)(a) is the join of
+        σ^j(b) over the letters b of σ(a), so a level costs one join per
+        letter of the rule, whatever the image lengths.
+        """
+        images = {a: a for a in self.alphabet}
+        while True:
+            yield images
+            images = {a: "".join([images[b] for b in img])
+                      for a, img in self.rule.items()}
+
     @property
     def is_constant_length(self) -> bool:
         lens = {len(v) for v in self.rule.values()}
@@ -190,10 +208,9 @@ def fixed_point_prefix(sub: Substitution, seed: str, n: int) -> str:
         raise DomainError("seed %r outside alphabet" % seed)
     if image[0] != seed or len(image) < 2:
         raise ConstructionError("seed %r is not prolongable" % seed)
-    s = seed
-    while len(s) < n:
-        s = sub.apply(s)
-    return s[:n]
+    for images in sub.powers():
+        if len(images[seed]) >= n:
+            return images[seed][:n]
 
 
 class SubshiftSystem:
@@ -379,14 +396,16 @@ class SubshiftSystem:
                 pos, letters = stack.pop()
                 if pos == n:
                     out.append(left + letters)
-                    continue
-                for a, img in rule.items():
-                    k = len(img)
-                    if pos + k <= n:
-                        if word[pos:pos + k] == img:
-                            stack.append((pos + k, letters + a))
-                    elif img.startswith(word[pos:]):
-                        out.append(left + letters + a)
+                else:
+                    for a, img in rule.items():
+                        k = len(img)
+                        if pos + k <= n:
+                            if word[pos:pos + k] == img:
+                                stack.append((pos + k, letters + a))
+                        elif img.startswith(word[pos:]):
+                            out.append(left + letters + a)
+                # every candidate counts, whether or not it ends on a
+                # block boundary
                 if len(out) > _PARSE_BRANCH_CAP:
                     raise ResourceError("decomposition branch cap exceeded")
         return out
