@@ -15,10 +15,15 @@ built-in system) and against the plain per-position loop on a random
 binary word of 2^17 symbols, where long repeats are rare (its worst
 case; no caller feeds it such a word).
 
+Iterated images sigma^20(a) of each Morse and Fibonacci letter are built
+through `Substitution.powers` (one join per letter of the rule and level)
+and beside them by the per-symbol loop it replaced.
+
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--size N]
 """
 
 import argparse
+import itertools
 import random
 import time
 
@@ -83,6 +88,39 @@ def naive_first_windows(word, width):
         if key not in first:
             first[key] = n
     return first
+
+
+def naive_power(sub, letter, level):
+    """sigma^level(letter), substituting one symbol at a time."""
+    word = letter
+    for _ in range(level):
+        word = "".join(sub.rule[c] for c in word)
+    return word
+
+
+def nth_power(sub, level):
+    return next(itertools.islice(sub.powers(), level, None))
+
+
+def bench_powers(repeat, level=20):
+    print()
+    print("iterated images sigma^%d of every letter: powers() against the "
+          "per-symbol loop" % level)
+    print("%-32s %12s %12s %9s" % ("system (symbols)", "loop", "powers",
+                                    "speedup"))
+    for name in ("morse", "fibonacci"):
+        sub = get_system(name).substitution
+        images = nth_power(sub, level)
+        for letter in sub.alphabet:
+            assert images[letter] == naive_power(sub, letter, level), \
+                (name, letter)
+        t_loop = sum(best_of(repeat, naive_power, sub, letter, level)
+                     for letter in sub.alphabet)
+        t_fast = best_of(repeat, nth_power, sub, level)
+        label = "  %s (%d)" % (name, sum(map(len, images.values())))
+        print("%-32s %10.2fms %10.2fms %8.1fx" % (label, t_loop * 1e3,
+                                                  t_fast * 1e3,
+                                                  t_loop / t_fast))
 
 
 def bench_windows(repeat, seam, morse):
@@ -166,6 +204,7 @@ def main():
                                        verdict))
 
     bench_windows(args.repeat, seam, morse)
+    bench_powers(args.repeat)
 
 
 if __name__ == "__main__":

@@ -3,13 +3,14 @@ from fractions import Fraction
 
 import pytest
 
+from minflow import factors
 from minflow.errors import (AmbiguityError, DomainError, IntegrityError,
-                            NoParseError)
-from minflow.factors import (OdometerAddress, address, desubstitute,
-                             fiber_census, point_address,
+                            NoParseError, ResourceError)
+from minflow.factors import (FiberCensus, OdometerAddress, address,
+                             desubstitute, fiber_census, point_address,
                              recognizability_length, word_frequencies)
 from minflow.points import fixed_point, point_from_address, seam_points
-from minflow.words import flip_word
+from minflow.words import Substitution, flip_word
 
 
 def test_odometer_address_arithmetic():
@@ -102,6 +103,72 @@ def test_fiber_census_values(morse, pd):
         pd, OdometerAddress(tuple(rng.randint(0, 1) for _ in range(14))), 16)
     assert generic.cardinality == 1
     assert generic.quotient_cardinality is None
+
+
+def applied_census(system, addr, L):
+    """fiber_census with each level's images substituted symbol by symbol
+    through `Substitution.apply`."""
+    ell = system.constant_length
+    images = {a: a for a in system.alphabet}
+    levels = []
+    for j in range(1, addr.level + 1):
+        images = {a: system.substitution.apply(w) for a, w in images.items()}
+        rj = addr.truncate(j).to_int()
+        t0 = (rj - L) // ell ** j
+        t1 = (rj + L) // ell ** j
+        cut = rj - L - t0 * ell ** j
+        levels.append(frozenset(
+            "".join(images[c] for c in v)[cut:cut + 2 * L + 1]
+            for v in system.language(t1 - t0 + 1)))
+    final = levels[-1]
+    quotient = None
+    if system.flip_closed:
+        quotient = len({frozenset((w, flip_word(w))) for w in final})
+    return FiberCensus(addr, addr.level, L, tuple(sorted(final)), len(final),
+                       quotient, len(levels) >= 2 and levels[-1] == levels[-2])
+
+
+# constant tails of 0 and of 1, and two non-constant ones
+CENSUS_DIGITS = [(1, 0, 1, 1) + (0,) * 12, (0, 1, 1) + (1,) * 13,
+                 tuple(j % 2 for j in range(16)),
+                 tuple(random.Random(8).randint(0, 1) for _ in range(16))]
+
+
+@pytest.mark.parametrize("name", ["morse", "pd"])
+@pytest.mark.parametrize("L", [1, 8, 16])
+def test_fiber_census_matches_applied_images(name, L, request):
+    system = request.getfixturevalue(name)
+    for digits in CENSUS_DIGITS:
+        for k in range(1, 17):
+            addr = OdometerAddress(digits[:k])
+            assert fiber_census(system, addr, L) == \
+                applied_census(system, addr, L), (digits, k)
+
+
+@pytest.mark.parametrize("name", ["morse", "pd"])
+def test_address_point_windows_match_applied_images(name, request):
+    system = request.getfixturevalue(name)
+    digits = tuple(random.Random(20).randint(0, 1) for _ in range(20))
+    images = {a: a for a in system.alphabet}
+    for k in range(21):
+        for sheet in system.alphabet:
+            p = point_from_address(system, digits[:k], sheet)
+            lo, hi = p.determined_range()
+            assert p.window(lo, hi) == images[sheet], (k, sheet)
+            assert p.window(0, 0) == images[sheet][-lo], (k, sheet)
+        images = {a: system.substitution.apply(w) for a, w in images.items()}
+
+
+def test_census_block_cap(morse, monkeypatch):
+    assert factors._CENSUS_BLOCK_CAP == 1 << 22
+    digits = tuple(j % 2 for j in range(23))
+    census = fiber_census(morse, OdometerAddress(digits[:22]), 16)
+    assert (census.cardinality, census.stabilized) == (2, True)
+    for name in ("powers", "apply"):
+        monkeypatch.setattr(Substitution, name,
+                            lambda *args: pytest.fail("image built"))
+    with pytest.raises(ResourceError, match="level-23"):
+        fiber_census(morse, OdometerAddress(digits), 16)
 
 
 def test_seam_census_windows_are_the_splice_windows(morse):

@@ -1,10 +1,12 @@
 import pytest
 
+from minflow import points
 from minflow.errors import (DomainError, IntegrityError, ResourceError,
                             UndeterminedError)
 from minflow.points import (HORIZON_CAP, AddressPoint, OneSidedSpec,
                             ShiftedPoint, fixed_point, parse_point_spec,
                             point_from_address, seam_points, splice)
+from minflow.words import Substitution, fixed_point_prefix
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +107,23 @@ def test_address_point_validation(morse, fib):
         point_from_address(morse, (0, 2), "0")    # digit out of range
     with pytest.raises(DomainError):
         point_from_address(morse, (0, 1), "7")    # sheet outside alphabet
+
+
+def test_address_block_cap(morse, monkeypatch):
+    assert points._ADDRESS_BLOCK_CAP == 1 << 22
+    digits = tuple(j % 2 for j in range(23))
+    p = point_from_address(morse, digits[:22], "0")
+    assert p.determined_range() == (-p.offset, (1 << 22) - p.offset - 1)
+    assert p.window(-8, 8) == \
+        fixed_point_prefix(morse.substitution, "0", 1 << 22)[p.offset - 8:
+                                                             p.offset + 9]
+    for name in ("powers", "apply"):
+        monkeypatch.setattr(Substitution, name,
+                            lambda *args: pytest.fail("image built"))
+    with pytest.raises(ResourceError, match="level-23"):
+        point_from_address(morse, digits, "0")
+    with pytest.raises(ResourceError, match="level-23"):
+        parse_point_spec(morse, "addr(%s,1)" % "".join(map(str, digits)))
 
 
 def test_inadmissible_splice_fails_loudly(pd):

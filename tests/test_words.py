@@ -399,3 +399,64 @@ def test_parse_branch_cap_raises_quickly(monkeypatch):
     with pytest.raises(ResourceError, match="branch cap"):
         fib.is_admissible(word)
     assert time.monotonic() - t0 < 5
+
+
+def test_parse_branch_cap_counts_candidates_on_block_boundaries(
+        monkeypatch):
+    # ends on a block boundary, so its one candidate comes from the path
+    # that ends the word (fixed[8000:11001] above also has a partial
+    # last block)
+    fib = REGISTRY["fibonacci"]()
+    word = fixed_point_prefix(fib.substitution, "0", 1 << 14)[8000:11000]
+    assert word not in fib.test_word(words.PREFIX_MIN)
+    assert len(fib._decompositions(word)) == 1
+    assert fib.is_admissible(word)
+    monkeypatch.setattr(words, "_PARSE_BRANCH_CAP", 0)
+    fib = REGISTRY["fibonacci"]()
+    with pytest.raises(ResourceError, match="branch cap"):
+        fib.is_admissible(word)
+
+
+# images of different lengths: 0 -> 012, 1 -> 02, 2 -> 0
+POWER_RULES = {"morse": TM, "fibonacci": FIB, "period-doubling": PD,
+               "three-letter": {"0": "012", "1": "02", "2": "0"}}
+LONGEST = 1 << 14
+
+
+def applied_powers(sub):
+    """{a: σ^j(a)} for j = 0, 1, ..., each level by `Substitution.apply`,
+    up to the first level whose every image is longer than LONGEST + 1."""
+    images = {a: a for a in sub.alphabet}
+    out = [images]
+    while min(map(len, images.values())) <= LONGEST + 1:
+        images = {a: sub.apply(w) for a, w in images.items()}
+        out.append(images)
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(POWER_RULES))
+def test_powers_match_iterated_apply(name):
+    sub = Substitution(POWER_RULES[name])
+    expected = applied_powers(sub)
+    assert len(expected) > 14                  # levels 0..14 at least
+    powers = sub.powers()
+    assert [next(powers) for _ in expected] == expected
+    # a fresh generator starts again at level 0
+    assert next(sub.powers()) == {a: a for a in sub.alphabet}
+
+
+@pytest.mark.parametrize("name", sorted(POWER_RULES))
+def test_fixed_point_prefix_matches_iterated_apply(name):
+    sub = Substitution(POWER_RULES[name])
+    levels = applied_powers(sub)
+    seeds = [a for a in sub.alphabet
+             if sub.rule[a][0] == a and len(sub.rule[a]) > 1]
+    assert seeds
+    for seed in seeds:
+        blocks = [images[seed] for images in levels]
+        # length 1 and each level boundary +-1, up to LONGEST
+        lengths = {1} | {len(b) + d for b in blocks if len(b) <= LONGEST
+                         for d in (-1, 0, 1) if len(b) + d >= 1}
+        for n in sorted(lengths):
+            expected = next(b for b in blocks if len(b) >= n)[:n]
+            assert fixed_point_prefix(sub, seed, n) == expected, (seed, n)
