@@ -19,6 +19,11 @@ Iterated images sigma^20(a) of each Morse and Fibonacci letter are built
 through `Substitution.powers` (one join per letter of the rule and level)
 and beside them by the per-symbol loop it replaced.
 
+Level towers decode a 2^19-symbol Morse and period-doubling fixed-point
+prefix level by level to the top, as `factors.address` does, through
+`decode_blocks` (its key column), through the window lookup alone (the
+path that tables without a key column take) and by the per-block loop.
+
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--size N]
 """
 
@@ -156,6 +161,41 @@ def bench_windows(repeat, seam, morse):
                                                   fast * 1e3, fast / loop))
 
 
+def tower(decode, word, table):
+    """Every level of the decoding of `word` to a single symbol."""
+    levels = [word]
+    while len(levels[-1]) >= 2:
+        levels.append(decode(levels[-1], 0, 2, table, 2))
+    return levels
+
+
+def lookup_decode(word, start, block_len, table, base):
+    """decode_blocks through the window lookup alone."""
+    return kernels._lookup(word, start, (len(word) - start) // block_len,
+                           block_len, block_len, table, base)[0]
+
+
+def bench_towers(repeat, size=1 << 19):
+    print()
+    print("level towers of a %d-symbol fixed-point prefix, decoded to the "
+          "top" % size)
+    print("%-32s %12s %12s %12s" % ("system (key column)", "loop",
+                                    "lookup", "decode_blocks"))
+    for name in ("morse", "period-doubling"):
+        system = get_system(name)
+        table = system._block_decode_table()
+        word = system.test_word(size).encode()
+        want = tower(naive_decode, word, table)
+        assert tower(kernels.decode_blocks, word, table) == want, name
+        assert tower(lookup_decode, word, table) == want, name
+        times = [best_of(repeat, tower, decode, word, table)
+                 for decode in (naive_decode, lookup_decode,
+                                kernels.decode_blocks)]
+        label = "  %s (%d)" % (name, kernels._key_column(table, 2, 2)[0])
+        print("%-32s %10.2fms %10.2fms %10.2fms" % (
+            label, *(t * 1e3 for t in times)))
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=5)
@@ -205,6 +245,7 @@ def main():
 
     bench_windows(args.repeat, seam, morse)
     bench_powers(args.repeat)
+    bench_towers(args.repeat)
 
 
 if __name__ == "__main__":

@@ -202,13 +202,40 @@ def verify_endomorphism(code: SlidingBlockCode,
     """Exact corpus check: every admissible word of length 2r+8 maps to an
     admissible word, and so does a generated prefix of length check_len."""
     system = code.system
-    short_len = min(2 * code.radius + 8, system.language_cap)
-    out_lang = system.language(short_len - 2 * code.radius)
-    for w in system.language(short_len):
-        if code.apply(w) not in out_lang:
+    master = system.test_word(check_len)
+    image = code.apply(master)
+    return _maps_short_words(code, image,
+                             _short_starts(system, code.radius, master)) \
+        and system.is_admissible(image)
+
+
+def _short_len(system, radius):
+    return min(2 * radius + 8, system.language_cap)
+
+
+def _short_starts(system, radius, master):
+    """Each admissible word of length `_short_len` -> its first start in
+    `master`, or -1."""
+    return {w: master.find(w)
+            for w in system.language(_short_len(system, radius))}
+
+
+def _maps_short_words(code, image, starts):
+    """Whether the code maps every admissible word of length
+    `_short_len` to an admissible word.
+
+    `image` is the code's image of a test word and `starts` the
+    `_short_starts` of that word: the words that occur in it read their
+    images off `image`, and only the others are applied one by one.
+    """
+    system = code.system
+    out_len = _short_len(system, code.radius) - 2 * code.radius
+    out_lang = system.language(out_len)
+    for w, i in starts.items():
+        out = code.apply(w) if i < 0 else image[i:i + out_len]
+        if out not in out_lang:
             return False
-    image = code.apply(system.test_word(check_len))
-    return system.is_admissible(image)
+    return True
 
 
 def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
@@ -238,6 +265,7 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
     base = len(system.alphabet)
     table = _empty_table(system, radius)
     table_index = [_block_code(b, base) for b in blocks]
+    short_starts = _short_starts(system, radius, master)
     raw = master.encode()
     image = bytearray(len(master) - width + 1)
     assign = [0] * len(blocks)
@@ -261,7 +289,9 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
         if j == len(order):
             rule = {blocks[i]: chr(assign[i]) for i in range(len(blocks))}
             code = SlidingBlockCode(system, radius, rule)
-            if _final_verify(code, image, system):
+            full = bytes(image).decode()
+            if system.is_admissible(full) and \
+                    _maps_short_words(code, full, short_starts):
                 results.append(code)
             return
         new_end = first_pos[j + 1]
@@ -273,14 +303,6 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
             assign[order[j]] = table[table_index[order[j]]] = out
             if admissible_prefix(prefix_end, new_end):
                 dfs(j + 1, new_end)
-
-    def _final_verify(code, image, system):
-        if not system.is_admissible(bytes(image).decode()):
-            return False
-        short_len = min(2 * radius + 8, system.language_cap)
-        out_lang = system.language(short_len - 2 * radius)
-        return all(code.apply(w) in out_lang
-                   for w in system.language(short_len))
 
     dfs(0, 0)
     codes = _sorted_codes(results, blocks)

@@ -5,14 +5,22 @@ tables as flat byte arrays indexed by the base-`base` value of a block
 (most significant symbol first), with 0xFF marking entries outside the
 admissible set.
 
-No kernel runs Python code once per symbol.  `apply_rule` and
-`decode_blocks` ask one question, which `_lookup` answers: the table
-entry of each width-`width` window at start, start + step, ... (step 1
-for a sliding rule, the block length for a block decoding).  The codes
-of all windows come out of a few big-integer shifts, products and sums
-(`_window_codes`); codes that fit a byte are read in the table with
-`bytes.translate`, wider ones through `array` and `map`.  `window_diffs`
-subtracts prefix sums of a byte mismatch map.
+No kernel runs Python code once per symbol.  `apply_rule` asks one
+question, which `_lookup` answers: the table entry of each width-`width`
+window at start, start + step, ... (step 1 for a sliding rule, the block
+length for a block decoding).  The codes of all windows come out of a
+few big-integer shifts, products and sums (`_window_codes`); codes that
+fit a byte are read in the table with `bytes.translate`, wider ones
+through `array` and `map`.  `window_diffs` subtracts prefix sums of a
+byte mismatch map.
+
+`decode_blocks` first tries a key column (`_key_column`): a block offset
+whose symbol alone names the table entry, as offset 0 does for Morse and
+offset 1 for period-doubling.  Chunk by chunk it translates that
+column's strided slice to the entries and checks every other column
+against the symbols the entries expect with one comparison.  A chunk
+that fails, and every chunk after it, goes to `_lookup`, as does every
+table without a key column, so the errors are `_lookup`'s.
 
 Errors come in the order of a window-by-window scan: a window with no
 table entry that lies wholly before the first symbol outside the
@@ -33,6 +41,8 @@ _DIFFERS = bytes([0]) + bytes([1]) * 255
 CHUNK_BLOCKS = 1 << 14
 # pads a table of the codes that fit a byte to all 256 of them
 _PAD = bytes([UNSET]) * 256
+# maps each table entry to 1 where it is mapped, 0 where it is UNSET
+_MAPPED = bytes([1]) * 255 + bytes([0])
 # array typecode of each slot size that wider codes travel in
 _TYPECODES = {array(c).itemsize: c for c in "LIH"}
 
@@ -91,8 +101,28 @@ def decode_blocks(word: bytes, start: int, block_len: int, table: bytes,
         raise ValueError("bad start")
     if block_len < 1:
         raise ValueError("bad block length")
-    out, foreign = _lookup(word, start, (n - start) // block_len, block_len,
-                           block_len, table, base)
+    count = (n - start) // block_len
+    parts = []
+    first = 0
+    key = _key_column(table, block_len, base)
+    if key is not None:
+        p, letters, expect = key
+        for first in range(0, count, CHUNK_BLOCKS):
+            lo = start + first * block_len
+            end = lo + min(CHUNK_BLOCKS, count - first) * block_len
+            column = word[lo + p:end:block_len]
+            part = column.translate(letters)
+            if UNSET in part or any(
+                    word[lo + j:end:block_len] != column.translate(symbols)
+                    for j, symbols in expect):
+                break
+            parts.append(part)
+        else:
+            return b"".join(parts)
+    out, foreign = _lookup(word, start + first * block_len, count - first,
+                           block_len, block_len, table, base)
+    parts.append(out)
+    out = b"".join(parts)
     unmapped = out.find(UNSET)
     if unmapped >= 0:
         raise ValueError("block %d is not a substitution image" % unmapped)
@@ -141,6 +171,46 @@ def _lookup(word, start, count, step, width, table, base):
         if UNSET in part:
             break
     return b"".join(parts), -1
+
+
+@functools.lru_cache(maxsize=16)
+def _key_column(table, block_len, base):
+    """A column of the blocks whose symbol alone names the table entry.
+
+    Returns (p, letters, expect) for the first offset p at which the
+    mapped codes have distinct digits: `letters` translates a symbol at p
+    to the entry of the one mapped code with that digit there (UNSET for
+    any other byte), and `expect` pairs each other offset j with the
+    translation of that symbol to the digit at j of the same code.
+    Returns None when no offset qualifies or the table is short.
+    """
+    size = base ** block_len
+    if len(table) < size or size - table.count(UNSET, 0, size) > base:
+        return None
+    marks = table[:size].translate(_MAPPED)
+    mapped = []
+    code = marks.find(1)
+    while code >= 0:
+        mapped.append(code)
+        code = marks.find(1, code + 1)
+    digits = [[code // base ** (block_len - 1 - j) % base
+               for j in range(block_len)] for code in mapped]
+    for p in range(block_len):
+        if len({d[p] for d in digits}) == len(digits):
+            break
+    else:
+        return None
+    letters = bytearray(_PAD)
+    for code, d in zip(mapped, digits):
+        letters[48 + d[p]] = table[code]
+    expect = []
+    for j in range(block_len):
+        if j != p:
+            symbols = bytearray(_PAD)
+            for d in digits:
+                symbols[48 + d[p]] = 48 + d[j]
+            expect.append((j, bytes(symbols)))
+    return p, bytes(letters), tuple(expect)
 
 
 def _window_codes(digits, width, base, slot):

@@ -9,7 +9,7 @@ from minflow.codes import (SlidingBlockCode, apply_code, classify_aut_group,
                            identity_code, invert, is_identity, shift_code,
                            verify_endomorphism)
 from minflow.errors import DomainError, ResourceError
-from minflow.words import REGISTRY, FullShiftSystem
+from minflow.words import REGISTRY, FullShiftSystem, first_windows
 
 
 def test_apply_examples(morse):
@@ -274,3 +274,35 @@ def test_cold_enumeration_certifies_images_by_occurrence(name):
         (14 if name == "morse" else 7)
     assert max(system._lang) <= 32
     assert len(system._prefix[system.seed]) == 4096
+
+
+@pytest.mark.parametrize("name,radius,check_len", [
+    ("morse", 1, 8), ("morse", 2, 16), ("fibonacci", 2, 12),
+    ("period-doubling", 1, 8), ("period-doubling", 2, 16)])
+def test_short_words_missing_from_the_test_word(name, radius, check_len,
+                                                 monkeypatch):
+    # the test word misses words of length 2r+8, which are applied one by
+    # one; without them these enumerations would keep more codes
+    system = fresh_system(name)
+    short_len = 2 * radius + 8
+    missing = set(system.language(short_len)) - \
+        set(first_windows(system.test_word(check_len), short_len))
+    assert missing
+    got = enumerate_endomorphisms(system, radius, check_len)
+
+    def per_word(code, image, starts):
+        out_lang = system.language(short_len - 2 * radius)
+        return all(code.apply(w) in out_lang
+                   for w in system.language(short_len))
+
+    def occurring_only(code, image, starts):
+        return all(image[i:i + short_len - 2 * radius] in
+                   system.language(short_len - 2 * radius)
+                   for i in starts.values() if i >= 0)
+
+    monkeypatch.setattr("minflow.codes._maps_short_words", per_word)
+    want = enumerate_endomorphisms(fresh_system(name), radius, check_len)
+    assert [c.to_json() for c in got] == [c.to_json() for c in want]
+    monkeypatch.setattr("minflow.codes._maps_short_words", occurring_only)
+    assert len(enumerate_endomorphisms(fresh_system(name), radius,
+                                       check_len)) > len(got)

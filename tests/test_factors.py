@@ -1,9 +1,10 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
-from minflow import factors
+from minflow import factors, points
 from minflow.errors import (AmbiguityError, DomainError, IntegrityError,
                             NoParseError, ResourceError)
 from minflow.factors import (FiberCensus, OdometerAddress, address,
@@ -169,6 +170,21 @@ def test_census_block_cap(morse, monkeypatch):
                             lambda *args: pytest.fail("image built"))
     with pytest.raises(ResourceError, match="level-23"):
         fiber_census(morse, OdometerAddress(digits), 16)
+
+
+def test_address_horizon_cap(morse):
+    # Morse decodes a window of (4 + 4) << (k - 1) symbols on each side:
+    # level 18 reads exactly HORIZON_CAP of them, level 19 would read twice
+    # as many and is refused before any symbol is built
+    assert points.HORIZON_CAP == 1 << 20
+    mu = seam_points(morse)["mu"]
+    with pytest.raises(ResourceError, match="horizon cap"):
+        mu.window(-(points.HORIZON_CAP + 1), 0)
+    t0 = time.monotonic()
+    with pytest.raises(ResourceError, match="horizon cap"):
+        address(morse, mu, 19)
+    assert time.monotonic() - t0 < 0.5
+    assert address(morse, mu, 18).to_int() == 0
 
 
 def test_seam_census_windows_are_the_splice_windows(morse):

@@ -3,6 +3,7 @@ import random
 import pytest
 
 from minflow import kernels
+from minflow.words import get_system
 
 # the kernels have one implementation; the "pure" id keeps these tests'
 # names from when a compiled one was tested beside it
@@ -289,3 +290,122 @@ def test_decode_blocks_long_word(impl):
         assert outcome(impl.decode_blocks, bad, 1, 2, table, 2) == \
             outcome(naive_decode, bad, 1, 2, table, 2) == \
             "ValueError: " + message
+
+
+def decode_table(images, base):
+    """The decoding table of a constant-length substitution given as
+    {letter: image}, the letters and images as digit strings."""
+    block_len = len(next(iter(images.values())))
+    table = bytearray(b"\xff" * base ** block_len)
+    for letter, image in images.items():
+        table[int(image, base)] = ord(letter)
+    return bytes(table)
+
+
+# (images, base, key column or None); key_table_cases adds a table that
+# maps two codes to one letter
+KEY_TABLES = [({"0": "01", "1": "10"}, 2, 0),                 # Morse
+              ({"0": "01", "1": "00"}, 2, 1),                 # period-doubling
+              ({"0": "01", "1": "12", "2": "20"}, 3, 0),
+              ({"0": "00", "1": "01", "2": "10"}, 3, None),
+              ({"0": "011", "1": "101", "2": "110"}, 3, None),
+              ({"0": "100", "1": "010", "2": "120"}, 3, 1),
+              ({"0": "1", "2": "0"}, 3, 0)]
+
+
+def key_table_cases():
+    for images, base, key in KEY_TABLES:
+        yield pytest.param(decode_table(images, base),
+                           len(next(iter(images.values()))), base, key,
+                           id="%s-base%d" % ("".join(images.values()), base))
+    yield pytest.param(bytes([0xFF, 48, 48, 0xFF]), 2, 2, 0,
+                       id="two-codes-one-letter")
+
+
+@pytest.mark.parametrize("table,block_len,base,key", key_table_cases())
+def test_decode_blocks_key_column(table, block_len, base, key):
+    # the key column and its fallback give the same words and the same
+    # errors as the per-block loop, at every start and error position
+    found = kernels._key_column(table, block_len, base)
+    assert (found[0] if found else None) == key
+    rng = random.Random(block_len * 10 + base)
+    mapped = [c for c in range(base ** block_len) if table[c] != 0xFF]
+    unmapped = [c for c in range(base ** block_len) if table[c] == 0xFF]
+    body = b"".join(block(rng.choice(mapped), block_len, base)
+                    for _ in range(60))
+    word = random_word(rng, base, block_len - 1) + body + \
+        random_word(rng, base, block_len - 1)
+    for start in range(len(word) + 1):
+        assert outcome(kernels.decode_blocks, word, start, block_len, table,
+                       base) == \
+            outcome(naive_decode, word, start, block_len, table, base)
+    traps = INT_TRAPS + bytes([47, 48 + base, 58, 0x80, 0xFF])
+    for at in range(0, len(word), 5):
+        # a whole block of 0xFF bytes matches the other columns' UNSET
+        # expectations, so only the key column's entries reject it
+        patches = [traps[at % len(traps):][:1],
+                   block(rng.choice(unmapped), block_len, base),
+                   b"\xff" * block_len]
+        for patch in patches:
+            bad = word[:at] + patch + word[at + len(patch):]
+            for start in range(block_len):
+                assert outcome(kernels.decode_blocks, bad, start, block_len,
+                               table, base) == \
+                    outcome(naive_decode, bad, start, block_len, table, base)
+
+
+@pytest.mark.parametrize("table,block_len,base,key", key_table_cases())
+def test_decode_blocks_key_column_long_word(table, block_len, base, key):
+    # the first bad block or foreign symbol lies past the first
+    # CHUNK_BLOCKS blocks; block indices and positions count over the word
+    rng = random.Random(base)
+    mapped = [block(c, block_len, base) for c in range(base ** block_len)
+              if table[c] != 0xFF]
+    count = 3 * kernels.CHUNK_BLOCKS + 5
+    word = b"0" + b"".join(rng.choice(mapped) for _ in range(count))
+    assert kernels.decode_blocks(word, 1, block_len, table, base) == \
+        naive_decode(word, 1, block_len, table, base)
+    unmapped = block(table.index(0xFF), block_len, base)
+    index = kernels.CHUNK_BLOCKS + 7
+    late = 1 + index * block_len
+    later = late + kernels.CHUNK_BLOCKS * block_len
+    for patches, message in [
+            ({late: unmapped},
+             "block %d is not a substitution image" % index),
+            ({late + block_len - 1: b"+"},
+             "symbol outside alphabet at %d" % (late + block_len - 1)),
+            ({late: unmapped, later: b"\xff"},
+             "block %d is not a substitution image" % index),
+            ({late: b"\xff", later: unmapped},
+             "symbol outside alphabet at %d" % late),
+            ({len(word) - 1: b"9"},
+             "symbol outside alphabet at %d" % (len(word) - 1))]:
+        bad = bytearray(word)
+        for at, patch in patches.items():
+            bad[at:at + len(patch)] = patch
+        bad = bytes(bad)
+        assert outcome(kernels.decode_blocks, bad, 1, block_len, table,
+                       base) == \
+            outcome(naive_decode, bad, 1, block_len, table, base) == \
+            "ValueError: " + message
+
+
+def test_decode_blocks_key_column_skips_lookup(monkeypatch):
+    # valid Morse and period-doubling words are decoded by their key
+    # column alone, through several chunks and to the top of the tower
+    def no_lookup(*args):
+        raise AssertionError("_lookup reached")
+
+    for name in ("morse", "period-doubling"):
+        system = get_system(name)
+        table = system._block_decode_table()
+        word = system.test_word(1 << 17).encode()
+        want = [naive_decode(word, 0, 2, table, 2)]
+        while len(want[-1]) >= 2:
+            want.append(naive_decode(want[-1], 0, 2, table, 2))
+        with monkeypatch.context() as patched:
+            patched.setattr(kernels, "_lookup", no_lookup)
+            got = [kernels.decode_blocks(word, 0, 2, table, 2)]
+            while len(got[-1]) >= 2:
+                got.append(kernels.decode_blocks(got[-1], 0, 2, table, 2))
+        assert got == want
