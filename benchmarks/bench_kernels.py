@@ -13,7 +13,10 @@ The window scan `words.first_windows` is timed through its callers
 (`joint_language` at L = 32, T = 2^16, and a cold `language(64)` of each
 built-in system) and against the plain per-position loop on a random
 binary word of 2^17 symbols, where long repeats are rare (its worst
-case; no caller feeds it such a word).
+case; no caller feeds it such a word).  A cold `language(16)`, the top
+level an enumeration requests, is built on each fresh built-in system
+twice: by one request per level from 1 up (one scan each) and by one
+request at 16 (one scan, the lower levels derived by truncation).
 
 Iterated images sigma^20(a) of each Morse and Fibonacci letter are built
 through `Substitution.powers` (one join per letter of the rule and level)
@@ -95,6 +98,19 @@ def naive_first_windows(word, width):
     return first
 
 
+def levels_one_scan_each(name, top):
+    """language(1..top) of a fresh system, requested from 1 up."""
+    system = REGISTRY[name]()
+    return [system.language(m) for m in range(1, top + 1)]
+
+
+def levels_derived(name, top):
+    """language(1..top) of a fresh system, the top level requested first."""
+    system = REGISTRY[name]()
+    system.language(top)
+    return [system.language(m) for m in range(1, top + 1)]
+
+
 def naive_power(sub, letter, level):
     """sigma^level(letter), substituting one symbol at a time."""
     word = letter
@@ -144,6 +160,20 @@ def bench_windows(repeat, seam, morse):
     for name in sorted(REGISTRY):
         t = best_of(repeat, lambda: REGISTRY[name]().language(64))
         print("%-32s %10.2fms" % ("  " + name, t * 1e3))
+
+    print()
+    print("cold language(16): one scan per level against one scan and "
+          "derived levels")
+    print("%-32s %12s %12s %9s" % ("system", "per level", "derived",
+                                    "speedup"))
+    for name in sorted(REGISTRY):
+        assert levels_derived(name, 16) == levels_one_scan_each(name, 16), \
+            name
+        t_each = best_of(repeat, levels_one_scan_each, name, 16)
+        t_derived = best_of(repeat, levels_derived, name, 16)
+        print("%-32s %10.2fms %10.2fms %8.1fx" % ("  " + name, t_each * 1e3,
+                                                  t_derived * 1e3,
+                                                  t_each / t_derived))
 
     print()
     print("first_windows against the per-position loop, random binary "

@@ -7,8 +7,13 @@ determined stretch of the image stops being admissible; survivors are
 verified exactly against the full test corpus, so the published list is
 certified up to the check length.  Each assignment determines one more
 range of the image: the kernel fills it in one call through a dense rule
-table, and the range is pruned when one of its distinct windows lies
-outside the language.
+table, and the range is pruned when one of its windows lies outside the
+language.  A window of the image is a function of the test word's window
+2r symbols wider at the same start, so one scan of the test word at that
+width, made once per enumeration, gives the positions to test: those
+where such a window first occurs.  Every other image window repeats one
+tested in the same range or by an ancestor under the same assignments.
+The same scan gives the order in which the blocks first appear.
 """
 
 from dataclasses import dataclass
@@ -238,6 +243,23 @@ def _maps_short_words(code, image, starts):
     return True
 
 
+def _first_starts(master, width, span):
+    """One scan of `master` at width `span` >= `width`: each distinct
+    width-window -> its first start, in order of first start, and the
+    first starts of the distinct span-windows.
+
+    A width-window first starts where a span-window does (as its prefix)
+    or in the last span - width starts.
+    """
+    first_span = first_windows(master, span)
+    first = {}
+    for w, i in first_span.items():
+        first.setdefault(w[:width], i)
+    for i in range(len(master) - span + 1, len(master) - width + 1):
+        first.setdefault(master[i:i + width], i)
+    return first, list(first_span.values())
+
+
 def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
                             node_cap=_NODE_CAP):
     """All radius-`radius` sliding block codes of the system into itself,
@@ -248,19 +270,32 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
     prefix; a prefix that stops being admissible prunes the subtree.
     """
     width = 2 * radius + 1
+    prune_w = min(_PRUNE_WINDOW, check_len - width + 1)
+    # the top level first, so that one scan gives every level below it
+    lang_bytes = {m: frozenset(w.encode() for w in system.language(m))
+                  for m in range(prune_w, 0, -1)}
     blocks = sorted(system.language(width))
     block_id = {b: i for i, b in enumerate(blocks)}
     master = system.test_word(check_len)
-    first = first_windows(master, width)
+    # the prune_w-window of the image at a start is a function of the
+    # window of master 2r symbols wider there
+    first, span_starts = _first_starts(master, width,
+                                       max(prune_w, 1) + 2 * radius)
     if len(first) != len(blocks):
         raise IntegrityError("test word of length %d misses %d admissible "
                              "blocks" % (check_len, len(blocks) - len(first)))
     order = [block_id[b] for b in first]
     first_pos = [*first.values(), len(master) - width + 1]
+    # the starts of the windows each search depth tests, those ending in
+    # the range it fills: a window whose wider window of master first
+    # starts earlier equals one tested before under the same assignments
+    tests = [[] for _ in order]
+    j = 0
+    for i in span_starts:
+        while i + prune_w > first_pos[j + 1]:
+            j += 1
+        tests[j].append(i)
 
-    prune_w = min(_PRUNE_WINDOW, check_len - width + 1)
-    lang_bytes = [None] + [frozenset(w.encode() for w in system.language(m))
-                           for m in range(1, prune_w + 1)]
     outs = [ord(a) for a in system.alphabet]
     base = len(system.alphabet)
     table = _empty_table(system, radius)
@@ -272,19 +307,21 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
     results = []
     nodes = 0
 
-    def admissible_prefix(begin, end):
+    def admissible_prefix(j):
         # every block of the range is assigned, so the kernel fills it
+        begin, end = first_pos[j], first_pos[j + 1]
         image[begin:end] = kernels.apply_rule(raw[begin:end + width - 1],
                                               radius, table, base)
         for p in range(begin, min(end, prune_w - 1)):
             if bytes(image[:p + 1]) not in lang_bytes[p + 1]:
                 return False
-        # the prune_w-windows that end in the range
+        # the prune_w-windows that end in the range, at their tested starts
         lo = max(begin - prune_w + 1, 0)
-        return first_windows(bytes(image[lo:end]), prune_w).keys() \
-            <= lang_bytes[prune_w]
+        seg = bytes(image[lo:end])
+        lang = lang_bytes[prune_w]
+        return all(seg[i - lo:i - lo + prune_w] in lang for i in tests[j])
 
-    def dfs(j, prefix_end):
+    def dfs(j):
         nonlocal nodes
         if j == len(order):
             rule = {blocks[i]: chr(assign[i]) for i in range(len(blocks))}
@@ -294,17 +331,16 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
                     _maps_short_words(code, full, short_starts):
                 results.append(code)
             return
-        new_end = first_pos[j + 1]
         for out in outs:
             nodes += 1
             if nodes > node_cap:
                 raise ResourceError("enumeration node cap exceeded",
                                     partial=_sorted_codes(results, blocks))
             assign[order[j]] = table[table_index[order[j]]] = out
-            if admissible_prefix(prefix_end, new_end):
-                dfs(j + 1, new_end)
+            if admissible_prefix(j):
+                dfs(j + 1)
 
-    dfs(0, 0)
+    dfs(0)
     codes = _sorted_codes(results, blocks)
     for c in codes:
         c.certified_len = check_len

@@ -6,7 +6,10 @@ prolongable seed; its language cache is built by collecting factors of a
 long generated prefix (exact for primitive substitutions in the cached
 range, since every factor occurs in every sufficiently long image block).
 `first_windows` collects them, jumping over stretches of the prefix that
-repeat an earlier one.
+repeat an earlier one.  A language build scans the prefix once, at the
+level requested; each missing level m below it that reads the same
+prefix is derived by truncation, as the m-prefixes of the (m+1)-windows
+plus the prefix's last m symbols, which are exactly its m-windows.
 
 Iterated images come from `Substitution.powers`, which builds each level
 σ^(j+1)(a) by joining the level-j images of the letters of σ(a), so no
@@ -25,7 +28,6 @@ an admissible word + (prefix of an image).  Only the parse says no.
 
 import functools
 import itertools
-import threading
 
 from . import kernels
 from .errors import ConstructionError, DomainError, IntegrityError, ResourceError
@@ -195,6 +197,11 @@ def substitute(sub: Substitution, word: str) -> str:
     return sub.apply(word)
 
 
+def _prefix_len(n):
+    """The length of the fixed-point prefix whose n-windows are language(n)."""
+    return max(PREFIX_MIN, 8 * n)
+
+
 def fixed_point_prefix(sub: Substitution, seed: str, n: int) -> str:
     """First n symbols of the one-sided fixed point grown from `seed`.
 
@@ -216,8 +223,8 @@ def fixed_point_prefix(sub: Substitution, seed: str, n: int) -> str:
 class SubshiftSystem:
     """A named substitution subshift with a cached factor language.
 
-    Language caches are built once under a lock and then shared
-    read-only, so concurrent readers are safe.
+    Each language level is built once, on first request, and then
+    shared read-only.
     """
 
     def __init__(self, name, substitution, seed, language_cap=LANGUAGE_CAP,
@@ -231,7 +238,6 @@ class SubshiftSystem:
         self.language_cap = language_cap
         self.almost_automorphic = almost_automorphic
         self._lang = {}
-        self._lock = threading.RLock()
         self._flip_closed = None
         self._recog_len = None
         self._prefix = {}
@@ -246,13 +252,12 @@ class SubshiftSystem:
 
     def fixed_prefix(self, seed: str, n: int) -> str:
         """Cached fixed-point prefix; grows geometrically and serves slices."""
-        with self._lock:
-            have = self._prefix.get(seed, "")
-            if len(have) < n:
-                have = fixed_point_prefix(self.substitution, seed,
-                                          max(n, 2 * len(have), PREFIX_MIN))
-                self._prefix[seed] = have
-            return have[:n]
+        have = self._prefix.get(seed, "")
+        if len(have) < n:
+            have = fixed_point_prefix(self.substitution, seed,
+                                      max(n, 2 * len(have), PREFIX_MIN))
+            self._prefix[seed] = have
+        return have[:n]
 
     def test_word(self, length: int) -> str:
         """A generated admissible word of the given length (orbit prefix)."""
@@ -266,28 +271,34 @@ class SubshiftSystem:
             raise ResourceError("language(%d) exceeds cap %d"
                                 % (n, self.language_cap))
         got = self._lang.get(n)
-        if got is not None:
-            return got
-        with self._lock:
-            if n not in self._lang:
-                self._build_language(n)
-            return self._lang[n]
+        if got is None:
+            self._build_language(n)
+            got = self._lang[n]
+        return got
 
     def _collect_factors(self, n):
-        return frozenset(first_windows(self.test_word(max(PREFIX_MIN, 8 * n)),
-                                       n))
+        return frozenset(first_windows(self.test_word(_prefix_len(n)), n))
 
     def _build_language(self, n):
-        # build upward so the closure/extendability assertions run for
-        # every new level
-        start = max([1] + [m for m in self._lang if m < n])
-        for m in range(start, n + 1):
+        # one scan per prefix length: the top missing level is scanned and
+        # each missing level m below it that reads the same prefix is the
+        # set of its m-windows, the m-prefixes of the (m+1)-windows plus
+        # the prefix's last m symbols
+        new = {}
+        for m in range(n, 0, -1):
             if m in self._lang:
                 continue
-            words_m = self._collect_factors(m)
+            if m + 1 in new and _prefix_len(m) == _prefix_len(m + 1):
+                last = self.test_word(_prefix_len(m))[-m:]
+                new[m] = frozenset([w[:m] for w in new[m + 1]] + [last])
+            else:
+                new[m] = self._collect_factors(m)
+        # check upward, so the closure/extendability assertions run for
+        # every new level
+        for m in sorted(new):
+            words_m = new[m]
             if m > 1:
-                prev = self._lang.get(m - 1) or self._collect_factors(m - 1)
-                self._lang.setdefault(m - 1, prev)
+                prev = self._lang[m - 1]
                 subs = frozenset(w[i:i + m - 1] for w in words_m for i in (0, 1))
                 if not subs <= prev:
                     raise IntegrityError("factor closure failed at n=%d" % m)
@@ -447,7 +458,6 @@ class FullShiftSystem(SubshiftSystem):
         self.language_cap = language_cap
         self.almost_automorphic = False
         self._lang = {}
-        self._lock = threading.RLock()
         self._flip_closed = self.alphabet == "01"
         self._recog_len = None
         self._prefix = {}
@@ -537,7 +547,6 @@ REGISTRY = {
 }
 
 _instances = {}
-_registry_lock = threading.Lock()
 
 
 def get_system(name: str) -> SubshiftSystem:
@@ -545,7 +554,6 @@ def get_system(name: str) -> SubshiftSystem:
     if name not in REGISTRY:
         raise DomainError("unknown system %r (known: %s)"
                           % (name, ", ".join(sorted(REGISTRY))))
-    with _registry_lock:
-        if name not in _instances:
-            _instances[name] = REGISTRY[name]()
-        return _instances[name]
+    if name not in _instances:
+        _instances[name] = REGISTRY[name]()
+    return _instances[name]

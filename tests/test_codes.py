@@ -223,6 +223,49 @@ def test_enumeration_refuses_tables_over_the_cap(morse, monkeypatch):
         enumerate_endomorphisms(morse, 3)
 
 
+# system -> the smallest node cap that completes its enumeration at
+# r = 0..3, as the search counted nodes before it pruned ranges at
+# precomputed windows
+NODE_COUNTS = {
+    "morse": (6, 70, 354, 614),
+    "fibonacci": (6, 18, 40, 72),
+    "period-doubling": (6, 34, 80, 176),
+}
+
+
+@pytest.mark.parametrize("name,radius", [(name, radius)
+                                         for name in sorted(NODE_COUNTS)
+                                         for radius in range(4)])
+def test_enumeration_visits_the_pinned_number_of_nodes(name, radius):
+    nodes = NODE_COUNTS[name][radius]
+    enumerate_endomorphisms(fresh_system(name), radius, node_cap=nodes)
+    with pytest.raises(ResourceError, match="node cap"):
+        enumerate_endomorphisms(fresh_system(name), radius,
+                                node_cap=nodes - 1)
+
+
+def test_cold_enumeration_scans_a_constant_number_of_times(monkeypatch):
+    calls = []
+
+    def scan(word, width):
+        calls.append(width)
+        return first_windows(word, width)
+
+    monkeypatch.setattr("minflow.words.first_windows", scan)
+    monkeypatch.setattr("minflow.codes.first_windows", scan)
+    system = fresh_system("morse")
+    assert len(enumerate_endomorphisms(system, 3)) == 14
+    assert len(calls) <= len(system.language(7)) + 2
+
+
+@pytest.mark.parametrize("radius", [1, 3])
+def test_enumeration_requests_the_top_language_level_first(radius):
+    # 3^16 words exceed the full shift's language size cap; language(16)
+    # is requested before any lower level, so it is the one named
+    with pytest.raises(ResourceError, match=r"language\(16\) exceeds cap"):
+        enumerate_endomorphisms(FullShiftSystem("012"), radius)
+
+
 def naive_invert(code, max_radius, check_len=4096):
     """invert with the graph read one window at a time."""
     system = code.system

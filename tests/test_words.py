@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from minflow import kernels, words
 from minflow.errors import (ConstructionError, DomainError, IntegrityError,
                             ResourceError)
-from minflow.words import (_PARSE_BRANCH_CAP, _PARSE_DEPTH_CAP, REGISTRY,
-                           SHORT_WORD_LEN, Substitution, SubshiftSystem,
+from minflow.words import (_PARSE_BRANCH_CAP, _PARSE_DEPTH_CAP, PREFIX_MIN,
+                           REGISTRY, SHORT_WORD_LEN, Substitution,
+                           SubshiftSystem,
                            first_windows, fixed_point_prefix, flip_word,
                            get_system, substitute)
 
@@ -460,3 +461,67 @@ def test_fixed_point_prefix_matches_iterated_apply(name):
         for n in sorted(lengths):
             expected = next(b for b in blocks if len(b) >= n)[:n]
             assert fixed_point_prefix(sub, seed, n) == expected, (seed, n)
+
+
+def scanned_level(system, m):
+    """language(m) as the m-windows of its own prefix, scanned alone."""
+    return frozenset(first_windows(system.test_word(max(PREFIX_MIN, 8 * m)),
+                                   m))
+
+
+def counting_scans(monkeypatch):
+    """Patch words.first_windows to record the width of every scan."""
+    widths = []
+
+    def scan(word, width):
+        widths.append(width)
+        return first_windows(word, width)
+
+    monkeypatch.setattr("minflow.words.first_windows", scan)
+    return widths
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "random"])
+@pytest.mark.parametrize("name", sorted(POWER_RULES))
+def test_derived_levels_equal_the_per_level_scan(name, order, monkeypatch):
+    system = SubshiftSystem(name, Substitution(POWER_RULES[name]), "0")
+    levels = list(range(1, 65))
+    if order == "descending":
+        levels.reverse()
+    elif order == "random":
+        random.Random(10).shuffle(levels)
+    widths = counting_scans(monkeypatch)
+    for m in levels:
+        system.language(m)
+    # every level up to 512 reads the same prefix: a level requested above
+    # the built ones is scanned and the levels below it are derived
+    expected = [m for i, m in enumerate(levels) if m > max(levels[:i] or [0])]
+    assert widths == expected
+    monkeypatch.undo()
+    for m in range(1, 65):
+        assert system.language(m) == scanned_level(system, m), (name, order, m)
+
+
+def test_derivation_stops_where_the_prefix_length_changes(monkeypatch):
+    # levels above PREFIX_MIN / 8 = 512 each read a longer prefix, so each
+    # is scanned; the one scan at 512 gives the levels below it
+    system = SubshiftSystem("fibonacci", Substitution(FIB), "0",
+                            language_cap=600)
+    widths = counting_scans(monkeypatch)
+    system.language(520)
+    assert widths == list(range(520, 511, -1))
+    monkeypatch.undo()
+    for m in range(510, 521):
+        assert system.language(m) == scanned_level(system, m), m
+
+
+def test_derived_level_keeps_the_prefix_tail():
+    # the last 12 symbols of this fixed point's 4096-symbol prefix occur
+    # nowhere else in it, so no 13-window begins with them
+    rule = {"0": "0002012120021", "1": "10211", "2": "21120112210"}
+    system = SubshiftSystem("unique-tail", Substitution(rule), "0")
+    prefix = system.test_word(PREFIX_MIN)
+    assert prefix[-12:] not in prefix[:-1]
+    system.language(13)
+    assert prefix[-12:] in system.language(12)
+    assert system.language(12) == scanned_level(system, 12)
