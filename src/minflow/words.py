@@ -290,7 +290,7 @@ class SubshiftSystem:
                 continue
             if m + 1 in new and _prefix_len(m) == _prefix_len(m + 1):
                 last = self.test_word(_prefix_len(m))[-m:]
-                new[m] = frozenset([w[:m] for w in new[m + 1]] + [last])
+                new[m] = frozenset({w[:m] for w in new[m + 1]} | {last})
             else:
                 new[m] = self._collect_factors(m)
         # check upward, so the closure/extendability assertions run for
