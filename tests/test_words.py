@@ -9,9 +9,8 @@ from minflow.errors import (ConstructionError, DomainError, IntegrityError,
                             ResourceError)
 from minflow.words import (_PARSE_BRANCH_CAP, _PARSE_DEPTH_CAP, PREFIX_MIN,
                            REGISTRY, SHORT_WORD_LEN, Substitution,
-                           SubshiftSystem,
-                           first_windows, fixed_point_prefix, flip_word,
-                           get_system, substitute)
+                           SubshiftSystem, first_windows, fixed_point_prefix,
+                           flip_word, get_system, substitute)
 
 TM = {"0": "01", "1": "10"}
 PD = {"0": "01", "1": "00"}
