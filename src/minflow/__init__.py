@@ -2,7 +2,8 @@
 
 Substitution subshifts (Thue-Morse, Fibonacci, period-doubling), their
 points and sliding block codes, proximal/asymptotic pair classification,
-dyadic odometer factor maps, and semi-regularity experiments.
+odometer factor maps (ℓ-adic for a substitution of constant length ℓ),
+and semi-regularity experiments.
 """
 
 from .words import REGISTRY, SubshiftSystem, Substitution, get_system

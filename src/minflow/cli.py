@@ -18,7 +18,7 @@ from .codes import (apply_code, classify_aut_group, compose,
                     enumerate_endomorphisms)
 from .errors import DomainError, MinflowError
 from .points import INTEGER, parse_point_spec, seam_points
-from .words import REGISTRY, fixed_point_prefix, get_system, substitute
+from .words import REGISTRY, fixed_point_prefix, get_system
 
 CHECK_FAILED = True  # handler return value mapped to exit status 1
 
@@ -50,8 +50,7 @@ def _point(args, spec):
 def cmd_lang(args):
     system = _system(args)
     if args.substitute is not None:
-        _emit(args, substitute(system.substitution, args.substitute) + "\n",
-              "txt")
+        _emit(args, system.substitution.apply(args.substitute) + "\n", "txt")
         return
     if args.fixed_point is not None:
         _emit(args, fixed_point_prefix(system.substitution, system.seed,

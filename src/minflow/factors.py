@@ -1,10 +1,11 @@
-"""Factor structure over the dyadic odometer.
+"""Factor structure over the ℓ-adic odometer.
 
-Desubstitution parses a window of a constant-length-2 subshift uniquely
+Desubstitution parses a window of a constant-length-ℓ subshift uniquely
 into substitution blocks once the window reaches the system's
 recognizability length; iterating the parse assigns every point a string
-of 2-adic digits (the odometer address, least significant first), which
-realizes the maximal equicontinuous factor map.  The fiber census
+of ℓ-adic digits (the odometer address, least significant first), which
+realizes the maximal equicontinuous factor map; each level's phase is
+looked up in the system's recognizability table.  The fiber census
 reconstructs which centered windows are compatible with a given address,
 and word frequencies realize the invariant-measure checks.
 """
@@ -18,13 +19,12 @@ from .errors import (AmbiguityError, DomainError, IntegrityError,
 from .points import AddressPoint, FlippedPoint, ShiftedPoint
 from .words import flip_word
 
-RECOG_CAP = 64
 _CENSUS_BLOCK_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
 class OdometerAddress:
-    """Level-k digit string of the dyadic (base-l) odometer, lsb first."""
+    """Level-k digit string of the base-ℓ odometer, lsb first."""
 
     digits: tuple
     base: int = 2
@@ -67,82 +67,42 @@ class OdometerAddress:
 
 # -- desubstitution ----------------------------------------------------
 
-def _require_cl2(system):
-    if system.constant_length != 2:
-        raise DomainError("desubstitution needs a constant-length-2 system, "
-                          "%r is not" % system.name)
-
-
-def _phase_parses(system, word):
-    """Valid parses of `word`: list of (offset, core_preimage).
-
-    offset d means position 0 of `word` sits at offset d of its block.
-    A parse is valid when the full blocks decode and some completion of
-    the cut edge blocks yields an admissible preimage.
-    """
-    rule = system.substitution.rule
-    inverse = {img: a for a, img in rule.items()}
-    out = []
-    for d in (0, 1):
-        start = d
-        core = []
-        ok = True
-        i = start
-        while i + 2 <= len(word):
-            a = inverse.get(word[i:i + 2])
-            if a is None:
-                ok = False
-                break
-            core.append(a)
-            i += 2
-        if not ok:
-            continue
-        lefts = [""]
-        if start == 1:
-            lefts = [a for a in system.alphabet if rule[a].endswith(word[0])]
-        rights = [""]
-        if i < len(word):
-            rights = [a for a in system.alphabet if rule[a].startswith(word[i:])]
-        core_word = "".join(core)
-        if any(system.is_admissible(l + core_word + r)
-               for l in lefts for r in rights):
-            out.append((d, core_word))
-    return out
-
-
 def recognizability_length(system) -> int:
     """Smallest n such that every admissible length-n word parses uniquely.
 
-    Determined empirically at first use and cached; asserted <= 64.
+    Determined empirically at first use and cached by the system;
+    asserted <= 64.
     """
-    _require_cl2(system)
-    if system._recog_len is None:
-        for n in range(1, RECOG_CAP + 1):
-            if all(len(_phase_parses(system, w)) == 1
-                   for w in system.language(n)):
-                system._recog_len = n
-                break
-        else:
-            raise IntegrityError("no recognizability length <= %d for %r"
-                                 % (RECOG_CAP, system.name))
-    return system._recog_len
+    return system.recognizability()[0]
 
 
 def desubstitute(system, word: str):
-    """Unique parse of `word` into substitution 2-blocks.
+    """Unique parse of `word` into substitution ℓ-blocks.
 
-    Returns (preimage of the full blocks, phase offset of position 0).
+    Returns (preimage of the full blocks, d), where position 0 of `word`
+    sits at offset d of its block.
     """
-    _require_cl2(system)
-    parses = _phase_parses(system, word)
-    if not parses:
+    ell = system.constant_length
+    if ell is None:
+        raise DomainError("desubstitution needs a constant-length system, "
+                          "%r is not" % system.name)
+    if not word:
+        raise DomainError("the empty word has no phase to desubstitute")
+    valid = []
+    # a symbol outside the alphabet lies in no block
+    if set(word) <= set(system.alphabet):
+        valid = [(-start % ell, core)
+                 for start, core, preimages in system.parses(word)
+                 if any(map(system.is_admissible, preimages))]
+    if not valid:
         raise NoParseError("%r has no substitution parse" % word)
-    if len(parses) > 1:
+    if len(valid) > 1:
         raise AmbiguityError(
             "%r parses at offsets %s; window below recognizability length %d"
-            % (word, sorted(d for d, _ in parses),
+            % (word, sorted(d for d, _ in valid),
                recognizability_length(system)))
-    return parses[0][1], parses[0][0]
+    offset, core = valid[0]
+    return core, offset
 
 
 # -- addresses ---------------------------------------------------------
@@ -151,38 +111,41 @@ def address(system, point, k: int) -> OdometerAddress:
     """Level-k odometer address of `point`, read off its windows.
 
     digit j is the phase offset of coordinate 0 at desubstitution level
-    j; shifting the point by one advances the address by one with carry.
+    j, read off the one valid phase of the recognizability-length window
+    that starts h symbols to its left; shifting the point by one
+    advances the address by one with carry.
     """
-    _require_cl2(system)
+    ell = system.constant_length
+    if ell is None:
+        raise DomainError("addresses need a constant-length system, "
+                          "%r is not" % system.name)
     if k < 0:
         raise DomainError("levels must be >= 0")
     if k == 0:
-        return OdometerAddress(())
-    r = recognizability_length(system)
-    h = r + 2
-    half = max(64, (r + 4) << (k - 1))
+        return OdometerAddress((), ell)
+    r, phases = system.recognizability()
+    h = r // 2
+    half = max(64, (r + 4) * ell ** (k - 1))
     word = point.window(-half, half).encode()
     origin = half
     table = system._block_decode_table()
+    base = len(system.alphabet)
     digits = []
     for j in range(k):
-        if origin - h < 0 or origin + h >= len(word):
+        lo = origin - h
+        if lo < 0 or lo + r > len(word):
             raise AmbiguityError(
                 "window too short to determine digit at level %d" % j,
                 level=j)
-        local = word[origin - h:origin + h + 1].decode()
-        parses = _phase_parses(system, local)
-        if not parses:
+        start = phases.get(word[lo:lo + r].decode())
+        if start is None:
             raise IntegrityError("point window has no parse at level %d" % j)
-        if len(parses) > 1:
-            raise AmbiguityError("ambiguous parse at level %d" % j, level=j)
-        off = parses[0][0]
-        digit = (off + h) % 2
-        start = (off + origin + h) % 2
+        digit = (h - start) % ell
+        start = (origin - digit) % ell
         digits.append(digit)
-        word = kernels.decode_blocks(word, start, 2, table, 2)
-        origin = (origin - digit - start) // 2
-    return OdometerAddress(tuple(digits))
+        word = kernels.decode_blocks(word, start, ell, table, base)
+        origin = (origin - digit - start) // ell
+    return OdometerAddress(tuple(digits), ell)
 
 
 def point_address(point, k: int) -> OdometerAddress:

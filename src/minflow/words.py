@@ -24,6 +24,8 @@ the fixed-point prefix already cached for the seed is admissible; the
 prefix is never grown for this.  Then the desubstitution certificate: a
 word is admissible iff it decomposes as (suffix of an image) + image of
 an admissible word + (prefix of an image).  Only the parse says no.
+For constant length ℓ the parse is `SubshiftSystem.parses`, which also
+backs desubstitution and the recognizability table that addresses read.
 """
 
 import functools
@@ -38,6 +40,7 @@ SHORT_WORD_LEN = 64       # direct membership below, parse certificate above
 PREFIX_MIN = 4096         # shortest fixed-point prefix a system caches
 _PARSE_DEPTH_CAP = 64
 _PARSE_BRANCH_CAP = 64
+RECOG_CAP = 64            # longest recognizability length searched for
 _PROBE = 8                # first_windows: symbols past a repeat worth a skip
 _PROBE_GAP_CAP = 64       # first_windows: longest wait after a failed probe
 
@@ -163,11 +166,6 @@ class Substitution:
                       for a, img in self.rule.items()}
 
     @property
-    def is_constant_length(self) -> bool:
-        lens = {len(v) for v in self.rule.values()}
-        return len(lens) == 1
-
-    @property
     def constant_length(self):
         """The common image length, or None if images vary."""
         lens = {len(v) for v in self.rule.values()}
@@ -190,11 +188,6 @@ class Substitution:
     def __repr__(self):
         body = ",".join("%s->%s" % kv for kv in sorted(self.rule.items()))
         return "Substitution(%s)" % body
-
-
-def substitute(sub: Substitution, word: str) -> str:
-    """Concatenate the rule images of `word`, in order."""
-    return sub.apply(word)
 
 
 def _prefix_len(n):
@@ -239,7 +232,7 @@ class SubshiftSystem:
         self.almost_automorphic = almost_automorphic
         self._lang = {}
         self._flip_closed = None
-        self._recog_len = None
+        self._recog = None
         self._prefix = {}
         self._decode = None
         fixed_point_prefix(substitution, seed, 2)  # validate prolongable now
@@ -330,9 +323,8 @@ class SubshiftSystem:
             return word in self.language(len(word))
         if word in self._seed_prefix():
             return True
-        ell = self.constant_length
-        if ell is not None:
-            preimages = self._cl_decompositions(word, ell)
+        if self.constant_length is not None:
+            preimages = [p for _, _, pre in self.parses(word) for p in pre]
         else:
             preimages = self._decompositions(word)
         for preimage in preimages:
@@ -363,8 +355,18 @@ class SubshiftSystem:
             self._decode = bytes(table)
         return self._decode
 
-    def _cl_decompositions(self, word, ell):
-        """Constant-length decompositions, decoded by the kernel."""
+    def parses(self, word):
+        """The phases of `word` whose full blocks decode, as (start, core,
+        preimages); the substitution must have a constant length ℓ.
+
+        The first full block begins at `start`, so position 0 of `word`
+        sits at offset (-start) mod ℓ of its block.  `core` decodes the
+        full blocks, by one kernel call; `preimages` are `core` with each
+        completion of the cut edge blocks.  A phase is valid when one of
+        its preimages is admissible.  A phase whose first full block
+        would start past the end of `word` is not tried.
+        """
+        ell = self.constant_length
         rule = self.substitution.rule
         table = self._block_decode_table()
         base = len(self.alphabet)
@@ -386,8 +388,37 @@ class SubshiftSystem:
             if tail < n:
                 rights = [a for a in self.alphabet
                           if rule[a].startswith(word[tail:])]
-            out.extend(l + core + r for l in lefts for r in rights)
+            out.append((start, core,
+                        [l + core + r for l in lefts for r in rights]))
         return out
+
+    def recognizability(self):
+        """(R, phases): the recognizability length R, and the start of the
+        one valid phase of each admissible word of length R.
+
+        R is the least n at which every admissible n-word has exactly one
+        valid phase, counted from n = ℓ - 1 on, where `parses` tries every
+        phase.  Determined at first use and cached; asserted <= RECOG_CAP.
+        """
+        if self._recog is None:
+            ell = self.constant_length
+            if ell is None:
+                raise DomainError("%r is not of constant length" % self.name)
+            for n in range(max(1, ell - 1), RECOG_CAP + 1):
+                phases = {}
+                for w in self.language(n):
+                    valid = [start for start, _, preimages in self.parses(w)
+                             if any(map(self.is_admissible, preimages))]
+                    if len(valid) != 1:
+                        break
+                    phases[w] = valid[0]
+                else:
+                    self._recog = (n, phases)
+                    break
+            else:
+                raise IntegrityError("no recognizability length <= %d for %r"
+                                     % (RECOG_CAP, self.name))
+        return self._recog
 
     def _decompositions(self, word):
         """Preimage candidates: word = (image suffix) + images + (image prefix)."""
@@ -459,7 +490,7 @@ class FullShiftSystem(SubshiftSystem):
         self.almost_automorphic = False
         self._lang = {}
         self._flip_closed = self.alphabet == "01"
-        self._recog_len = None
+        self._recog = None
         self._prefix = {}
         self._decode = None
 

@@ -1,6 +1,7 @@
 import pytest
 
-from minflow.words import FullShiftSystem, get_system
+from minflow.words import (FullShiftSystem, Substitution, SubshiftSystem,
+                           get_system)
 
 
 @pytest.fixture(scope="session")
@@ -21,3 +22,12 @@ def pd():
 @pytest.fixture(scope="session")
 def full_shift():
     return FullShiftSystem("01")
+
+
+@pytest.fixture(scope="session")
+def ternary():
+    """Thue-Morse on three letters, 0 -> 012, 1 -> 120, 2 -> 201: a
+    bijective substitution of constant length 3 (Coven, Quas and
+    Yassawi 2016), kept out of the registry."""
+    return SubshiftSystem("ternary-morse", Substitution(
+        {"0": "012", "1": "120", "2": "201"}), "0")

@@ -211,6 +211,10 @@ CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
      "bad code spec 'shift^\u0661'"),
     (["aut", "morse", "--apply", "id", "--compose", "shift^+-1.flip"],
      "bad code spec 'shift^+-1'"),
+    (["factor", "morse", "--word", ""],
+     "the empty word has no phase to desubstitute"),
+    (["factor", "period-doubling", "--word", ""],
+     "the empty word has no phase to desubstitute"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):
@@ -352,6 +356,13 @@ def test_fuzz_code_specs(capsys, tmp_path_factory, system, apply, compose,
     if word is not None:
         argv += ["--word", word]
     assert exit_status(capsys, argv) in (0, 1, 2)
+
+
+@FUZZ
+@given(system=st.sampled_from(["morse", "fibonacci", "period-doubling"]),
+       word=st.text("0123", max_size=40) | st.text(max_size=12))
+def test_fuzz_factor_words(capsys, system, word):
+    assert exit_status(capsys, ["factor", system, "--word", word]) in (0, 2)
 
 
 @FUZZ

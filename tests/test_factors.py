@@ -54,6 +54,11 @@ def test_desubstitute_errors(morse):
     with pytest.raises(DomainError):
         from minflow.words import get_system
         desubstitute(get_system("fibonacci"), "0100")
+    with pytest.raises(DomainError, match="empty word"):
+        desubstitute(morse, "")
+    # a command-line byte that is not UTF-8 arrives as a lone surrogate
+    with pytest.raises(NoParseError):
+        desubstitute(morse, "01\udcff1")
 
 
 def test_address_examples(morse):
@@ -90,6 +95,49 @@ def test_address_of_address_point_round_trips(morse):
     assert point_address(p.shift(3), 14).digits == \
         OdometerAddress(digits).plus(3).digits
     assert point_address(p.flip(), 14).digits == digits
+
+
+def test_ternary_recognizability_length(ternary):
+    assert ternary.constant_length == 3
+    assert recognizability_length(ternary) == 6
+
+
+def test_ternary_desubstitute_offsets(ternary):
+    fixed = ternary.test_word(200)
+    for i in range(60):
+        # coordinate i sits at offset i % 3 of its block; the full blocks
+        # of fixed[i:i + 20] are the images of fixed[ceil(i / 3):(i + 20) // 3]
+        assert desubstitute(ternary, fixed[i:i + 20]) == \
+            (fixed[-(-i // 3):(i + 20) // 3], i % 3), i
+    with pytest.raises(AmbiguityError):
+        desubstitute(ternary, "0")
+
+
+# the top digit 1 puts coordinate 0 in the middle third of its level-12
+# block, 3^11 symbols from either end
+TERNARY_DIGITS = tuple(random.Random(12).randrange(3)
+                       for _ in range(11)) + (1,)
+
+
+def test_ternary_address_equivariance(ternary):
+    top = OdometerAddress(TERNARY_DIGITS, 3)
+    rng = random.Random(13)
+    for sheet in ternary.alphabet:
+        p = point_from_address(ternary, TERNARY_DIGITS, sheet)
+        for _ in range(40):
+            k = rng.randint(1, 8)
+            m = rng.randint(-729, 729)
+            assert address(ternary, p.shift(m), k) == \
+                top.plus(m).truncate(k), (sheet, k, m)
+
+
+def test_ternary_address_point_round_trips(ternary):
+    top = OdometerAddress(TERNARY_DIGITS, 3)
+    p = point_from_address(ternary, TERNARY_DIGITS, "2")
+    assert address(ternary, p, 8) == top.truncate(8)
+    assert point_address(p, 12) == top
+    assert point_address(p.shift(-5), 12) == top.plus(-5)
+    assert point_address(p.shift(5), 9) == top.plus(5).truncate(9)
 
 
 def test_fiber_census_values(morse, pd):

@@ -10,11 +10,12 @@ from minflow.errors import (ConstructionError, DomainError, IntegrityError,
 from minflow.words import (_PARSE_BRANCH_CAP, _PARSE_DEPTH_CAP, PREFIX_MIN,
                            REGISTRY, SHORT_WORD_LEN, Substitution,
                            SubshiftSystem, first_windows, fixed_point_prefix,
-                           flip_word, get_system, substitute)
+                           flip_word, get_system)
 
 TM = {"0": "01", "1": "10"}
 PD = {"0": "01", "1": "00"}
 FIB = {"0": "01", "1": "0"}
+TERNARY = {"0": "012", "1": "120", "2": "201"}
 
 
 def oracle_prefix(rule, seed, n):
@@ -99,14 +100,14 @@ def test_language_is_the_naive_factor_set(name):
 
 def test_substitute_examples(morse):
     sub = morse.substitution
-    assert substitute(sub, "0") == "01"
-    assert substitute(sub, "") == ""
-    assert substitute(sub, "01") == "0110"
+    assert sub.apply("0") == "01"
+    assert sub.apply("") == ""
+    assert sub.apply("01") == "0110"
 
 
 def test_substitute_rejects_foreign_symbols(morse):
     with pytest.raises(DomainError):
-        substitute(morse.substitution, "02")
+        morse.substitution.apply("02")
 
 
 def test_fixed_point_prefixes():
@@ -118,7 +119,7 @@ def test_fixed_point_prefixes():
 def test_fixed_point_prefix_is_prefix_stable(morse):
     sub = morse.substitution
     long = fixed_point_prefix(sub, "0", 512)
-    assert substitute(sub, long).startswith(long[:512])
+    assert sub.apply(long).startswith(long[:512])
 
 
 def test_non_prolongable_seed(fib):
@@ -198,14 +199,13 @@ def test_morse_language_flip_and_reversal_closed(morse):
 def test_substitute_preserves_admissibility(morse, fib, pd):
     for system in (morse, fib, pd):
         for w in sorted(system.language(7)):
-            assert system.is_admissible(substitute(system.substitution, w))
+            assert system.is_admissible(system.substitution.apply(w))
 
 
 def test_flags():
     assert Substitution(TM).is_primitive
-    assert Substitution(TM).is_constant_length
+    assert Substitution(TM).constant_length == 2
     assert Substitution(FIB).is_primitive
-    assert not Substitution(FIB).is_constant_length
     assert Substitution(FIB).constant_length is None
     assert Substitution(PD).constant_length == 2
     assert not Substitution({"0": "01", "1": "11"}).is_primitive
@@ -369,9 +369,14 @@ def oracle_cases(system, rng):
     return cases + mutants
 
 
-@pytest.mark.parametrize("name", sorted(REGISTRY))
+# the built-in systems, and one of constant length 3
+ORACLE_SYSTEMS = dict(REGISTRY, **{"ternary-morse": lambda: SubshiftSystem(
+    "ternary-morse", Substitution(TERNARY), "0")})
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
 def test_admissibility_matches_the_parse_oracle(name):
-    system = REGISTRY[name]()                  # cold caches
+    system = ORACLE_SYSTEMS[name]()            # cold caches
     oracle = ParseOracle(name, system.substitution, system.seed)
     cases = oracle_cases(system, random.Random(name))
     cached = system.test_word(words.PREFIX_MIN)
