@@ -365,7 +365,7 @@ def build_parser():
     s.add_argument("--steps", type=int, default=joins.DEFAULT_STEPS)
     s.add_argument("--member", nargs=2, metavar=("A", "B"), default=None)
     s.add_argument("--check-addresses", type=int, default=None, metavar="K",
-                   help="verify constant address difference mod 2^K")
+                   help="verify constant address difference mod base^K")
     s.set_defaults(func=cmd_join)
 
     s = subs.add_parser("dichotomy", help="Case 1 / Case 2 experiment")

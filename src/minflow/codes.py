@@ -134,8 +134,6 @@ class SlidingBlockCode:
 def _empty_table(system, radius):
     """A dense rule table for radius-`radius` codes with no entry set."""
     base = len(system.alphabet)
-    if system.alphabet != "0123456789"[:base]:
-        raise IntegrityError("alphabet must be contiguous digits")
     width = 2 * radius + 1
     if base ** width > _RULE_TABLE_CAP:
         raise ResourceError("a radius-%d code needs a rule table of "

@@ -13,7 +13,6 @@ and word frequencies realize the invariant-measure checks.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import kernels
 from .errors import (AmbiguityError, DomainError, IntegrityError,
                      NoParseError, ResourceError)
 from .points import AddressPoint, FlippedPoint, ShiftedPoint
@@ -88,12 +87,7 @@ def desubstitute(system, word: str):
                           "%r is not" % system.name)
     if not word:
         raise DomainError("the empty word has no phase to desubstitute")
-    valid = []
-    # a symbol outside the alphabet lies in no block
-    if set(word) <= set(system.alphabet):
-        valid = [(-start % ell, core)
-                 for start, core, preimages in system.parses(word)
-                 if any(map(system.is_admissible, preimages))]
+    valid = [(-start % ell, core) for start, core in system.valid_phases(word)]
     if not valid:
         raise NoParseError("%r has no substitution parse" % word)
     if len(valid) > 1:
@@ -128,8 +122,6 @@ def address(system, point, k: int) -> OdometerAddress:
     half = max(64, (r + 4) * ell ** (k - 1))
     word = point.window(-half, half).encode()
     origin = half
-    table = system._block_decode_table()
-    base = len(system.alphabet)
     digits = []
     for j in range(k):
         lo = origin - h
@@ -143,7 +135,7 @@ def address(system, point, k: int) -> OdometerAddress:
         digit = (h - start) % ell
         start = (origin - digit) % ell
         digits.append(digit)
-        word = kernels.decode_blocks(word, start, ell, table, base)
+        word = system.decode(word, start)
         origin = (origin - digit - start) // ell
     return OdometerAddress(tuple(digits), ell)
 

@@ -177,7 +177,7 @@ def dichotomy(x0, x, resolution=DEFAULT_RESOLUTION, steps=DEFAULT_STEPS,
 
 def joint_address_profile(joint: JointLanguage, levels=12, samples=32):
     """Equicontinuity check: along the observed orbit, the two addresses
-    must keep a constant difference mod 2^levels.
+    must keep a constant difference mod ℓ^levels, ℓ the block length.
 
     Addresses are recomputed from windows at a deterministic sample of
     the observed times (all of them when few).
@@ -188,11 +188,10 @@ def joint_address_profile(joint: JointLanguage, levels=12, samples=32):
     stride = max(1, T // max(1, samples - 2))
     times = sorted({0, T, *range(0, T + 1, stride)})
     diffs = set()
-    mod = 2 ** levels
     for n in times:
-        ap = factors.address(system, p.shift(n), levels).to_int()
-        aq = factors.address(system, q.shift(n), levels).to_int()
-        diffs.add((ap - aq) % mod)
+        ap = factors.address(system, p.shift(n), levels)
+        aq = factors.address(system, q.shift(n), levels)
+        diffs.add((ap.to_int() - aq.to_int()) % ap.base ** levels)
     return {"levels": levels, "times_checked": len(times),
             "constant": len(diffs) == 1,
             "difference": sorted(diffs)[0] if len(diffs) == 1

@@ -259,10 +259,6 @@ class AddressPoint(Point):
 
 # -- constructors -------------------------------------------------------
 
-def splice(left: OneSidedSpec, right: OneSidedSpec) -> Point:
-    return SplicePoint(left, right)
-
-
 def point_from_address(system, digits, sheet) -> Point:
     return AddressPoint(system, digits, sheet)
 

@@ -26,6 +26,17 @@ word is admissible iff it decomposes as (suffix of an image) + image of
 an admissible word + (prefix of an image).  Only the parse says no.
 For constant length ℓ the parse is `SubshiftSystem.parses`, which also
 backs desubstitution and the recognizability table that addresses read.
+
+A system is one of two sibling classes; other modules read only this
+protocol of either: `name`, `alphabet` (the digits 0..k-1, since the
+kernels read symbol c as the digit ord(c) - 48; both constructors check
+it), `language_cap`, `language(n)`, `is_admissible(word)`,
+`test_word(length)`, `flip_closed`, `constant_length` (None unless all
+images have one length ℓ) and `almost_automorphic`.  `SubshiftSystem`
+adds `substitution`, `seed`, `fixed_prefix` and `complexity`, and at
+constant length `decode` (the full ℓ-blocks of a byte word, by one
+kernel call), `parses`, `valid_phases` and `recognizability`.
+`FullShiftSystem`, the full shift, has the protocol alone.
 """
 
 import functools
@@ -190,6 +201,14 @@ class Substitution:
         return "Substitution(%s)" % body
 
 
+def _digit_alphabet(alphabet):
+    """`alphabet` if it is the digits 0..k-1 in order, else DomainError."""
+    if not alphabet or alphabet != "0123456789"[:len(alphabet)]:
+        raise DomainError("alphabet must be the digits 0..k-1 for some "
+                          "k <= %d, got %r" % (MAX_ALPHABET, alphabet))
+    return alphabet
+
+
 def _prefix_len(n):
     """The length of the fixed-point prefix whose n-windows are language(n)."""
     return max(PREFIX_MIN, 8 * n)
@@ -222,11 +241,12 @@ class SubshiftSystem:
 
     def __init__(self, name, substitution, seed, language_cap=LANGUAGE_CAP,
                  almost_automorphic=False):
+        self.alphabet = _digit_alphabet(substitution.alphabet)
         if not substitution.is_primitive:
             raise ConstructionError("substitution %r is not primitive" % substitution)
         self.name = name
         self.substitution = substitution
-        self.alphabet = substitution.alphabet
+        self.constant_length = substitution.constant_length
         self.seed = seed
         self.language_cap = language_cap
         self.almost_automorphic = almost_automorphic
@@ -238,10 +258,6 @@ class SubshiftSystem:
         fixed_point_prefix(substitution, seed, 2)  # validate prolongable now
 
     # -- language ----------------------------------------------------
-
-    @property
-    def constant_length(self):
-        return self.substitution.constant_length
 
     def fixed_prefix(self, seed: str, n: int) -> str:
         """Cached fixed-point prefix; grows geometrically and serves slices."""
@@ -312,8 +328,6 @@ class SubshiftSystem:
             return True
         if not _over_alphabet(word, self.alphabet):
             return False
-        if len(word) <= min(SHORT_WORD_LEN, self.language_cap):
-            return word in self.language(len(word))
         return self._admissible_by_parse(word, 0)
 
     def _admissible_by_parse(self, word, depth):
@@ -355,6 +369,13 @@ class SubshiftSystem:
             self._decode = bytes(table)
         return self._decode
 
+    def decode(self, raw: bytes, start: int) -> bytes:
+        """The letters of the full ℓ-blocks of the byte word `raw` from
+        `start` on, by one kernel call; ValueError as in `decode_blocks`."""
+        return kernels.decode_blocks(raw, start, self.constant_length,
+                                     self._block_decode_table(),
+                                     len(self.alphabet))
+
     def parses(self, word):
         """The phases of `word` whose full blocks decode, as (start, core,
         preimages); the substitution must have a constant length ℓ.
@@ -362,21 +383,24 @@ class SubshiftSystem:
         The first full block begins at `start`, so position 0 of `word`
         sits at offset (-start) mod ℓ of its block.  `core` decodes the
         full blocks, by one kernel call; `preimages` are `core` with each
-        completion of the cut edge blocks.  A phase is valid when one of
-        its preimages is admissible.  A phase whose first full block
-        would start past the end of `word` is not tried.
+        completion of the cut edge blocks.  Every start below ℓ is
+        tried: past the end of `word`, it puts all of `word` inside one
+        block at offset ℓ - start, and the preimages are the letters
+        whose image holds it there.
         """
         ell = self.constant_length
         rule = self.substitution.rule
-        table = self._block_decode_table()
-        base = len(self.alphabet)
         raw = word.encode()
         n = len(word)
         out = []
         for start in range(ell):
+            if start > n:
+                out.append((start, "", [
+                    a for a in self.alphabet
+                    if rule[a][ell - start:ell - start + n] == word]))
+                continue
             try:
-                core = kernels.decode_blocks(raw, start, ell, table,
-                                             base).decode()
+                core = self.decode(raw, start).decode()
             except ValueError:
                 continue
             lefts = [""]
@@ -392,26 +416,32 @@ class SubshiftSystem:
                         [l + core + r for l in lefts for r in rights]))
         return out
 
+    def valid_phases(self, word):
+        """(start, core) of each phase of `word` in `parses` that has an
+        admissible preimage; none if a symbol lies outside the alphabet."""
+        if not _over_alphabet(word, self.alphabet):
+            return []
+        return [(start, core) for start, core, preimages in self.parses(word)
+                if any(map(self.is_admissible, preimages))]
+
     def recognizability(self):
         """(R, phases): the recognizability length R, and the start of the
         one valid phase of each admissible word of length R.
 
         R is the least n at which every admissible n-word has exactly one
-        valid phase, counted from n = ℓ - 1 on, where `parses` tries every
-        phase.  Determined at first use and cached; asserted <= RECOG_CAP.
+        valid phase.  Determined at first use and cached; asserted
+        <= RECOG_CAP.
         """
         if self._recog is None:
-            ell = self.constant_length
-            if ell is None:
+            if self.constant_length is None:
                 raise DomainError("%r is not of constant length" % self.name)
-            for n in range(max(1, ell - 1), RECOG_CAP + 1):
+            for n in range(1, RECOG_CAP + 1):
                 phases = {}
                 for w in self.language(n):
-                    valid = [start for start, _, preimages in self.parses(w)
-                             if any(map(self.is_admissible, preimages))]
+                    valid = self.valid_phases(w)
                     if len(valid) != 1:
                         break
-                    phases[w] = valid[0]
+                    phases[w] = valid[0][0]
                 else:
                     self._recog = (n, phases)
                     break
@@ -472,7 +502,7 @@ class SubshiftSystem:
         return "SubshiftSystem(%r)" % self.name
 
 
-class FullShiftSystem(SubshiftSystem):
+class FullShiftSystem:
     """The full shift over a digit alphabet (synthetic test system).
 
     Not substitutive; every word is admissible.  Used as a foil for
@@ -480,26 +510,13 @@ class FullShiftSystem(SubshiftSystem):
     """
 
     def __init__(self, alphabet="01", language_cap=24):
-        if len(alphabet) > MAX_ALPHABET:
-            raise DomainError("alphabet capped at %d symbols" % MAX_ALPHABET)
         self.name = "full-shift-%s" % alphabet
-        self.substitution = None
-        self.alphabet = "".join(sorted(alphabet))
-        self.seed = self.alphabet[0]
+        self.alphabet = _digit_alphabet("".join(sorted(alphabet)))
         self.language_cap = language_cap
+        self.flip_closed = self.alphabet == "01"
+        self.constant_length = None
         self.almost_automorphic = False
         self._lang = {}
-        self._flip_closed = self.alphabet == "01"
-        self._recog = None
-        self._prefix = {}
-        self._decode = None
-
-    @property
-    def constant_length(self):
-        return None
-
-    def fixed_prefix(self, seed, n):
-        return self.test_word(n)
 
     def language(self, n):
         if n < 1:
@@ -526,10 +543,6 @@ class FullShiftSystem(SubshiftSystem):
         seq = _de_bruijn(self.alphabet, order)
         reps = length // len(seq) + 2
         return (seq * reps)[:length]
-
-    @property
-    def flip_closed(self):
-        return self._flip_closed
 
 
 def _de_bruijn(alphabet, order):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ from minflow.factors import (FiberCensus, OdometerAddress, address,
                              desubstitute, fiber_census, point_address,
                              recognizability_length, word_frequencies)
 from minflow.points import fixed_point, point_from_address, seam_points
-from minflow.words import Substitution, flip_word
+from minflow.words import Substitution, SubshiftSystem, flip_word
 
 
 def test_odometer_address_arithmetic():
@@ -111,6 +112,20 @@ def test_ternary_desubstitute_offsets(ternary):
             (fixed[-(-i // 3):(i + 20) // 3], i % 3), i
     with pytest.raises(AmbiguityError):
         desubstitute(ternary, "0")
+
+
+# constant length 4: the word also lies inside one block, where no full
+# block starts within it, so only the phases that start past its end
+# find the first offset; R is as before
+@pytest.mark.parametrize("rule,word,offsets,r", [
+    ({"0": "0201", "1": "0111", "2": "2100"}, "10", [1, 3], 3),
+    ({"0": "0011", "1": "2021", "2": "1202"}, "02", [1, 2], 10)])
+def test_desubstitute_short_word_inside_one_block(rule, word, offsets, r):
+    system = SubshiftSystem("ell-4", Substitution(rule), "0")
+    with pytest.raises(AmbiguityError,
+                       match=re.escape("offsets %s;" % offsets)):
+        desubstitute(system, word)
+    assert recognizability_length(system) == r
 
 
 # the top digit 1 puts coordinate 0 in the middle third of its level-12

@@ -134,6 +134,14 @@ def test_joint_address_profile_constant(morse, x0):
     assert profile["difference"] == (-5) % 256
 
 
+def test_joint_address_profile_reduces_mod_the_block_length_power(ternary):
+    p = point_from_address(ternary, (1, 2, 0, 1, 2, 0), "0")
+    joint = joint_language(p, p.shift(3), 8, 64)
+    profile = joint_address_profile(joint, levels=2)
+    assert profile["constant"]
+    assert profile["difference"] == (-3) % 9
+
+
 def test_sr_report_morse(morse):
     report = sr_report("morse", max_shift=2, radius=1, steps=8192)
     assert report["summary"] == "SR (evidence)"

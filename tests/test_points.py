@@ -4,8 +4,8 @@ from minflow import points
 from minflow.errors import (DomainError, IntegrityError, ResourceError,
                             UndeterminedError)
 from minflow.points import (HORIZON_CAP, AddressPoint, OneSidedSpec,
-                            ShiftedPoint, fixed_point, parse_point_spec,
-                            point_from_address, seam_points, splice)
+                            ShiftedPoint, SplicePoint, fixed_point,
+                            parse_point_spec, point_from_address, seam_points)
 from minflow.words import Substitution, fixed_point_prefix
 
 
@@ -24,16 +24,16 @@ def test_window_examples(seam):
 
 def test_splice_via_specs(morse, seam):
     q = OneSidedSpec(morse)
-    mu = splice(q.rev(), q)
+    mu = SplicePoint(q.rev(), q)
     assert mu.window(-8, 8) == seam["mu"].window(-8, 8)
 
 
 def test_splice_orientation_enforced(morse):
     q = OneSidedSpec(morse)
     with pytest.raises(DomainError):
-        splice(q, q)
+        SplicePoint(q, q)
     with pytest.raises(DomainError):
-        splice(q.rev(), q.rev())
+        SplicePoint(q.rev(), q.rev())
 
 
 def test_right_and_left_half_agreements(seam):

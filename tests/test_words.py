@@ -8,9 +8,9 @@ from minflow import kernels, words
 from minflow.errors import (ConstructionError, DomainError, IntegrityError,
                             ResourceError)
 from minflow.words import (_PARSE_BRANCH_CAP, _PARSE_DEPTH_CAP, PREFIX_MIN,
-                           REGISTRY, SHORT_WORD_LEN, Substitution,
-                           SubshiftSystem, first_windows, fixed_point_prefix,
-                           flip_word, get_system)
+                           REGISTRY, SHORT_WORD_LEN, FullShiftSystem,
+                           Substitution, SubshiftSystem, first_windows,
+                           fixed_point_prefix, flip_word, get_system)
 
 TM = {"0": "01", "1": "10"}
 PD = {"0": "01", "1": "00"}
@@ -223,6 +223,23 @@ def test_substitution_validation():
         Substitution({"a": "aa"})
     with pytest.raises(DomainError):
         Substitution({"0": "02"})
+
+
+# the kernels read symbol c as the digit ord(c) - 48, so both kinds of
+# system take only the digits 0..k-1; a rule's letters are dict keys, so
+# only the full shift can be given a repeated symbol
+@pytest.mark.parametrize("alphabet", ["13", "02", "011", "0123456789a", ""])
+def test_full_shift_rejects_other_alphabets(alphabet):
+    with pytest.raises(DomainError, match="digits 0..k-1"):
+        FullShiftSystem(alphabet)
+
+
+@pytest.mark.parametrize("rule", [{"1": "13", "3": "31"},
+                                  {"0": "02", "2": "20"}])
+def test_subshift_rejects_other_alphabets(rule):
+    assert Substitution(rule).is_primitive
+    with pytest.raises(DomainError, match="digits 0..k-1"):
+        SubshiftSystem("gap", Substitution(rule), min(rule))
 
 
 def test_language_cap(morse):
