@@ -15,8 +15,9 @@ built-in system) and against the plain per-position loop on a random
 binary word of 2^17 symbols, where long repeats are rare (its worst
 case; no caller feeds it such a word).  A cold `language(16)`, the top
 level an enumeration requests, is built on each fresh built-in system
-twice: by one request per level from 1 up (one scan each) and by one
-request at 16 (one scan, the lower levels derived by truncation).
+twice: by one request per level from 1 up (each level read off the
+images) and by one request at 16 (that level read off the images, the
+lower ones derived by truncation).
 
 Iterated images sigma^20(a) of each Morse and Fibonacci letter are built
 through `Substitution.powers` (one join per letter of the rule and level)
@@ -98,7 +99,7 @@ def naive_first_windows(word, width):
     return first
 
 
-def levels_one_scan_each(name, top):
+def levels_read_each(name, top):
     """language(1..top) of a fresh system, requested from 1 up."""
     system = REGISTRY[name]()
     return [system.language(m) for m in range(1, top + 1)]
@@ -162,14 +163,14 @@ def bench_windows(repeat, seam, morse):
         print("%-32s %10.2fms" % ("  " + name, t * 1e3))
 
     print()
-    print("cold language(16): one scan per level against one scan and "
-          "derived levels")
+    print("cold language(16): every level read off the images against "
+          "the top one read and the rest derived")
     print("%-32s %12s %12s %9s" % ("system", "per level", "derived",
                                     "speedup"))
     for name in sorted(REGISTRY):
-        assert levels_derived(name, 16) == levels_one_scan_each(name, 16), \
+        assert levels_derived(name, 16) == levels_read_each(name, 16), \
             name
-        t_each = best_of(repeat, levels_one_scan_each, name, 16)
+        t_each = best_of(repeat, levels_read_each, name, 16)
         t_derived = best_of(repeat, levels_derived, name, 16)
         print("%-32s %10.2fms %10.2fms %8.1fx" % ("  " + name, t_each * 1e3,
                                                   t_derived * 1e3,

@@ -20,14 +20,11 @@ from dataclasses import dataclass
 
 from . import kernels
 from .errors import DomainError, IntegrityError, ResourceError
-from .words import first_windows, flip_word, pack_pair
+from .words import block_code, dense_table, first_windows, flip_word, pack_pair
 
 DEFAULT_CHECK_LEN = 4096
 _PRUNE_WINDOW = 16
 _NODE_CAP = 2_000_000
-# entries of the dense table a code is applied through (base ** (2r+1));
-# 16 MB, e.g. radius 11 on two symbols
-_RULE_TABLE_CAP = 1 << 24
 
 
 class SlidingBlockCode:
@@ -50,11 +47,8 @@ class SlidingBlockCode:
 
     def _rule_table(self):
         if self._table is None:
-            table = _empty_table(self.system, self.radius)
-            base = len(self.system.alphabet)
-            for block, out in self.rule.items():
-                table[_block_code(block, base)] = ord(out)
-            self._table = bytes(table)
+            self._table = bytes(_code_table(self.system, self.radius,
+                                            self.rule.items()))
         return self._table
 
     def apply(self, word: str) -> str:
@@ -131,23 +125,11 @@ class SlidingBlockCode:
         return "<SlidingBlockCode r=%d%s>" % (self.radius, tag)
 
 
-def _empty_table(system, radius):
-    """A dense rule table for radius-`radius` codes with no entry set."""
-    base = len(system.alphabet)
-    width = 2 * radius + 1
-    if base ** width > _RULE_TABLE_CAP:
-        raise ResourceError("a radius-%d code needs a rule table of "
-                            "%d^%d entries, over the cap %d"
-                            % (radius, base, width, _RULE_TABLE_CAP))
-    return bytearray(b"\xff" * base ** width)
-
-
-def _block_code(block, base):
-    """The table index of a block: its base-`base` value."""
-    code = 0
-    for c in block:
-        code = code * base + (ord(c) - 48)
-    return code
+def _code_table(system, radius, rule=()):
+    """The dense table a radius-`radius` code is applied through, set on
+    the (block, out) pairs of `rule`."""
+    return dense_table(rule, len(system.alphabet), 2 * radius + 1,
+                       "a radius-%d code needs a rule table" % radius)
 
 
 # -- constructors -------------------------------------------------------
@@ -296,8 +278,8 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
 
     outs = [ord(a) for a in system.alphabet]
     base = len(system.alphabet)
-    table = _empty_table(system, radius)
-    table_index = [_block_code(b, base) for b in blocks]
+    table = _code_table(system, radius)
+    table_index = [block_code(b, base) for b in blocks]
     short_starts = _short_starts(system, radius, master)
     raw = master.encode()
     image = bytearray(len(master) - width + 1)

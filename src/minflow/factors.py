@@ -69,8 +69,8 @@ class OdometerAddress:
 def recognizability_length(system) -> int:
     """Smallest n such that every admissible length-n word parses uniquely.
 
-    Determined empirically at first use and cached by the system;
-    asserted <= 64.
+    Exact, since it is read off the exact language; found at first use
+    and cached by the system, asserted <= 64.
     """
     return system.recognizability()[0]
 

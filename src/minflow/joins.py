@@ -17,11 +17,10 @@ import random
 from dataclasses import dataclass
 
 from . import factors, pairs as pairs_mod
-from .codes import (SlidingBlockCode, classify_aut_group, compose,
-                    enumerate_endomorphisms, invert, is_identity,
-                    verify_endomorphism)
+from .codes import (SlidingBlockCode, classify_aut_group,
+                    enumerate_endomorphisms, invert, verify_endomorphism)
 from .errors import DomainError, PreconditionError
-from .points import parse_point_spec, point_from_address
+from .points import point_from_address
 from .words import first_windows, get_system, pack_pair
 
 DEFAULT_RESOLUTION = 32

@@ -11,8 +11,8 @@ window at start, start + step, ... (step 1 for a sliding rule, the block
 length for a block decoding).  The codes of all windows come out of a
 few big-integer shifts, products and sums (`_window_codes`); codes that
 fit a byte are read in the table with `bytes.translate`, wider ones
-through `array` and `map`.  `window_diffs` subtracts prefix sums of a
-byte mismatch map.
+through `array` and `map`.  `window_diffs` subtracts prefix sums of the
+byte map `mismatch_map`, which pair classification reads too.
 
 `decode_blocks` first tries a key column (`_key_column`): a block offset
 whose symbol alone names the table entry, as offset 0 does for Morse and
@@ -79,12 +79,17 @@ def window_diffs(a: bytes, b: bytes, width: int) -> list:
         raise ValueError("length mismatch")
     if width < 1 or width > n:
         raise ValueError("bad window width")
-    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    mismatches = x.to_bytes(n, "big").translate(_DIFFERS)
+    mismatches = mismatch_map(a, b)
     # window i's count is the difference of two prefix sums; tee keeps
     # only the `width` sums between them, not all n + 1
     hi, lo = itertools.tee(itertools.accumulate(mismatches, initial=0))
     return list(map(operator.sub, itertools.islice(hi, width, None), lo))
+
+
+def mismatch_map(a: bytes, b: bytes) -> bytes:
+    """Byte i is 1 where a[i] != b[i] and 0 where they agree."""
+    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+    return x.to_bytes(len(a), "big").translate(_DIFFERS)
 
 
 def decode_blocks(word: bytes, start: int, block_len: int, table: bytes,

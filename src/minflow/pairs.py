@@ -29,9 +29,6 @@ DOUBLE = "doubly-asymptotic"
 PROXIMAL = "proximal-within-horizon"
 DISTAL = "distal-up-to-horizon"
 
-# maps each byte of a ^ b to 1 where the symbols differ, 0 where they agree
-_DIFFERS = bytes([0]) + bytes([1]) * 255
-
 
 @dataclass(frozen=True)
 class PairClassification:
@@ -58,7 +55,7 @@ def classify_pair(p, q, horizon=DEFAULT_HORIZON,
     a = p.window(-H - L, H + L).encode()
     b = q.window(-H - L, H + L).encode()
     width = 2 * L + 1
-    m = _mismatch_map(a, b)
+    m = kernels.mismatch_map(a, b)
     n = len(m) - width + 1                  # windows, centers -H..H
     # window i covers m[i:i + width], so it is bad iff it holds a 1
     first = m.find(1)
@@ -88,12 +85,6 @@ def classify_pair(p, q, horizon=DEFAULT_HORIZON,
         return PairClassification(PROXIMAL, H, L, witness, 0)
     sep = width if m.find(0) < 0 else min(kernels.window_diffs(a, b, width))
     return PairClassification(DISTAL, H, L, None, sep)
-
-
-def _mismatch_map(a: bytes, b: bytes) -> bytes:
-    """Byte i is 1 where a[i] != b[i] and 0 where they agree."""
-    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-    return x.to_bytes(len(a), "big").translate(_DIFFERS)
 
 
 @dataclass(frozen=True)

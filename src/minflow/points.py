@@ -12,7 +12,7 @@ import re
 
 from .errors import (DomainError, IntegrityError, ResourceError,
                      UndeterminedError)
-from .words import first_windows, fixed_point_prefix, flip_word
+from .words import first_windows, flip_word
 
 HORIZON_CAP = 1 << 20
 # an integer of the spec grammars: an optional sign, then ASCII digits

@@ -1,31 +1,29 @@
 """Alphabets, finite words, substitutions and factor languages.
 
 Words are plain Python strings over an alphabet of ASCII digits.  A
-subshift is presented by a primitive substitution iterated from a
-prolongable seed; its language cache is built by collecting factors of a
-long generated prefix (exact for primitive substitutions in the cached
-range, since every factor occurs in every sufficiently long image block).
-`first_windows` collects them, jumping over stretches of the prefix that
-repeat an earlier one.  A language build scans the prefix once, at the
-level requested; each missing level m below it that reads the same
-prefix is derived by truncation, as the m-prefixes of the (m+1)-windows
-plus the prefix's last m symbols, which are exactly its m-windows.
+subshift is presented by a primitive substitution σ iterated from a
+prolongable seed.  Its language is exact and reads no prefix of the
+fixed point: level n is the set of n-windows of σ^k(a)σ^k(b) over the
+admissible 2-words ab, once every σ^k(c) has n - 1 symbols or more
+(Queffelec, Substitution Dynamical Systems, LNM 1294).  `first_windows`
+collects them, jumping over stretches that repeat an earlier one.  Each
+missing level below the one requested is derived by truncation.
 
 Iterated images come from `Substitution.powers`, which builds each level
 σ^(j+1)(a) by joining the level-j images of the letters of σ(a), so no
-Python loop runs once per symbol; fixed-point prefixes, address blocks
-and fiber censuses all read it.
+Python loop runs once per symbol; languages, fixed-point prefixes,
+address blocks and fiber censuses all read it.
 
-Admissibility of words longer than the cache bound is decided exactly,
-in two steps at every level of a recursion.  First occurrence: every
-factor of the fixed point is in the language of a primitive substitution
-(Queffelec, Substitution Dynamical Systems, LNM 1294), so a word found in
-the fixed-point prefix already cached for the seed is admissible; the
-prefix is never grown for this.  Then the desubstitution certificate: a
-word is admissible iff it decomposes as (suffix of an image) + image of
-an admissible word + (prefix of an image).  Only the parse says no.
-For constant length ℓ the parse is `SubshiftSystem.parses`, which also
-backs desubstitution and the recognizability table that addresses read.
+Admissibility of words longer than SHORT_WORD_LEN is decided exactly,
+in two steps at every level of a recursion.  First occurrence: a word
+found in the fixed-point prefix already cached for the seed is a factor
+of the fixed point, so admissible; the prefix is never grown for this.
+Then the desubstitution certificate: a word is admissible iff it
+decomposes as (suffix of an image) + image of an admissible word +
+(prefix of an image).  Only the parse says no.  For constant length ℓ
+the parse is `SubshiftSystem.parses`, which also backs desubstitution
+and the recognizability table that addresses read.  Its block decoding
+table and the rule tables of codes come from `dense_table`.
 
 A system is one of two sibling classes; other modules read only this
 protocol of either: `name`, `alphabet` (the digits 0..k-1, since the
@@ -52,6 +50,7 @@ PREFIX_MIN = 4096         # shortest fixed-point prefix a system caches
 _PARSE_DEPTH_CAP = 64
 _PARSE_BRANCH_CAP = 64
 RECOG_CAP = 64            # longest recognizability length searched for
+TABLE_CAP = 1 << 24       # entries (base ** width) of a dense kernel table
 _PROBE = 8                # first_windows: symbols past a repeat worth a skip
 _PROBE_GAP_CAP = 64       # first_windows: longest wait after a failed probe
 
@@ -209,9 +208,25 @@ def _digit_alphabet(alphabet):
     return alphabet
 
 
-def _prefix_len(n):
-    """The length of the fixed-point prefix whose n-windows are language(n)."""
-    return max(PREFIX_MIN, 8 * n)
+def block_code(block, base):
+    """The index of a block in a dense table: its base-`base` value."""
+    code = 0
+    for c in block:
+        code = code * base + (ord(c) - 48)
+    return code
+
+
+def dense_table(entries, base, width, what):
+    """A kernel table of the width-`width` blocks, 0xFF but for ord(out)
+    at each (block, out) of `entries`; ResourceError over TABLE_CAP."""
+    size = base ** width
+    if size > TABLE_CAP:
+        raise ResourceError("%s of %d^%d entries, over the cap %d"
+                            % (what, base, width, TABLE_CAP))
+    table = bytearray(b"\xff" * size)
+    for block, out in entries:
+        table[block_code(block, base)] = ord(out)
+    return table
 
 
 def fixed_point_prefix(sub: Substitution, seed: str, n: int) -> str:
@@ -273,7 +288,8 @@ class SubshiftSystem:
         return self.fixed_prefix(self.seed, length)
 
     def language(self, n: int) -> frozenset:
-        """Exactly the admissible words of length n, as a frozenset."""
+        """Exactly the admissible words of length n, as a frozenset,
+        built with every missing level below it on first request."""
         if n < 1:
             raise DomainError("language length must be >= 1")
         if n > self.language_cap:
@@ -285,23 +301,32 @@ class SubshiftSystem:
             got = self._lang[n]
         return got
 
-    def _collect_factors(self, n):
-        return frozenset(first_windows(self.test_word(_prefix_len(n)), n))
-
     def _build_language(self, n):
-        # one scan per prefix length: the top missing level is scanned and
-        # each missing level m below it that reads the same prefix is the
-        # set of its m-windows, the m-prefixes of the (m+1)-windows plus
-        # the prefix's last m symbols
-        new = {}
-        for m in range(n, 0, -1):
+        # the admissible 2-words: the 2-factors of the images, closed
+        # under ab -> the 2-factors of σ(a)σ(b)
+        rule = self.substitution.rule
+        two, todo = set(), list(rule.values())
+        while todo:
+            word = todo.pop()
+            found = {word[i:i + 2] for i in range(len(word) - 1)} - two
+            two |= found
+            todo += [rule[a] + rule[b] for a, b in found]
+        # once every σ^k(c) has n - 1 symbols or more, each admissible
+        # n-word starts inside σ^k(a) in σ^k(a)σ^k(b) for some such ab
+        for images in self.substitution.powers():
+            if min(map(len, images.values())) >= n - 1:
+                break
+        top = set()
+        for a, b in two:
+            top.update(first_windows(images[a] + images[b][:n - 1], n))
+        # the levels built so far are 1..max(self._lang); each missing
+        # level below n is the set of prefixes of the level above, since
+        # every word extends to the right
+        new = {n: frozenset(top)}
+        for m in range(n - 1, 0, -1):
             if m in self._lang:
-                continue
-            if m + 1 in new and _prefix_len(m) == _prefix_len(m + 1):
-                last = self.test_word(_prefix_len(m))[-m:]
-                new[m] = frozenset({w[:m] for w in new[m + 1]} | {last})
-            else:
-                new[m] = self._collect_factors(m)
+                break
+            new[m] = frozenset({w[:m] for w in new[m + 1]})
         # check upward, so the closure/extendability assertions run for
         # every new level
         for m in sorted(new):
@@ -356,17 +381,12 @@ class SubshiftSystem:
         return prefix
 
     def _block_decode_table(self):
-        """image block -> letter, as a flat kernel table (constant length)."""
+        """image block -> letter, as a dense kernel table (constant length)."""
         if self._decode is None:
-            ell = self.constant_length
-            base = len(self.alphabet)
-            table = bytearray(b"\xff" * base ** ell)
-            for a, img in self.substitution.rule.items():
-                code = 0
-                for c in img:
-                    code = code * base + (ord(c) - 48)
-                table[code] = ord(a)
-            self._decode = bytes(table)
+            self._decode = bytes(dense_table(
+                ((img, a) for a, img in self.substitution.rule.items()),
+                len(self.alphabet), self.constant_length,
+                "%r needs a block decoding table" % self.name))
         return self._decode
 
     def decode(self, raw: bytes, start: int) -> bytes:
@@ -429,8 +449,8 @@ class SubshiftSystem:
         one valid phase of each admissible word of length R.
 
         R is the least n at which every admissible n-word has exactly one
-        valid phase.  Determined at first use and cached; asserted
-        <= RECOG_CAP.
+        valid phase, over the exact language.  Found at first use and
+        cached; asserted <= RECOG_CAP.
         """
         if self._recog is None:
             if self.constant_length is None:

@@ -216,7 +216,7 @@ def test_node_cap_raises_with_the_partial_list(name, radius, cap):
 
 
 def test_enumeration_refuses_tables_over_the_cap(morse, monkeypatch):
-    monkeypatch.setattr("minflow.codes._RULE_TABLE_CAP", 1 << 6)
+    monkeypatch.setattr("minflow.words.TABLE_CAP", 1 << 6)
     assert len(enumerate_endomorphisms(morse, 2)) == 10     # 2^5 entries
     with pytest.raises(ResourceError, match="radius-3 code needs a rule "
                        "table of 2\\^7 entries"):

@@ -1,10 +1,11 @@
+import itertools
 import random
 import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minflow import kernels, words
+from minflow import factors, kernels, words
 from minflow.errors import (ConstructionError, DomainError, IntegrityError,
                             ResourceError)
 from minflow.words import (_PARSE_BRANCH_CAP, _PARSE_DEPTH_CAP, PREFIX_MIN,
@@ -247,6 +248,27 @@ def test_language_cap(morse):
         morse.language(morse.language_cap + 1)
     with pytest.raises(DomainError):
         morse.language(0)
+
+
+def cyclic_system(letters, ell):
+    """a -> a, a + 1, ..., a + ell - 1 (mod letters), of constant length
+    ell."""
+    rule = {str(a): "".join(str((a + i) % letters) for i in range(ell))
+            for a in range(letters)}
+    return SubshiftSystem("cyclic", Substitution(rule), "0")
+
+
+@pytest.mark.parametrize("call", [
+    factors.recognizability_length,
+    lambda system: system.is_admissible("0" * 100),
+], ids=["recognizability_length", "is_admissible"])
+def test_block_decoding_table_refuses_over_the_cap(call):
+    system = cyclic_system(10, 8)              # a table of 10^8 entries
+    t0 = time.monotonic()
+    with pytest.raises(ResourceError, match="'cyclic' needs a block decoding "
+                       "table of 10\\^8 entries, over the cap 16777216"):
+        call(system)
+    assert time.monotonic() - t0 < 1
 
 
 def test_registry():
@@ -502,47 +524,80 @@ def counting_scans(monkeypatch):
     return widths
 
 
-@pytest.mark.parametrize("order", ["ascending", "descending", "random"])
-@pytest.mark.parametrize("name", sorted(POWER_RULES))
-def test_derived_levels_equal_the_per_level_scan(name, order, monkeypatch):
-    system = SubshiftSystem(name, Substitution(POWER_RULES[name]), "0")
-    levels = list(range(1, 65))
-    if order == "descending":
-        levels.reverse()
-    elif order == "random":
-        random.Random(10).shuffle(levels)
+def derived_level_cases():
+    for order in ("ascending", "descending", "random"):
+        for name in sorted(POWER_RULES):
+            levels = list(range(1, 65))
+            if order == "descending":
+                levels.reverse()
+            elif order == "random":
+                random.Random(10).shuffle(levels)
+            yield pytest.param(name, 64, levels, id="%s-%s" % (name, order))
+    # a long derivation: every level below 520 comes from its one scan
+    yield pytest.param("fibonacci", 600, [520], id="fibonacci-520")
+
+
+@pytest.mark.parametrize("name,cap,levels", derived_level_cases())
+def test_derived_levels_equal_the_per_level_scan(name, cap, levels,
+                                                 monkeypatch):
+    system = SubshiftSystem(name, Substitution(POWER_RULES[name]), "0",
+                            language_cap=cap)
     widths = counting_scans(monkeypatch)
     for m in levels:
         system.language(m)
-    # every level up to 512 reads the same prefix: a level requested above
-    # the built ones is scanned and the levels below it are derived
+    # only a level requested above the built ones is scanned (once per
+    # admissible 2-word); the levels below it are derived without a scan
     expected = [m for i, m in enumerate(levels) if m > max(levels[:i] or [0])]
-    assert widths == expected
+    assert [m for m, _ in itertools.groupby(widths)] == expected
     monkeypatch.undo()
-    for m in range(1, 65):
-        assert system.language(m) == scanned_level(system, m), (name, order, m)
+    for m in range(1, max(levels) + 1):
+        assert system.language(m) == scanned_level(system, m), (name, m)
 
 
-def test_derivation_stops_where_the_prefix_length_changes(monkeypatch):
-    # levels above PREFIX_MIN / 8 = 512 each read a longer prefix, so each
-    # is scanned; the one scan at 512 gives the levels below it
-    system = SubshiftSystem("fibonacci", Substitution(FIB), "0",
-                            language_cap=600)
-    widths = counting_scans(monkeypatch)
-    system.language(520)
-    assert widths == list(range(520, 511, -1))
-    monkeypatch.undo()
-    for m in range(510, 521):
-        assert system.language(m) == scanned_level(system, m), m
+# a primitive substitution that recurs slowly: a 4096-symbol prefix of
+# its fixed point misses admissible words of length 12 and 64
+WITNESS = {"0": "0002012120021", "1": "10211", "2": "21120112210"}
 
 
-def test_derived_level_keeps_the_prefix_tail():
-    # the last 12 symbols of this fixed point's 4096-symbol prefix occur
-    # nowhere else in it, so no 13-window begins with them
-    rule = {"0": "0002012120021", "1": "10211", "2": "21120112210"}
-    system = SubshiftSystem("unique-tail", Substitution(rule), "0")
-    prefix = system.test_word(PREFIX_MIN)
-    assert prefix[-12:] not in prefix[:-1]
-    system.language(13)
-    assert prefix[-12:] in system.language(12)
-    assert system.language(12) == scanned_level(system, 12)
+def test_language_is_exact_where_a_prefix_misses_words():
+    system = SubshiftSystem("slow", Substitution(WITNESS), "0")
+    assert len(system.language(12)) == 115
+    assert len(system.language(64)) == 715
+    assert system.is_admissible("110211102110")
+    fixed = fixed_point_prefix(system.substitution, "0", 1 << 20)
+    assert system.language(12) == frozenset(first_windows(fixed, 12))
+
+
+def random_primitive_rules(rng, count):
+    """`count` primitive rules on 2-3 letters, each with a prolongable 0."""
+    rules = []
+    while len(rules) < count:
+        alphabet = "012"[:rng.choice((2, 3))]
+        rule = {a: "".join(rng.choice(alphabet)
+                           for _ in range(rng.randint(1, 4)))
+                for a in alphabet}
+        rule["0"] = "0" + rule["0"]
+        if Substitution(rule).is_primitive:
+            rules.append(rule)
+    return rules
+
+
+@pytest.mark.parametrize("rule", random_primitive_rules(random.Random(13),
+                                                        40), ids=repr)
+def test_language_matches_a_long_prefix(rule):
+    system = SubshiftSystem("random", Substitution(rule), "0")
+    fixed = fixed_point_prefix(system.substitution, "0", 1 << 20)
+    # one scan: each n-window of `fixed` begins a 32-window or lies in its
+    # last 31 symbols (first_windows is slow on these words at small
+    # widths)
+    top = first_windows(fixed, 32)
+    for n in (32, 20, 12, 8, 5, 3, 2, 1):
+        windows = {w[:n] for w in top} | set(first_windows(fixed[-31:], n))
+        assert system.language(n) == windows, n
+
+
+def test_language_reads_no_fixed_point_prefix():
+    for name in sorted(ORACLE_SYSTEMS):
+        system = ORACLE_SYSTEMS[name]()
+        system.language(64)
+        assert system._prefix == {}, name
