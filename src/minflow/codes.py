@@ -6,21 +6,26 @@ first-appearance order along a generated test word, pruning as soon as a
 determined stretch of the image stops being admissible; survivors are
 verified exactly against the full test corpus, so the published list is
 certified up to the check length.  Each assignment determines one more
-range of the image: the kernel fills it in one call through a dense rule
-table, and the range is pruned when one of its windows lies outside the
-language.  A window of the image is a function of the test word's window
-2r symbols wider at the same start, so one scan of the test word at that
-width, made once per enumeration, gives the positions to test: those
-where such a window first occurs.  Every other image window repeats one
-tested in the same range or by an ancestor under the same assignments.
-The same scan gives the order in which the blocks first appear.
+range of the image.  The test word does not change while the rule does,
+so one kernel call per enumeration reads the id of the block under each
+of its windows (its index among the sorted blocks, one byte); a range is
+filled by `bytes.translate` of its ids through the outputs assigned so
+far, and pruned when one of its windows lies outside the language.  Ids
+in a byte name at most 255 blocks (0xFF is the kernels' unset entry), so
+a system with more blocks at the radius is refused before the search.
+A window of the image is a function of the test word's window 2r symbols
+wider at the same start, so one scan of the test word at that width,
+made once per enumeration, gives the positions to test: those where such
+a window first occurs.  Every other image window repeats one tested in
+the same range or by an ancestor under the same assignments.  The same
+scan gives the order in which the blocks first appear.
 """
 
 from dataclasses import dataclass
 
 from . import kernels
 from .errors import DomainError, IntegrityError, ResourceError
-from .words import block_code, dense_table, first_windows, flip_word, pack_pair
+from .words import dense_table, first_windows, flip_word, pack_pair
 
 DEFAULT_CHECK_LEN = 4096
 _PRUNE_WINDOW = 16
@@ -255,7 +260,10 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
     lang_bytes = {m: frozenset(w.encode() for w in system.language(m))
                   for m in range(prune_w, 0, -1)}
     blocks = sorted(system.language(width))
-    block_id = {b: i for i, b in enumerate(blocks)}
+    if len(blocks) > kernels.UNSET:
+        raise ResourceError("%d admissible %d-blocks, over the %d that "
+                            "one-byte block ids name"
+                            % (len(blocks), width, kernels.UNSET), partial=[])
     master = system.test_word(check_len)
     # the prune_w-window of the image at a start is a function of the
     # window of master 2r symbols wider there
@@ -264,7 +272,12 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
     if len(first) != len(blocks):
         raise IntegrityError("test word of length %d misses %d admissible "
                              "blocks" % (check_len, len(blocks) - len(first)))
-    order = [block_id[b] for b in first]
+    # the id of the block under each window of master; the search sets
+    # each id's output in by_id
+    ids = kernels.apply_rule(master.encode(), radius, _code_table(
+        system, radius, ((b, chr(i)) for i, b in enumerate(blocks))),
+        len(system.alphabet))
+    order = [ids[i] for i in first.values()]
     first_pos = [*first.values(), len(master) - width + 1]
     # the starts of the windows each search depth tests, those ending in
     # the range it fills: a window whose wider window of master first
@@ -277,21 +290,16 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
         tests[j].append(i)
 
     outs = [ord(a) for a in system.alphabet]
-    base = len(system.alphabet)
-    table = _code_table(system, radius)
-    table_index = [block_code(b, base) for b in blocks]
+    by_id = bytearray(256)
     short_starts = _short_starts(system, radius, master)
-    raw = master.encode()
-    image = bytearray(len(master) - width + 1)
-    assign = [0] * len(blocks)
+    image = bytearray(len(ids))
     results = []
     nodes = 0
 
     def admissible_prefix(j):
-        # every block of the range is assigned, so the kernel fills it
+        # every block of the range is assigned
         begin, end = first_pos[j], first_pos[j + 1]
-        image[begin:end] = kernels.apply_rule(raw[begin:end + width - 1],
-                                              radius, table, base)
+        image[begin:end] = ids[begin:end].translate(by_id)
         for p in range(begin, min(end, prune_w - 1)):
             if bytes(image[:p + 1]) not in lang_bytes[p + 1]:
                 return False
@@ -304,7 +312,7 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
     def dfs(j):
         nonlocal nodes
         if j == len(order):
-            rule = {blocks[i]: chr(assign[i]) for i in range(len(blocks))}
+            rule = {b: chr(by_id[i]) for i, b in enumerate(blocks)}
             code = SlidingBlockCode(system, radius, rule)
             full = bytes(image).decode()
             if system.is_admissible(full) and \
@@ -316,7 +324,7 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
             if nodes > node_cap:
                 raise ResourceError("enumeration node cap exceeded",
                                     partial=_sorted_codes(results, blocks))
-            assign[order[j]] = table[table_index[order[j]]] = out
+            by_id[order[j]] = out
             if admissible_prefix(j):
                 dfs(j + 1)
 

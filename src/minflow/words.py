@@ -281,7 +281,7 @@ class SubshiftSystem:
             have = fixed_point_prefix(self.substitution, seed,
                                       max(n, 2 * len(have), PREFIX_MIN))
             self._prefix[seed] = have
-        return have[:n]
+        return have[:max(n, 0)]
 
     def test_word(self, length: int) -> str:
         """A generated admissible word of the given length (orbit prefix)."""
@@ -562,7 +562,7 @@ class FullShiftSystem:
         order = min(order + 1, 16)
         seq = _de_bruijn(self.alphabet, order)
         reps = length // len(seq) + 2
-        return (seq * reps)[:length]
+        return (seq * reps)[:max(length, 0)]
 
 
 def _de_bruijn(alphabet, order):

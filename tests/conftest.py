@@ -31,3 +31,17 @@ def ternary():
     Yassawi 2016), kept out of the registry."""
     return SubshiftSystem("ternary-morse", Substitution(
         {"0": "012", "1": "120", "2": "201"}), "0")
+
+
+def random_primitive_rules(rng, count):
+    """`count` primitive rules on 2-3 letters, each with a prolongable 0."""
+    rules = []
+    while len(rules) < count:
+        alphabet = "012"[:rng.choice((2, 3))]
+        rule = {a: "".join(rng.choice(alphabet)
+                           for _ in range(rng.randint(1, 4)))
+                for a in alphabet}
+        rule["0"] = "0" + rule["0"]
+        if Substitution(rule).is_primitive:
+            rules.append(rule)
+    return rules

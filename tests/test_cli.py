@@ -366,6 +366,18 @@ def test_fuzz_factor_words(capsys, system, word):
 
 
 @FUZZ
+@given(command=st.sampled_from(["aut", "coalesce"]),
+       system=st.sampled_from(["morse", "fibonacci", "period-doubling"]),
+       radius=st.integers(-2, 6), check_len=st.integers(-4, 600))
+def test_fuzz_enumerations(capsys, command, system, radius, check_len):
+    # check lengths down to below the code window and below 1, where the
+    # test word misses blocks
+    argv = [command, system, "--radius", str(radius),
+            "--check-len", str(check_len)]
+    assert exit_status(capsys, argv) in (0, 1, 2)
+
+
+@FUZZ
 @given(command=st.sampled_from([["lang", "morse"], ["odometer"],
                                 ["point", "morse", "fix0"]]),
        text=CONFIG_LINES, raw=st.none() | st.binary(max_size=12))

@@ -1,15 +1,20 @@
 import hashlib
+import itertools
 import json
+import random
 import time
 
 import pytest
+from conftest import random_primitive_rules
 
+from minflow import kernels
 from minflow.codes import (SlidingBlockCode, apply_code, classify_aut_group,
                            compose, enumerate_endomorphisms, flip_code,
                            identity_code, invert, is_identity, shift_code,
                            verify_endomorphism)
-from minflow.errors import DomainError, ResourceError
-from minflow.words import REGISTRY, FullShiftSystem, first_windows
+from minflow.errors import DomainError, IntegrityError, ResourceError
+from minflow.words import (REGISTRY, FullShiftSystem, Substitution,
+                           SubshiftSystem, first_windows)
 
 
 def test_apply_examples(morse):
@@ -244,6 +249,34 @@ def test_enumeration_visits_the_pinned_number_of_nodes(name, radius):
                                 node_cap=nodes - 1)
 
 
+def test_more_blocks_than_byte_ids_are_refused():
+    # 2^9 blocks at r=4 are refused before the search; the 2^7 at r=3
+    # still fit a byte and are searched until the node cap
+    t0 = time.monotonic()
+    with pytest.raises(ResourceError, match="^512 admissible 9-blocks, "
+                       "over the 255") as err:
+        enumerate_endomorphisms(FullShiftSystem("01"), 4, node_cap=20000)
+    assert err.value.partial == []
+    with pytest.raises(ResourceError, match="node cap"):
+        enumerate_endomorphisms(FullShiftSystem("01"), 3, node_cap=50)
+    assert time.monotonic() - t0 < 5
+
+
+@pytest.mark.parametrize("name,radius", [(name, radius)
+                                         for name in sorted(REGISTRY)
+                                         for radius in range(4)])
+def test_cold_enumeration_makes_one_kernel_call(name, radius, monkeypatch):
+    # the block ids of the test word are read once; every range of the
+    # image is filled from them without a kernel call
+    calls = []
+    apply_rule = kernels.apply_rule
+    monkeypatch.setattr("minflow.kernels.apply_rule",
+                        lambda *args: calls.append(args) or apply_rule(*args))
+    assert enumerate_endomorphisms(fresh_system(name), radius,
+                                   check_len=4096)
+    assert len(calls) == 1
+
+
 def test_cold_enumeration_scans_a_constant_number_of_times(monkeypatch):
     calls = []
 
@@ -349,3 +382,50 @@ def test_short_words_missing_from_the_test_word(name, radius, check_len,
     monkeypatch.setattr("minflow.codes._maps_short_words", occurring_only)
     assert len(enumerate_endomorphisms(fresh_system(name), radius,
                                        check_len)) > len(got)
+
+
+def brute_force_endomorphisms(system, radius, check_len):
+    """Every rule on the admissible blocks that passes
+    verify_endomorphism, in the enumeration's order."""
+    width = 2 * radius + 1
+    blocks = sorted(system.language(width))
+    missing = set(blocks) - set(first_windows(system.test_word(check_len),
+                                              width))
+    if missing:
+        raise IntegrityError("test word of length %d misses %d admissible "
+                             "blocks" % (check_len, len(missing)))
+    rules = (dict(zip(blocks, outs)) for outs in
+             itertools.product(sorted(system.alphabet), repeat=len(blocks)))
+    return [code for code in (SlidingBlockCode(system, radius, rule)
+                              for rule in rules)
+            if verify_endomorphism(code, check_len)]
+
+
+def codes_or_error(search, system, radius, check_len):
+    try:
+        return [c.to_json() for c in search(system, radius, check_len)]
+    except IntegrityError as exc:
+        return str(exc)
+
+
+def brute_force_radii(rule):
+    """The radii up to 5 at which the rules on the admissible blocks
+    number at most 4096 (a periodic system has few blocks at any)."""
+    system = SubshiftSystem("random", Substitution(rule), "0")
+    return itertools.takewhile(
+        lambda r: len(rule) ** len(system.language(2 * r + 1)) <= 4096,
+        range(6))
+
+
+BRUTE_FORCE_CASES = [(rule, radius)
+                     for rule in random_primitive_rules(random.Random(14), 12)
+                     for radius in brute_force_radii(rule)]
+
+
+@pytest.mark.parametrize("rule,radius", BRUTE_FORCE_CASES, ids=repr)
+@pytest.mark.parametrize("check_len", [16, 64, 512])
+def test_enumeration_matches_a_brute_force_search(rule, radius, check_len):
+    system = SubshiftSystem("random", Substitution(rule), "0")
+    assert codes_or_error(enumerate_endomorphisms, system, radius,
+                          check_len) == \
+        codes_or_error(brute_force_endomorphisms, system, radius, check_len)

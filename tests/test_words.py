@@ -3,6 +3,7 @@ import random
 import time
 
 import pytest
+from conftest import random_primitive_rules
 from hypothesis import given, settings, strategies as st
 
 from minflow import factors, kernels, words
@@ -281,6 +282,15 @@ def test_flip_closures(morse, fib, pd):
     assert morse.flip_closed
     assert not fib.flip_closed
     assert not pd.flip_closed
+
+
+@pytest.mark.parametrize("name", ["morse", "full-shift"])
+def test_test_word_of_a_negative_length_is_empty(name):
+    # a cached prefix is not sliced from its end
+    system = FullShiftSystem("01") if name == "full-shift" \
+        else REGISTRY[name]()
+    system.test_word(100)
+    assert [system.test_word(n) for n in (0, -1, -5)] == ["", "", ""]
 
 
 def test_full_shift(full_shift):
@@ -566,20 +576,6 @@ def test_language_is_exact_where_a_prefix_misses_words():
     assert system.is_admissible("110211102110")
     fixed = fixed_point_prefix(system.substitution, "0", 1 << 20)
     assert system.language(12) == frozenset(first_windows(fixed, 12))
-
-
-def random_primitive_rules(rng, count):
-    """`count` primitive rules on 2-3 letters, each with a prolongable 0."""
-    rules = []
-    while len(rules) < count:
-        alphabet = "012"[:rng.choice((2, 3))]
-        rule = {a: "".join(rng.choice(alphabet)
-                           for _ in range(rng.randint(1, 4)))
-                for a in alphabet}
-        rule["0"] = "0" + rule["0"]
-        if Substitution(rule).is_primitive:
-            rules.append(rule)
-    return rules
 
 
 @pytest.mark.parametrize("rule", random_primitive_rules(random.Random(13),
