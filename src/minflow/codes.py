@@ -19,6 +19,15 @@ made once per enumeration, gives the positions to test: those where such
 a window first occurs.  Every other image window repeats one tested in
 the same range or by an ancestor under the same assignments.  The same
 scan gives the order in which the blocks first appear.
+
+Evaluation: a code applies itself to a long word through the kernel, one
+table lookup per window, and to the system's test word of a given length
+only once (`test_image`); the enumeration hands each survivor the image
+it already holds, so verification and inversion read it without a kernel
+call.  Short words are read window by window in the rule dict instead:
+each block of a composition, and each short word the test word misses.
+The windows of an admissible word are admissible, so the rule is total
+on them.
 """
 
 from dataclasses import dataclass
@@ -47,6 +56,8 @@ class SlidingBlockCode:
         self.radius = radius
         self.rule = dict(rule)
         self._table = None
+        # length -> the image of the system's test word of that length
+        self.test_images = {}
 
     # -- evaluation ----------------------------------------------------
 
@@ -67,6 +78,15 @@ class SlidingBlockCode:
         except ValueError as exc:
             raise DomainError(str(exc)) from None
         return out.decode()
+
+    def test_image(self, length):
+        """The image of the system's test word of the given length,
+        applied once per code and length."""
+        image = self.test_images.get(length)
+        if image is None:
+            image = self.apply(self.system.test_word(length))
+            self.test_images[length] = image
+        return image
 
     # -- structure -----------------------------------------------------
 
@@ -130,6 +150,15 @@ class SlidingBlockCode:
         return "<SlidingBlockCode r=%d%s>" % (self.radius, tag)
 
 
+def _rule_image(code, word):
+    """`code.apply(word)` read window by window in the rule dict, which
+    beats a kernel call on short words; KeyError on a window outside the
+    rule's domain."""
+    rule, width = code.rule, 2 * code.radius + 1
+    return "".join([rule[word[j:j + width]]
+                    for j in range(len(word) - width + 1)])
+
+
 def _code_table(system, radius, rule=()):
     """The dense table a radius-`radius` code is applied through, set on
     the (block, out) pairs of `rule`."""
@@ -174,7 +203,8 @@ def compose(c1: SlidingBlockCode, c2: SlidingBlockCode) -> SlidingBlockCode:
     r = c1.radius + c2.radius
     rule = {}
     for b in system.language(2 * r + 1):
-        mid = c2.apply(b)
+        # the windows of an admissible block are admissible
+        mid = _rule_image(c2, b)
         rule[b] = c1.rule.get(mid)
         if rule[b] is None:
             raise DomainError("composition hits block %r outside the left "
@@ -193,7 +223,7 @@ def verify_endomorphism(code: SlidingBlockCode,
     admissible word, and so does a generated prefix of length check_len."""
     system = code.system
     master = system.test_word(check_len)
-    image = code.apply(master)
+    image = code.test_image(check_len)
     return _maps_short_words(code, image,
                              _short_starts(system, code.radius, master)) \
         and system.is_admissible(image)
@@ -216,13 +246,13 @@ def _maps_short_words(code, image, starts):
 
     `image` is the code's image of a test word and `starts` the
     `_short_starts` of that word: the words that occur in it read their
-    images off `image`, and only the others are applied one by one.
+    images off `image`, and only the others are read in the rule dict.
     """
     system = code.system
     out_len = _short_len(system, code.radius) - 2 * code.radius
     out_lang = system.language(out_len)
     for w, i in starts.items():
-        out = code.apply(w) if i < 0 else image[i:i + out_len]
+        out = _rule_image(code, w) if i < 0 else image[i:i + out_len]
         if out not in out_lang:
             return False
     return True
@@ -254,6 +284,10 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
     appearance along the test word, so the determined image grows as a
     prefix; a prefix that stops being admissible prunes the subtree.
     """
+    if radius < 0:
+        raise DomainError("radius must be >= 0, got %r" % (radius,))
+    if check_len < 1:
+        raise DomainError("check_len must be >= 1, got %r" % (check_len,))
     width = 2 * radius + 1
     prune_w = min(_PRUNE_WINDOW, check_len - width + 1)
     # the top level first, so that one scan gives every level below it
@@ -317,6 +351,7 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
             full = bytes(image).decode()
             if system.is_admissible(full) and \
                     _maps_short_words(code, full, short_starts):
+                code.test_images[check_len] = full
                 results.append(code)
             return
         for out in outs:
@@ -350,7 +385,7 @@ def invert(code: SlidingBlockCode, max_radius,
     system = code.system
     r = code.radius
     master = system.test_word(check_len)
-    u = code.apply(master)
+    u = code.test_image(check_len)
     n = len(u)
     top = min(max_radius, (n - 1) // 2)
     # the first starts of the distinct widest windows of u beside the

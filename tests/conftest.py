@@ -1,5 +1,6 @@
 import pytest
 
+from minflow import kernels
 from minflow.words import (FullShiftSystem, Substitution, SubshiftSystem,
                            get_system)
 
@@ -31,6 +32,17 @@ def ternary():
     Yassawi 2016), kept out of the registry."""
     return SubshiftSystem("ternary-morse", Substitution(
         {"0": "012", "1": "120", "2": "201"}), "0")
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """The list that each `kernels.apply_rule` call of the test appends
+    its arguments to."""
+    calls = []
+    apply_rule = kernels.apply_rule
+    monkeypatch.setattr("minflow.kernels.apply_rule",
+                        lambda *args: calls.append(args) or apply_rule(*args))
+    return calls
 
 
 def random_primitive_rules(rng, count):

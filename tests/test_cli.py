@@ -200,7 +200,8 @@ CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
      "bad point spec 'shift(fix0,\u00b2)': expected integer (at 11)"),
     (["point", "morse", "addr(\u0663,0)"],
      "bad point spec 'addr(\u0663,0)': expected digit string (at 5)"),
-    (["aut", "morse", "--apply", "id", "--compose", "shift^20"],
+    (["aut", "morse", "--apply", "id", "--compose", "shift^20", "--word",
+      "011010011001011010010110011010011001011001101001"],
      "a radius-20 code needs a rule table of 2^41 entries, over the cap"),
     (["aut", "morse", "--apply", "shift^12", "--word",
       "01101001100101101001011001101001"],
@@ -215,6 +216,15 @@ CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
      "the empty word has no phase to desubstitute"),
     (["factor", "period-doubling", "--word", ""],
      "the empty word has no phase to desubstitute"),
+    (["aut", "morse", "--radius", "-1"], "radius must be >= 0, got -1"),
+    (["aut", "morse", "--radius", "1", "--check-len", "-4"],
+     "check_len must be >= 1, got -4"),
+    (["aut", "morse", "--check-len", "0"], "check_len must be >= 1, got 0"),
+    (["coalesce", "morse", "--radius", "-1"], "radius must be >= 0, got -1"),
+    (["coalesce", "morse", "--check-len", "-4"],
+     "check_len must be >= 1, got -4"),
+    (["sr", "morse", "--radius", "-1"], "radius must be >= 0, got -1"),
+    (["sr", "fibonacci", "--radius", "-2"], "radius must be >= 0, got -2"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):
@@ -224,6 +234,15 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     code, err = usage_failure(capsys, *argv)
     assert code == 2
     assert err.startswith("minflow: " + message) and err.count("\n") == 1
+
+
+def test_compose_needs_no_rule_table(capsys):
+    # composition reads the rule dicts, so only applying the radius-20
+    # composite to a word needs its 2^41-entry table
+    code, report = run_json(capsys, "aut", "morse", "--apply", "id",
+                            "--compose", "shift^20")
+    assert code == 0 and report["normal_form"] == [20, 0]
+    assert len(report["code"]["blocks"]) == 128
 
 
 def test_code_file_that_is_not_json(capsys, tmp_path):

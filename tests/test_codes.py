@@ -7,7 +7,6 @@ import time
 import pytest
 from conftest import random_primitive_rules
 
-from minflow import kernels
 from minflow.codes import (SlidingBlockCode, apply_code, classify_aut_group,
                            compose, enumerate_endomorphisms, flip_code,
                            identity_code, invert, is_identity, shift_code,
@@ -264,17 +263,54 @@ def test_more_blocks_than_byte_ids_are_refused():
 
 @pytest.mark.parametrize("name,radius", [(name, radius)
                                          for name in sorted(REGISTRY)
-                                         for radius in range(4)])
-def test_cold_enumeration_makes_one_kernel_call(name, radius, monkeypatch):
+                                         for radius in range(4)] +
+                         [("full-shift", 0), ("full-shift", 1)])
+def test_cold_enumeration_makes_one_kernel_call(name, radius, kernel_calls):
     # the block ids of the test word are read once; every range of the
-    # image is filled from them without a kernel call
-    calls = []
-    apply_rule = kernels.apply_rule
-    monkeypatch.setattr("minflow.kernels.apply_rule",
-                        lambda *args: calls.append(args) or apply_rule(*args))
+    # image is filled from them without a kernel call, and the short
+    # words missing from the test word (every survivor on the full shift
+    # has some) are read in the rule dict
     assert enumerate_endomorphisms(fresh_system(name), radius,
                                    check_len=4096)
-    assert len(calls) == 1
+    assert len(kernel_calls) == 1
+
+
+@pytest.mark.parametrize("name,radius", [(name, radius)
+                                         for name in sorted(REGISTRY)
+                                         for radius in range(4)] +
+                         [("full-shift", 1)])
+@pytest.mark.parametrize("check_len", [64, 4096])
+def test_enumerated_codes_hold_their_test_image(name, radius, check_len,
+                                                kernel_calls):
+    system = fresh_system(name)
+    codes = enumerate_endomorphisms(system, radius, check_len)
+    images = [code.test_image(check_len) for code in codes]
+    assert len(kernel_calls) == 1
+    assert images == [code.apply(system.test_word(check_len))
+                      for code in codes]
+
+
+def test_test_image_is_applied_once_per_length(morse, kernel_calls):
+    code = shift_code(morse, 2)
+    first = code.test_image(100)
+    assert code.test_image(100) is first and len(kernel_calls) == 1
+    assert code.test_image(50) == first[:46] and len(kernel_calls) == 2
+    assert first == shift_code(morse, 2).apply(morse.test_word(100))
+    with pytest.raises(DomainError, match="shorter than the code window"):
+        code.test_image(4)
+
+
+@pytest.mark.parametrize("radius,check_len,message", [
+    (-1, 4096, "radius must be >= 0, got -1"),
+    (-2, 0, "radius must be >= 0, got -2"),
+    (1, 0, "check_len must be >= 1, got 0"),
+    (1, -4, "check_len must be >= 1, got -4"),
+    (0, -4, "check_len must be >= 1, got -4")])
+def test_enumeration_rejects_bad_arguments_first(radius, check_len, message):
+    system = fresh_system("morse")
+    with pytest.raises(DomainError, match="^%s$" % message):
+        enumerate_endomorphisms(system, radius, check_len)
+    assert system._lang == {}
 
 
 def test_cold_enumeration_scans_a_constant_number_of_times(monkeypatch):
@@ -299,8 +335,57 @@ def test_enumeration_requests_the_top_language_level_first(radius):
         enumerate_endomorphisms(FullShiftSystem("012"), radius)
 
 
+def naive_compose(c1, c2):
+    """compose with each block's middle image applied by `c2.apply`."""
+    system = c1.system
+    r = c1.radius + c2.radius
+    rule = {}
+    for b in system.language(2 * r + 1):
+        mid = c2.apply(b)
+        if mid not in c1.rule:
+            raise DomainError("composition hits block %r outside the left "
+                              "rule's domain" % mid)
+        rule[b] = c1.rule[mid]
+    return SlidingBlockCode(system, r, rule)
+
+
+def composed_or_error(compose, c1, c2):
+    try:
+        return compose(c1, c2).to_json()
+    except DomainError as exc:
+        return str(exc)
+
+
+def every_rule(system, radius):
+    """Every radius-`radius` code of the system, endomorphism or not."""
+    blocks = sorted(system.language(2 * radius + 1))
+    return [SlidingBlockCode(system, radius, dict(zip(blocks, outs)))
+            for outs in itertools.product(sorted(system.alphabet),
+                                          repeat=len(blocks))]
+
+
+@pytest.mark.parametrize("name", ["morse", "ternary"])
+def test_compose_matches_the_block_by_block_oracle(name, request,
+                                                   kernel_calls):
+    system = request.getfixturevalue(name)
+    codes = every_rule(system, 0) + [
+        c for r in (1, 2) for c in enumerate_endomorphisms(system, r)]
+    kernel_calls.clear()
+    got = [composed_or_error(compose, c1, c2) for c1 in codes for c2 in codes]
+    assert kernel_calls == []
+    want = [composed_or_error(naive_compose, c1, c2)
+            for c1 in codes for c2 in codes]
+    assert got == want
+    errors = [g for g in got if isinstance(g, str)]
+    # the radius-0 rules that are no endomorphisms send some block
+    # outside every other code's domain
+    assert errors and all(e.startswith("composition hits block ")
+                          for e in errors)
+
+
 def naive_invert(code, max_radius, check_len=4096):
-    """invert with the graph read one window at a time."""
+    """invert with the graph read one window at a time, checked with the
+    block-by-block composition."""
     system = code.system
     r = code.radius
     master = system.test_word(check_len)
@@ -315,8 +400,8 @@ def naive_invert(code, max_radius, check_len=4096):
         else:
             if set(mapping) == set(system.language(width)):
                 cand = SlidingBlockCode(system, rp, mapping)
-                if is_identity(compose(cand, code)) and \
-                        is_identity(compose(code, cand)):
+                if is_identity(naive_compose(cand, code)) and \
+                        is_identity(naive_compose(code, cand)):
                     return cand
     return None
 

@@ -114,6 +114,27 @@ def test_dichotomy_extracts_flip_codes(morse, x0, cert):
     assert verdict.code.normal_form == (-3, 1)
 
 
+@pytest.mark.parametrize("k", [0, 3, -8])
+@pytest.mark.parametrize("flip", [0, 1])
+def test_case2_dichotomy_makes_one_kernel_call(morse, x0, cert, k, flip,
+                                               kernel_calls):
+    # the extracted code's test image is applied once, for the
+    # endomorphism check, and read again by invert; compositions and the
+    # short words missing from the test word are read in rule dicts
+    x = x0.shift(k).flip() if flip else x0.shift(k)
+    verdict = dichotomy(x0, x, certificate=cert, radius_budget=8)
+    assert (verdict.case, verdict.code.normal_form) == ("case2", (k, flip))
+    assert len(kernel_calls) == 1
+
+
+@pytest.mark.parametrize("r", [1, 2])
+def test_coalescence_check_makes_one_kernel_call(morse, r, kernel_calls):
+    # the enumeration's one call; invert reads each survivor's test image
+    assert coalescence_check(morse, r) == {
+        "system": "morse", "radius": r, "checked": 4 * r + 2, "flagged": []}
+    assert len(kernel_calls) == 1
+
+
 def test_dichotomy_requires_distal_base(morse):
     mu = fixed_point(morse)
     with pytest.raises(PreconditionError):
