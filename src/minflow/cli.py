@@ -172,6 +172,8 @@ def cmd_factor(args):
 def cmd_census(args):
     system = _system(args)
     if args.sample is not None:
+        if args.sample < 1:
+            raise DomainError("--sample must be >= 1, got %d" % args.sample)
         rng = random.Random(args.seed)
         records = []
         for _ in range(args.sample):
@@ -189,6 +191,9 @@ def cmd_census(args):
                 cards != {args.expect_cardinality}:
             return CHECK_FAILED
         return
+    if not all("0" <= d <= "9" for d in args.address):
+        raise DomainError("bad address %r: expected ASCII digits"
+                          % args.address)
     addr = factors.OdometerAddress(tuple(int(d) for d in args.address))
     census = factors.fiber_census(system, addr, args.resolution)
     _emit_json(args, census.to_json())

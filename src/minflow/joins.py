@@ -233,6 +233,8 @@ def sr_report(system_name, max_shift=8, radius=2, resolution=DEFAULT_RESOLUTION,
     equicontinuous factor.  For "odometer": wrap the finite-level SR
     witness.
     """
+    if max_shift < 0:
+        raise DomainError("max_shift must be >= 0, got %d" % max_shift)
     if system_name == "odometer":
         witness = odometer_sr_witness(levels)
         witness["summary"] = "SR (finite-level witness)"

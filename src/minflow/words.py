@@ -6,8 +6,9 @@ prolongable seed.  Its language is exact and reads no prefix of the
 fixed point: level n is the set of n-windows of σ^k(a)σ^k(b) over the
 admissible 2-words ab, once every σ^k(c) has n - 1 symbols or more
 (Queffelec, Substitution Dynamical Systems, LNM 1294).  `first_windows`
-collects them, jumping over stretches that repeat an earlier one.  Each
-missing level below the one requested is derived by truncation.
+collects them, jumping over stretches that repeat an earlier one.  Only
+the level requested is built: from a level above it already built, by
+truncation, and otherwise by that scan.
 
 Iterated images come from `Substitution.powers`, which builds each level
 σ^(j+1)(a) by joining the level-j images of the letters of σ(a), so no
@@ -288,8 +289,11 @@ class SubshiftSystem:
         return self.fixed_prefix(self.seed, length)
 
     def language(self, n: int) -> frozenset:
-        """Exactly the admissible words of length n, as a frozenset,
-        built with every missing level below it on first request."""
+        """Exactly the admissible words of length n, as a frozenset.
+
+        Only level n is built and stored, on first request: as the
+        prefixes of the nearest level above it already built, or else
+        read off the images of the admissible 2-words."""
         if n < 1:
             raise DomainError("language length must be >= 1")
         if n > self.language_cap:
@@ -297,11 +301,15 @@ class SubshiftSystem:
                                 % (n, self.language_cap))
         got = self._lang.get(n)
         if got is None:
-            self._build_language(n)
-            got = self._lang[n]
+            got = self._lang[n] = self._build_language(n)
         return got
 
     def _build_language(self, n):
+        # every word extends to the right, so a level is the set of
+        # prefixes of any level above it
+        above = [m for m in self._lang if m > n]
+        if above:
+            return frozenset({w[:n] for w in self._lang[min(above)]})
         # the admissible 2-words: the 2-factors of the images, closed
         # under ab -> the 2-factors of σ(a)σ(b)
         rule = self.substitution.rule
@@ -319,28 +327,7 @@ class SubshiftSystem:
         top = set()
         for a, b in two:
             top.update(first_windows(images[a] + images[b][:n - 1], n))
-        # the levels built so far are 1..max(self._lang); each missing
-        # level below n is the set of prefixes of the level above, since
-        # every word extends to the right
-        new = {n: frozenset(top)}
-        for m in range(n - 1, 0, -1):
-            if m in self._lang:
-                break
-            new[m] = frozenset({w[:m] for w in new[m + 1]})
-        # check upward, so the closure/extendability assertions run for
-        # every new level
-        for m in sorted(new):
-            words_m = new[m]
-            if m > 1:
-                prev = self._lang[m - 1]
-                subs = frozenset(w[i:i + m - 1] for w in words_m for i in (0, 1))
-                if not subs <= prev:
-                    raise IntegrityError("factor closure failed at n=%d" % m)
-                if not prev <= subs:
-                    raise IntegrityError("extendability failed at n=%d" % (m - 1))
-                if len(words_m) < len(prev):
-                    raise IntegrityError("complexity not monotone at n=%d" % m)
-            self._lang[m] = words_m
+        return frozenset(top)
 
     def complexity(self, n: int) -> int:
         return len(self.language(n))

@@ -225,6 +225,14 @@ CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
      "check_len must be >= 1, got -4"),
     (["sr", "morse", "--radius", "-1"], "radius must be >= 0, got -1"),
     (["sr", "fibonacci", "--radius", "-2"], "radius must be >= 0, got -2"),
+    (["sr", "morse", "--max-shift", "-1"], "max_shift must be >= 0, got -1"),
+    (["census", "morse", "--address", "01x"],
+     "bad address '01x': expected ASCII digits"),
+    (["census", "morse", "--address", "\uff10\uff1101"],
+     "bad address '\uff10\uff1101': expected ASCII digits"),
+    (["census", "morse", "--sample", "0"], "--sample must be >= 1, got 0"),
+    (["census", "morse", "--sample", "-3", "--expect-cardinality", "2"],
+     "--sample must be >= 1, got -3"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):

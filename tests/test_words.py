@@ -556,7 +556,8 @@ def test_derived_levels_equal_the_per_level_scan(name, cap, levels,
     for m in levels:
         system.language(m)
     # only a level requested above the built ones is scanned (once per
-    # admissible 2-word); the levels below it are derived without a scan
+    # admissible 2-word); one below is the truncation of the nearest
+    # built level above it, with no scan
     expected = [m for i, m in enumerate(levels) if m > max(levels[:i] or [0])]
     assert [m for m, _ in itertools.groupby(widths)] == expected
     monkeypatch.undo()
@@ -597,3 +598,33 @@ def test_language_reads_no_fixed_point_prefix():
         system = ORACLE_SYSTEMS[name]()
         system.language(64)
         assert system._prefix == {}, name
+
+
+def invariant_cases():
+    for name in sorted(ORACLE_SYSTEMS):
+        yield pytest.param(ORACLE_SYSTEMS[name], id=name)
+    yield pytest.param(lambda: SubshiftSystem(
+        "slow", Substitution(WITNESS), "0"), id="witness")
+    for rule in random_primitive_rules(random.Random(13), 40):
+        yield pytest.param(lambda rule=rule: SubshiftSystem(
+            "random", Substitution(rule), "0"), id=repr(rule))
+
+
+@pytest.mark.parametrize("make", invariant_cases())
+def test_language_levels_are_closed_extendable_and_monotone(make):
+    # each level is scanned cold on its own system, so no level compared
+    # here is the truncation of another
+    levels = [make().language(m) for m in range(1, 65)]
+    for shorter, longer in zip(levels, levels[1:]):
+        # factor closure and extendability, on both sides
+        assert {w[:-1] for w in longer} == shorter
+        assert {w[1:] for w in longer} == shorter
+        assert len(longer) >= len(shorter)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
+def test_a_cold_level_is_built_alone(name):
+    system = ORACLE_SYSTEMS[name]()
+    system.language(256)
+    assert list(system._lang) == [256]
+    assert system.language(3) == ORACLE_SYSTEMS[name]().language(3)
