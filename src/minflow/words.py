@@ -15,16 +15,19 @@ Iterated images come from `Substitution.powers`, which builds each level
 Python loop runs once per symbol; languages, fixed-point prefixes,
 address blocks and fiber censuses all read it.
 
-Admissibility of words longer than SHORT_WORD_LEN is decided exactly,
-in two steps at every level of a recursion.  First occurrence: a word
-found in the fixed-point prefix already cached for the seed is a factor
-of the fixed point, so admissible; the prefix is never grown for this.
-Then the desubstitution certificate: a word is admissible iff it
-decomposes as (suffix of an image) + image of an admissible word +
-(prefix of an image).  Only the parse says no.  For constant length ℓ
-the parse is `SubshiftSystem.parses`, which also backs desubstitution
-and the recognizability table that addresses read.  Its block decoding
-table and the rule tables of codes come from `dense_table`.
+Admissibility of words longer than SHORT_WORD_LEN is decided exactly.
+First occurrence: a word found in the fixed-point prefix already cached
+for the seed is a factor of the fixed point, so admissible; the prefix
+is never grown for this.  Then, when the images have one length ℓ and
+are pairwise distinct, the desubstitution certificate: a word is
+admissible iff it decomposes as (suffix of an image) + image of an
+admissible word + (prefix of an image), found by
+`SubshiftSystem.parses`, which also backs desubstitution and the
+recognizability table that addresses read.  Its block decoding table
+and the rule tables of codes come from `dense_table`.  Every other
+system reads the covers that build its language: an n-word is
+admissible iff it occurs in σ^k(a) + σ^k(b)[:n - 1] for an admissible
+2-word ab.
 
 A system is one of two sibling classes; other modules read only this
 protocol of either: `name`, `alphabet` (the digits 0..k-1, since the
@@ -32,9 +35,11 @@ kernels read symbol c as the digit ord(c) - 48; both constructors check
 it), `language_cap`, `language(n)`, `is_admissible(word)`,
 `test_word(length)`, `flip_closed`, `constant_length` (None unless all
 images have one length ℓ) and `almost_automorphic`.  `SubshiftSystem`
-adds `substitution`, `seed`, `fixed_prefix` and `complexity`, and at
-constant length `decode` (the full ℓ-blocks of a byte word, by one
-kernel call), `parses`, `valid_phases` and `recognizability`.
+adds `substitution`, `seed`, `fixed_prefix` and `complexity`, and, when
+the images have one length and are pairwise distinct, `decode` (the
+full ℓ-blocks of a byte word, by one kernel call), `parses`,
+`valid_phases` and `recognizability`; these raise DomainError on any
+other system.
 `FullShiftSystem`, the full shift, has the protocol alone.
 """
 
@@ -46,10 +51,8 @@ from .errors import ConstructionError, DomainError, IntegrityError, ResourceErro
 
 MAX_ALPHABET = 10
 LANGUAGE_CAP = 256        # longest n the language cache will enumerate
-SHORT_WORD_LEN = 64       # direct membership below, parse certificate above
+SHORT_WORD_LEN = 64       # direct membership below, certificates above
 PREFIX_MIN = 4096         # shortest fixed-point prefix a system caches
-_PARSE_DEPTH_CAP = 64
-_PARSE_BRANCH_CAP = 64
 RECOG_CAP = 64            # longest recognizability length searched for
 TABLE_CAP = 1 << 24       # entries (base ** width) of a dense kernel table
 _PROBE = 8                # first_windows: symbols past a repeat worth a skip
@@ -263,6 +266,10 @@ class SubshiftSystem:
         self.name = name
         self.substitution = substitution
         self.constant_length = substitution.constant_length
+        # the block parse needs images of one length that name their letter
+        images = substitution.rule.values()
+        self._block_parse = (self.constant_length is not None
+                             and len(set(images)) == len(images))
         self.seed = seed
         self.language_cap = language_cap
         self.almost_automorphic = almost_automorphic
@@ -310,6 +317,15 @@ class SubshiftSystem:
         above = [m for m in self._lang if m > n]
         if above:
             return frozenset({w[:n] for w in self._lang[min(above)]})
+        top = set()
+        for cover in self._covers(n):
+            top.update(first_windows(cover, n))
+        return frozenset(top)
+
+    def _covers(self, n):
+        """σ^k(a) + σ^k(b)[:n - 1] for each admissible 2-word ab, at the
+        first k where every σ^k(c) has n - 1 symbols or more: each
+        admissible n-word starts inside σ^k(a) in one of them."""
         # the admissible 2-words: the 2-factors of the images, closed
         # under ab -> the 2-factors of σ(a)σ(b)
         rule = self.substitution.rule
@@ -319,15 +335,10 @@ class SubshiftSystem:
             found = {word[i:i + 2] for i in range(len(word) - 1)} - two
             two |= found
             todo += [rule[a] + rule[b] for a, b in found]
-        # once every σ^k(c) has n - 1 symbols or more, each admissible
-        # n-word starts inside σ^k(a) in σ^k(a)σ^k(b) for some such ab
         for images in self.substitution.powers():
             if min(map(len, images.values())) >= n - 1:
                 break
-        top = set()
-        for a, b in two:
-            top.update(first_windows(images[a] + images[b][:n - 1], n))
-        return frozenset(top)
+        return (images[a] + images[b][:n - 1] for a, b in two)
 
     def complexity(self, n: int) -> int:
         return len(self.language(n))
@@ -340,23 +351,19 @@ class SubshiftSystem:
             return True
         if not _over_alphabet(word, self.alphabet):
             return False
-        return self._admissible_by_parse(word, 0)
+        return self._admissible_by_parse(word)
 
-    def _admissible_by_parse(self, word, depth):
-        if depth > _PARSE_DEPTH_CAP:
-            raise IntegrityError("parse recursion too deep")
+    def _admissible_by_parse(self, word):
         if len(word) <= min(SHORT_WORD_LEN, self.language_cap):
             return word in self.language(len(word))
         if word in self._seed_prefix():
             return True
-        if self.constant_length is not None:
-            preimages = [p for _, _, pre in self.parses(word) for p in pre]
-        else:
-            preimages = self._decompositions(word)
-        for preimage in preimages:
-            if self._admissible_by_parse(preimage, depth + 1):
-                return True
-        return False
+        if not self._block_parse:
+            return any(word in cover for cover in self._covers(len(word)))
+        # the constructor makes ℓ >= 2, so a preimage of an n-word has at
+        # most n/2 + 2 symbols and the recursion is about log2 n deep
+        return any(self._admissible_by_parse(p)
+                   for _, _, pre in self.parses(word) for p in pre)
 
     def _seed_prefix(self):
         """The whole fixed-point prefix cached for the seed (at least
@@ -367,9 +374,16 @@ class SubshiftSystem:
             prefix = self._prefix[self.seed]
         return prefix
 
+    def _refuse_unless_block_parse(self):
+        if not self._block_parse:
+            raise DomainError("%r has no block parse: its images are not "
+                              "of one length and pairwise distinct"
+                              % self.name)
+
     def _block_decode_table(self):
-        """image block -> letter, as a dense kernel table (constant length)."""
+        """image block -> letter, as a dense kernel table."""
         if self._decode is None:
+            self._refuse_unless_block_parse()
             self._decode = bytes(dense_table(
                 ((img, a) for a, img in self.substitution.rule.items()),
                 len(self.alphabet), self.constant_length,
@@ -385,7 +399,8 @@ class SubshiftSystem:
 
     def parses(self, word):
         """The phases of `word` whose full blocks decode, as (start, core,
-        preimages); the substitution must have a constant length ℓ.
+        preimages); DomainError unless the images have one length ℓ and
+        are pairwise distinct.
 
         The first full block begins at `start`, so position 0 of `word`
         sits at offset (-start) mod ℓ of its block.  `core` decodes the
@@ -395,6 +410,7 @@ class SubshiftSystem:
         block at offset ℓ - start, and the preimages are the letters
         whose image holds it there.
         """
+        self._refuse_unless_block_parse()
         ell = self.constant_length
         rule = self.substitution.rule
         raw = word.encode()
@@ -426,6 +442,7 @@ class SubshiftSystem:
     def valid_phases(self, word):
         """(start, core) of each phase of `word` in `parses` that has an
         admissible preimage; none if a symbol lies outside the alphabet."""
+        self._refuse_unless_block_parse()
         if not _over_alphabet(word, self.alphabet):
             return []
         return [(start, core) for start, core, preimages in self.parses(word)
@@ -440,8 +457,6 @@ class SubshiftSystem:
         cached; asserted <= RECOG_CAP.
         """
         if self._recog is None:
-            if self.constant_length is None:
-                raise DomainError("%r is not of constant length" % self.name)
             for n in range(1, RECOG_CAP + 1):
                 phases = {}
                 for w in self.language(n):
@@ -456,38 +471,6 @@ class SubshiftSystem:
                 raise IntegrityError("no recognizability length <= %d for %r"
                                      % (RECOG_CAP, self.name))
         return self._recog
-
-    def _decompositions(self, word):
-        """Preimage candidates: word = (image suffix) + images + (image prefix)."""
-        rule = self.substitution.rule
-        n = len(word)
-        starts = [(0, "")]
-        for a, img in rule.items():
-            for p in range(1, len(img)):
-                if word[:p] == img[-p:]:
-                    starts.append((p, a))
-        out = []
-        for p0, left in starts:
-            # full-block chains from p0; branching is tiny for
-            # recognizable substitutions but handled generally
-            stack = [(p0, "")]
-            while stack:
-                pos, letters = stack.pop()
-                if pos == n:
-                    out.append(left + letters)
-                else:
-                    for a, img in rule.items():
-                        k = len(img)
-                        if pos + k <= n:
-                            if word[pos:pos + k] == img:
-                                stack.append((pos + k, letters + a))
-                        elif img.startswith(word[pos:]):
-                            out.append(left + letters + a)
-                # every candidate counts, whether or not it ends on a
-                # block boundary
-                if len(out) > _PARSE_BRANCH_CAP:
-                    raise ResourceError("decomposition branch cap exceeded")
-        return out
 
     # -- structure flags ----------------------------------------------
 

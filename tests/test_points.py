@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from minflow import points
@@ -6,7 +8,7 @@ from minflow.errors import (DomainError, IntegrityError, ResourceError,
 from minflow.points import (HORIZON_CAP, AddressPoint, OneSidedSpec,
                             ShiftedPoint, SplicePoint, fixed_point,
                             parse_point_spec, point_from_address, seam_points)
-from minflow.words import Substitution, fixed_point_prefix
+from minflow.words import Substitution, fibonacci, fixed_point_prefix
 
 
 @pytest.fixture(scope="module")
@@ -140,6 +142,20 @@ def test_inadmissible_splice_names_leftmost_shortest_window(fib):
     splice = parse_point_spec(fib, "splice(rev(fix(0)),fix(0))")
     with pytest.raises(IntegrityError) as err:
         splice.window(-8, 8)
+    assert str(err.value) == (
+        "splice splice(rev(fix(0)),fix(0)) produced inadmissible window "
+        "'00100100' at coordinate -4")
+
+
+def test_a_far_inadmissible_splice_fails_quickly():
+    # the buffer for this window holds 2^18 symbols on each side of the
+    # seam, and its admissibility is decided before the error names the
+    # same leftmost shortest window
+    splice = parse_point_spec(fibonacci(), "fix0")
+    t0 = time.monotonic()
+    with pytest.raises(IntegrityError) as err:
+        splice.window(-200000, -199997)
+    assert time.monotonic() - t0 < 3
     assert str(err.value) == (
         "splice splice(rev(fix(0)),fix(0)) produced inadmissible window "
         "'00100100' at coordinate -4")

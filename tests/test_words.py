@@ -6,18 +6,22 @@ import pytest
 from conftest import random_primitive_rules
 from hypothesis import given, settings, strategies as st
 
-from minflow import factors, kernels, words
+from minflow import factors, kernels, points, words
 from minflow.errors import (ConstructionError, DomainError, IntegrityError,
                             ResourceError)
-from minflow.words import (_PARSE_BRANCH_CAP, _PARSE_DEPTH_CAP, PREFIX_MIN,
-                           REGISTRY, SHORT_WORD_LEN, FullShiftSystem,
-                           Substitution, SubshiftSystem, first_windows,
-                           fixed_point_prefix, flip_word, get_system)
+from minflow.words import (PREFIX_MIN, REGISTRY, SHORT_WORD_LEN,
+                           FullShiftSystem, Substitution, SubshiftSystem,
+                           first_windows, fixed_point_prefix, flip_word,
+                           get_system)
 
 TM = {"0": "01", "1": "10"}
 PD = {"0": "01", "1": "00"}
 FIB = {"0": "01", "1": "0"}
 TERNARY = {"0": "012", "1": "120", "2": "201"}
+THREE_LETTER = {"0": "012", "1": "02", "2": "0"}
+# a primitive substitution that recurs slowly: a 4096-symbol prefix of
+# its fixed point misses admissible words of length 12 and 64
+WITNESS = {"0": "0002012120021", "1": "10211", "2": "21120112210"}
 
 
 def oracle_prefix(rule, seed, n):
@@ -302,6 +306,11 @@ def test_full_shift(full_shift):
     assert blocks == full_shift.language(3)
 
 
+# the caps of the parse that ParseOracle copies
+_PARSE_DEPTH_CAP = 64
+_PARSE_BRANCH_CAP = 64
+
+
 class ParseOracle(SubshiftSystem):
     """Admissibility by the desubstitution parse alone, with no occurrence
     certificate: the methods below are the parse as it stood before
@@ -423,11 +432,28 @@ ORACLE_SYSTEMS = dict(REGISTRY, **{"ternary-morse": lambda: SubshiftSystem(
     "ternary-morse", Substitution(TERNARY), "0")})
 
 
-@pytest.mark.parametrize("name", sorted(ORACLE_SYSTEMS))
-def test_admissibility_matches_the_parse_oracle(name):
-    system = ORACLE_SYSTEMS[name]()            # cold caches
-    oracle = ParseOracle(name, system.substitution, system.seed)
-    cases = oracle_cases(system, random.Random(name))
+def oracle_systems():
+    """ORACLE_SYSTEMS, then systems whose images differ in length, which
+    read the covers: the WITNESS rule, a three-letter rule and the seeded
+    random rules with pairwise distinct images.  That leaves out
+    0 -> 02, 1 -> 02, 2 -> 1110, on which the oracle's own cap fires."""
+    for name in sorted(ORACLE_SYSTEMS):
+        yield pytest.param(ORACLE_SYSTEMS[name], id=name)
+    rules = [("witness", WITNESS), ("three-letter", THREE_LETTER)] + [
+        (repr(rule), rule)
+        for rule in random_primitive_rules(random.Random(13), 40)
+        if Substitution(rule).constant_length is None
+        and len(set(rule.values())) == len(rule)]
+    for name, rule in rules:
+        yield pytest.param(lambda name=name, rule=rule: SubshiftSystem(
+            name, Substitution(rule), "0"), id=name)
+
+
+@pytest.mark.parametrize("make", oracle_systems())
+def test_admissibility_matches_the_parse_oracle(make):
+    system = make()                            # cold caches
+    oracle = ParseOracle(system.name, system.substitution, system.seed)
+    cases = oracle_cases(system, random.Random(system.name))
     cached = system.test_word(words.PREFIX_MIN)
     assert len(system._prefix[system.seed]) == words.PREFIX_MIN
     beyond = [w for w in cases if w not in cached]
@@ -439,41 +465,102 @@ def test_admissibility_matches_the_parse_oracle(name):
     assert len(system._prefix[system.seed]) == words.PREFIX_MIN
 
 
-def test_parse_branch_cap_raises_quickly(monkeypatch):
+def mutant(word, alphabet):
+    """`word` with its middle symbol replaced by the next letter of
+    `alphabet`, cyclically."""
+    i = len(word) // 2
+    letter = alphabet[(alphabet.index(word[i]) + 1) % len(alphabet)]
+    return word[:i] + letter + word[i + 1:]
+
+
+# The two tests below are named for the branch cap of the general
+# decomposition parse, which these Fibonacci factors from beyond the cached
+# prefix once reached.  That parse is gone: they are decided from the
+# covers, with no cap, and ParseOracle agrees.
+
+def check_fibonacci_factor(fib, word):
+    oracle = ParseOracle("fibonacci", fib.substitution, "0")
+    assert word not in fib.test_word(words.PREFIX_MIN)
+    t0 = time.monotonic()
+    assert fib.is_admissible(word)
+    bad = mutant(word, "01")
+    assert not fib.is_admissible(bad)
+    assert time.monotonic() - t0 < 5
+    assert oracle.is_admissible(word) and not oracle.is_admissible(bad)
+
+
+def test_parse_branch_cap_raises_quickly():
     fib = REGISTRY["fibonacci"]()
-    # ends in a 0 that may begin the image 01, so the parse has a partial
-    # last block, a branch the cap counts
+    # ends in a 0 that may begin the image 01, so a parse has a partial
+    # last block
     word = fixed_point_prefix(fib.substitution, "0", 1 << 14)[8000:11001]
     assert word.endswith("10")
-    assert word not in fib.test_word(words.PREFIX_MIN)
-    assert fib.is_admissible(word)
-    monkeypatch.setattr(words, "_PARSE_BRANCH_CAP", 0)
-    fib = REGISTRY["fibonacci"]()
-    t0 = time.monotonic()
-    with pytest.raises(ResourceError, match="branch cap"):
-        fib.is_admissible(word)
-    assert time.monotonic() - t0 < 5
+    check_fibonacci_factor(fib, word)
 
 
-def test_parse_branch_cap_counts_candidates_on_block_boundaries(
-        monkeypatch):
-    # ends on a block boundary, so its one candidate comes from the path
-    # that ends the word (fixed[8000:11001] above also has a partial
-    # last block)
+def test_parse_branch_cap_counts_candidates_on_block_boundaries():
     fib = REGISTRY["fibonacci"]()
+    # ends on a block boundary, so its one decomposition comes from the
+    # path that ends the word
     word = fixed_point_prefix(fib.substitution, "0", 1 << 14)[8000:11000]
-    assert word not in fib.test_word(words.PREFIX_MIN)
-    assert len(fib._decompositions(word)) == 1
-    assert fib.is_admissible(word)
-    monkeypatch.setattr(words, "_PARSE_BRANCH_CAP", 0)
+    oracle = ParseOracle("fibonacci", fib.substitution, "0")
+    assert len(oracle._decompositions(word)) == 1
+    check_fibonacci_factor(fib, word)
+
+
+def test_a_long_fibonacci_word_is_decided_quickly():
     fib = REGISTRY["fibonacci"]()
-    with pytest.raises(ResourceError, match="branch cap"):
-        fib.is_admissible(word)
+    fixed = fixed_point_prefix(fib.substitution, "0", 1 << 20)
+    word = fixed[300000:300000 + (1 << 18)]
+    t0 = time.monotonic()
+    assert fib.is_admissible(word)
+    assert time.monotonic() - t0 < 0.5
+    assert not fib.is_admissible(mutant(word, "01"))
+
+
+# constant length, but two letters share an image, so no block names its
+# letter; the last is rule 25 of random_primitive_rules(Random(13), 40)
+SHARED_IMAGES = [{"0": "0012", "1": "0012", "2": "2220"},
+                 {"0": "002", "1": "110", "2": "110"},
+                 {"0": "01", "1": "20", "2": "01"}]
+
+
+@pytest.mark.parametrize("rule", SHARED_IMAGES, ids=repr)
+def test_shared_images_read_the_covers_and_refuse_the_parse(rule):
+    system = SubshiftSystem("shared", Substitution(rule), "0")
+    fixed = fixed_point_prefix(system.substitution, "0", 1 << 15)
+    rng = random.Random(repr(rule))
+    for _ in range(200):
+        n = rng.randint(70, 600)
+        i = rng.randrange(5000, len(fixed) - n)
+        assert system.is_admissible(fixed[i:i + n]), (i, n)
+    for call in (factors.recognizability_length,
+                 lambda s: factors.desubstitute(s, fixed[:100]),
+                 lambda s: factors.address(s, points.fixed_point(s), 2)):
+        with pytest.raises(DomainError, match="no block parse"):
+            call(system)
+
+
+def test_shared_images_of_different_lengths_are_decided_quickly():
+    # 0 -> 02 and 1 -> 02: a parse over image chains branches two ways at
+    # each block 02
+    system = SubshiftSystem("shared", Substitution(
+        {"0": "02", "1": "02", "2": "1110"}), "0")
+    fixed = fixed_point_prefix(system.substitution, "0", 1 << 16)
+    rng = random.Random(22)
+    for _ in range(3):
+        n = rng.randint(300, 400)
+        i = rng.randrange(words.PREFIX_MIN, len(fixed) - n)
+        word = fixed[i:i + n]
+        assert system.is_admissible(word)
+        t0 = time.monotonic()
+        assert not system.is_admissible(mutant(word, "012"))
+        assert time.monotonic() - t0 < 1
 
 
 # images of different lengths: 0 -> 012, 1 -> 02, 2 -> 0
 POWER_RULES = {"morse": TM, "fibonacci": FIB, "period-doubling": PD,
-               "three-letter": {"0": "012", "1": "02", "2": "0"}}
+               "three-letter": THREE_LETTER}
 LONGEST = 1 << 14
 
 
@@ -563,11 +650,6 @@ def test_derived_levels_equal_the_per_level_scan(name, cap, levels,
     monkeypatch.undo()
     for m in range(1, max(levels) + 1):
         assert system.language(m) == scanned_level(system, m), (name, m)
-
-
-# a primitive substitution that recurs slowly: a 4096-symbol prefix of
-# its fixed point misses admissible words of length 12 and 64
-WITNESS = {"0": "0002012120021", "1": "10211", "2": "21120112210"}
 
 
 def test_language_is_exact_where_a_prefix_misses_words():
