@@ -14,8 +14,7 @@ import random
 import sys
 
 from . import factors, joins, pairs
-from .codes import (apply_code, classify_aut_group, compose,
-                    enumerate_endomorphisms)
+from .codes import classify_aut_group, compose, enumerate_endomorphisms
 from .errors import DomainError, MinflowError
 from .points import INTEGER, parse_point_spec, seam_points
 from .words import REGISTRY, fixed_point_prefix, get_system
@@ -117,7 +116,7 @@ def cmd_aut(args):
                       if code.normal_form else None}
             _emit_json(args, report)
         else:
-            _emit(args, apply_code(code, args.word) + "\n", "txt")
+            _emit(args, code.apply(args.word) + "\n", "txt")
         return
     codes = enumerate_endomorphisms(system, args.radius, args.check_len)
     group = classify_aut_group(codes, system)
@@ -221,7 +220,7 @@ def cmd_join(args):
     failed = False
     if args.member:
         a, b = args.member
-        report["member"] = joins.member_pair(joint, a, b)
+        report["member"] = joint.member(a, b)
     if args.check_addresses is not None:
         profile = joins.joint_address_profile(joint, args.check_addresses)
         report["address_profile"] = profile

@@ -191,10 +191,6 @@ def flip_code(system, radius=0):
 
 # -- operations ----------------------------------------------------------
 
-def apply_code(code: SlidingBlockCode, word: str) -> str:
-    return code.apply(word)
-
-
 def compose(c1: SlidingBlockCode, c2: SlidingBlockCode) -> SlidingBlockCode:
     """The code w -> c1(c2(w)), presented at radius r1 + r2."""
     if c1.system is not c2.system:
@@ -275,8 +271,7 @@ def _first_starts(master, width, span):
     return first, list(first_span.values())
 
 
-def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
-                            node_cap=_NODE_CAP):
+def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN):
     """All radius-`radius` sliding block codes of the system into itself,
     certified up to `check_len`; canonically sorted.
 
@@ -356,7 +351,7 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN,
             return
         for out in outs:
             nodes += 1
-            if nodes > node_cap:
+            if nodes > _NODE_CAP:
                 raise ResourceError("enumeration node cap exceeded",
                                     partial=_sorted_codes(results, blocks))
             by_id[order[j]] = out

@@ -11,7 +11,6 @@ and word frequencies realize the invariant-measure checks.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (AmbiguityError, DomainError, IntegrityError,
                      NoParseError, ResourceError)
@@ -85,8 +84,6 @@ def desubstitute(system, word: str):
     if ell is None:
         raise DomainError("desubstitution needs a constant-length system, "
                           "%r is not" % system.name)
-    if not word:
-        raise DomainError("the empty word has no phase to desubstitute")
     valid = [(-start % ell, core) for start, core in system.valid_phases(word)]
     if not valid:
         raise NoParseError("%r has no substitution parse" % word)
@@ -238,7 +235,8 @@ class FrequencyTable:
     steps: int
     counts: tuple   # ((word, count), ...) sorted lexicographically
 
-    def frequency(self, word) -> Fraction:
+    def frequency(self, word):
+        from fractions import Fraction
         return Fraction(dict(self.counts).get(word, 0), self.steps)
 
     def to_tsv(self) -> str:

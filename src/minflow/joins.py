@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 
 from . import factors, pairs as pairs_mod
-from .codes import (SlidingBlockCode, classify_aut_group,
+from .codes import (DEFAULT_CHECK_LEN, SlidingBlockCode, classify_aut_group,
                     enumerate_endomorphisms, invert, verify_endomorphism)
 from .errors import DomainError, PreconditionError
 from .points import point_from_address
@@ -26,6 +26,8 @@ from .words import first_windows, get_system, pack_pair
 DEFAULT_RESOLUTION = 32
 DEFAULT_STEPS = 1 << 16
 DEFAULT_RADIUS_BUDGET = 4
+DEFAULT_CERTIFICATE_LEVEL = 12
+SAMPLE_SEED = 20190609    # the seed of every sample a report draws
 
 
 @dataclass(frozen=True)
@@ -38,10 +40,6 @@ class JointLanguage:
     first_point: object
     second_point: object
 
-    @property
-    def pairs(self):
-        return self.pair_times.keys()
-
     def output_map(self):
         """first window -> set of center symbols of the second coordinate."""
         L = self.resolution
@@ -51,22 +49,10 @@ class JointLanguage:
         return out
 
     def member(self, a, b):
-        if len(a) != 2 * self.resolution + 1 or len(b) != len(a):
-            raise DomainError("member_pair windows must have length 2L+1")
+        width = 2 * self.resolution + 1
+        if len(a) != width or len(b) != width:
+            raise DomainError("member windows need length 2L+1 = %d" % width)
         return (a, b) in self.pair_times
-
-    def restrict(self, resolution):
-        """The joint language this one induces at a smaller resolution."""
-        if resolution > self.resolution:
-            raise DomainError("can only restrict to a smaller resolution")
-        d = self.resolution - resolution
-        times = {}
-        for (a, b), t in sorted(self.pair_times.items(), key=lambda kv: kv[1]):
-            key = (a[d:len(a) - d], b[d:len(b) - d])
-            if key not in times or t < times[key]:
-                times[key] = t
-        return JointLanguage(resolution, self.steps, times,
-                             self.first_point, self.second_point)
 
 
 def joint_language(p, q, resolution=DEFAULT_RESOLUTION,
@@ -82,10 +68,6 @@ def joint_language(p, q, resolution=DEFAULT_RESOLUTION,
     times = {(a[n:n + width], b[n:n + width]): n
              for n in first_windows(pack_pair(a, b), width).values()}
     return JointLanguage(L, T, times, p, q)
-
-
-def member_pair(joint: JointLanguage, a: str, b: str) -> bool:
-    return joint.member(a, b)
 
 
 @dataclass(frozen=True)
@@ -125,7 +107,7 @@ def fit_local_rule(joint: JointLanguage, radius_budget):
 
 def dichotomy(x0, x, resolution=DEFAULT_RESOLUTION, steps=DEFAULT_STEPS,
               radius_budget=DEFAULT_RADIUS_BUDGET, certificate=None,
-              check_len=4096, certificate_level=12) -> DichotomyVerdict:
+              certificate_level=DEFAULT_CERTIFICATE_LEVEL) -> DichotomyVerdict:
     """Case 1 / Case 2 experiment for the pair (x0, x).
 
     Requires x0 to carry a distal certificate (computed here when not
@@ -164,14 +146,15 @@ def dichotomy(x0, x, resolution=DEFAULT_RESOLUTION, steps=DEFAULT_STEPS,
                                 "%d admissible blocks unobserved; raise T"
                                 % len(missing))
     code = SlidingBlockCode(system, r, rule)
-    if not verify_endomorphism(code, check_len):
+    if not verify_endomorphism(code):
         return DichotomyVerdict("inconclusive", L, T, r, None, None,
                                 "extracted rule failed endomorphism checks")
-    if invert(code, max_radius=max(2 * r, 1), check_len=check_len) is None:
+    if invert(code, max_radius=max(2 * r, 1)) is None:
         return DichotomyVerdict("inconclusive", L, T, r, None, None,
                                 "extracted rule not invertible in budget")
     return DichotomyVerdict("case2", L, T, r, code, None,
-                            "extracted code certified up to %d" % check_len)
+                            "extracted code certified up to %d"
+                            % DEFAULT_CHECK_LEN)
 
 
 def joint_address_profile(joint: JointLanguage, levels=12, samples=32):
@@ -199,9 +182,11 @@ def joint_address_profile(joint: JointLanguage, levels=12, samples=32):
 
 # -- reports -------------------------------------------------------------
 
-def _morse_sr_records(system, x0, max_shift, resolution, steps,
-                      radius_budget, check_len, certificate_level):
-    certificate = pairs_mod.distal_certificate(x0, level=certificate_level)
+def _morse_sr_records(system, max_shift, resolution, steps):
+    x0 = _default_base_point(system)
+    radius_budget = max(max_shift, DEFAULT_RADIUS_BUDGET)
+    certificate = pairs_mod.distal_certificate(
+        x0, level=DEFAULT_CERTIFICATE_LEVEL)
     records = []
     for flipped in (False, True):
         for k in range(-max_shift, max_shift + 1):
@@ -210,7 +195,7 @@ def _morse_sr_records(system, x0, max_shift, resolution, steps,
                 x = x.flip()
             label = ("flip." if flipped else "") + "shift^%d" % k
             verdict = dichotomy(x0, x, resolution, steps, radius_budget,
-                                certificate=certificate, check_len=check_len)
+                                certificate=certificate)
             rec = {"candidate": label, "case": verdict.case,
                    "fitted_radius": verdict.fitted_radius,
                    "code_normal_form": (list(verdict.code.normal_form)
@@ -222,8 +207,7 @@ def _morse_sr_records(system, x0, max_shift, resolution, steps,
 
 
 def sr_report(system_name, max_shift=8, radius=2, resolution=DEFAULT_RESOLUTION,
-              steps=DEFAULT_STEPS, radius_budget=None, check_len=4096,
-              levels=10, certificate_level=12, x0=None):
+              steps=DEFAULT_STEPS, levels=10):
     """Semi-regularity verdict report for a named system (or the odometer).
 
     For the Morse system: run the dichotomy over shifted/flipped copies
@@ -241,7 +225,7 @@ def sr_report(system_name, max_shift=8, radius=2, resolution=DEFAULT_RESOLUTION,
         witness["system"] = "odometer"
         return witness
     system = get_system(system_name)
-    codes = enumerate_endomorphisms(system, radius, check_len)
+    codes = enumerate_endomorphisms(system, radius)
     group = classify_aut_group(codes, system)
     report = {"system": system_name, "radius": radius,
               "realized_group": group.to_json()}
@@ -251,8 +235,7 @@ def sr_report(system_name, max_shift=8, radius=2, resolution=DEFAULT_RESOLUTION,
             "every translation of the equicontinuous factor commutes with "
             "the action; the realized group contains shifts only")
         if system.constant_length == 2:
-            seed = 20190609
-            rng = random.Random(seed)
+            rng = random.Random(SAMPLE_SEED)
             quotients = []
             for _ in range(5):
                 digits = [rng.randint(0, 1) for _ in range(14)]
@@ -261,15 +244,10 @@ def sr_report(system_name, max_shift=8, radius=2, resolution=DEFAULT_RESOLUTION,
                 quotients.append(census.cardinality)
             report["generic_fiber_cardinalities"] = quotients
             report["sample_generator"] = {"name": "random.Random",
-                                          "seed": seed}
+                                          "seed": SAMPLE_SEED}
         report["summary"] = "not SR (evidence)"
         return report
-    if radius_budget is None:
-        radius_budget = max(max_shift, DEFAULT_RADIUS_BUDGET)
-    if x0 is None:
-        x0 = _default_base_point(system)
-    records = _morse_sr_records(system, x0, max_shift, resolution, steps,
-                                radius_budget, check_len, certificate_level)
+    records = _morse_sr_records(system, max_shift, resolution, steps)
     report["mode"] = "dichotomy"
     report["records"] = records
     resolved = all(r["case"] in ("case1", "case2") for r in records)
@@ -278,9 +256,9 @@ def sr_report(system_name, max_shift=8, radius=2, resolution=DEFAULT_RESOLUTION,
     return report
 
 
-def _default_base_point(system, level=18):
+def _default_base_point(system):
     """A distal base point off the seam orbit: alternating address."""
-    digits = tuple(j % 2 for j in range(level))
+    digits = tuple(j % 2 for j in range(18))
     return point_from_address(system, digits, system.seed)
 
 
@@ -300,7 +278,7 @@ def coalescence_check(system, radius, check_len=4096):
             "flagged": [c.to_json() for c in flagged]}
 
 
-def odometer_sr_witness(levels: int, seed=20190609):
+def odometer_sr_witness(levels: int):
     """Verify the level-`levels` cyclic approximation of the odometer is SR.
 
     The commuting bijections of (Z/2^k, +1) are exactly the 2^k
@@ -315,7 +293,7 @@ def odometer_sr_witness(levels: int, seed=20190609):
         raise DomainError("levels must lie in 0..20")
     size = 2 ** levels
     exhaustive = size <= 4096
-    rng = random.Random(seed)
+    rng = random.Random(SAMPLE_SEED)
     if exhaustive:
         # translation c commutes at x iff +1 steps right at x + c, and
         # the cycle of +1 from f(0) = c reaches f(x) = x + c iff it steps
@@ -353,4 +331,5 @@ def odometer_sr_witness(levels: int, seed=20190609):
             "verification": "exhaustive" if exhaustive else "sampled",
             "forced_translations": forced,
             "non_translations_rejected": rejected,
-            "sample_generator": {"name": "random.Random", "seed": seed}}
+            "sample_generator": {"name": "random.Random",
+                                 "seed": SAMPLE_SEED}}

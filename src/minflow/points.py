@@ -96,13 +96,17 @@ class Point:
 
 
 def _find_violation(system, word, base_coord):
-    """Locate a short inadmissible factor to name in an error message."""
-    for m in range(2, min(len(word), 64) + 1):
+    """The leftmost shortest inadmissible window of `word` up to width 64,
+    with its coordinate, from one scan at the top width: a shorter one
+    lies inside an inadmissible top-window.  Else `word` itself."""
+    top = min(len(word), 64)
+    bad = set(first_windows(word, top)) - system.language(top)
+    for m in range(2, top + 1):
         lang = system.language(m)
-        # the first window outside lang, by first start, is the leftmost
-        for window, i in first_windows(word, m).items():
-            if window not in lang:
-                return window, base_coord + i
+        found = {w[i:i + m] for w in bad for i in range(top - m + 1)} - lang
+        if found:
+            i = min(map(word.find, found))
+            return word[i:i + m], base_coord + i
     return word, base_coord
 
 

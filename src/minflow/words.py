@@ -20,14 +20,14 @@ First occurrence: a word found in the fixed-point prefix already cached
 for the seed is a factor of the fixed point, so admissible; the prefix
 is never grown for this.  Then, when the images have one length ℓ and
 are pairwise distinct, the desubstitution certificate: a word is
-admissible iff it decomposes as (suffix of an image) + image of an
-admissible word + (prefix of an image), found by
-`SubshiftSystem.parses`, which also backs desubstitution and the
-recognizability table that addresses read.  Its block decoding table
-and the rule tables of codes come from `dense_table`.  Every other
-system reads the covers that build its language: an n-word is
-admissible iff it occurs in σ^k(a) + σ^k(b)[:n - 1] for an admissible
-2-word ab.
+admissible iff some phase of it is valid, that is, it decomposes as
+(suffix of an image) + image of an admissible word + (prefix of an
+image); the first valid phase ends the search.  `valid_phases` lists
+them all for desubstitution and the recognizability table that
+addresses read.  The block decoding table and the rule tables of codes
+come from `dense_table`.  Every other system reads the covers that
+build its language: an n-word is admissible iff it occurs in
+σ^k(a) + σ^k(b)[:n - 1] for an admissible 2-word ab.
 
 A system is one of two sibling classes; other modules read only this
 protocol of either: `name`, `alphabet` (the digits 0..k-1, since the
@@ -37,9 +37,8 @@ it), `language_cap`, `language(n)`, `is_admissible(word)`,
 images have one length ℓ) and `almost_automorphic`.  `SubshiftSystem`
 adds `substitution`, `seed`, `fixed_prefix` and `complexity`, and, when
 the images have one length and are pairwise distinct, `decode` (the
-full ℓ-blocks of a byte word, by one kernel call), `parses`,
-`valid_phases` and `recognizability`; these raise DomainError on any
-other system.
+full ℓ-blocks of a byte word, by one kernel call), `valid_phases` and
+`recognizability`; these raise DomainError on any other system.
 `FullShiftSystem`, the full shift, has the protocol alone.
 """
 
@@ -258,8 +257,7 @@ class SubshiftSystem:
     shared read-only.
     """
 
-    def __init__(self, name, substitution, seed, language_cap=LANGUAGE_CAP,
-                 almost_automorphic=False):
+    def __init__(self, name, substitution, seed, almost_automorphic=False):
         self.alphabet = _digit_alphabet(substitution.alphabet)
         if not substitution.is_primitive:
             raise ConstructionError("substitution %r is not primitive" % substitution)
@@ -271,7 +269,7 @@ class SubshiftSystem:
         self._block_parse = (self.constant_length is not None
                              and len(set(images)) == len(images))
         self.seed = seed
-        self.language_cap = language_cap
+        self.language_cap = LANGUAGE_CAP
         self.almost_automorphic = almost_automorphic
         self._lang = {}
         self._flip_closed = None
@@ -362,8 +360,7 @@ class SubshiftSystem:
             return any(word in cover for cover in self._covers(len(word)))
         # the constructor makes ℓ >= 2, so a preimage of an n-word has at
         # most n/2 + 2 symbols and the recursion is about log2 n deep
-        return any(self._admissible_by_parse(p)
-                   for _, _, pre in self.parses(word) for p in pre)
+        return next(self._phases(word), None) is not None
 
     def _seed_prefix(self):
         """The whole fixed-point prefix cached for the seed (at least
@@ -397,30 +394,37 @@ class SubshiftSystem:
                                      self._block_decode_table(),
                                      len(self.alphabet))
 
-    def parses(self, word):
-        """The phases of `word` whose full blocks decode, as (start, core,
-        preimages); DomainError unless the images have one length ℓ and
-        are pairwise distinct.
+    def valid_phases(self, word):
+        """(start, core) of each valid phase of `word`, none if a symbol
+        lies outside the alphabet; DomainError for the empty word, and
+        unless the images have one length ℓ and are pairwise distinct."""
+        self._refuse_unless_block_parse()
+        if not word:
+            raise DomainError("the empty word has no phase to desubstitute")
+        if not _over_alphabet(word, self.alphabet):
+            return []
+        return list(self._phases(word))
+
+    def _phases(self, word):
+        """Yield (start, core), in order of start, for each phase of the
+        nonempty word `word` over the alphabet whose full blocks decode
+        and whose cut edge blocks complete to an admissible preimage.
 
         The first full block begins at `start`, so position 0 of `word`
-        sits at offset (-start) mod ℓ of its block.  `core` decodes the
-        full blocks, by one kernel call; `preimages` are `core` with each
-        completion of the cut edge blocks.  Every start below ℓ is
-        tried: past the end of `word`, it puts all of `word` inside one
-        block at offset ℓ - start, and the preimages are the letters
-        whose image holds it there.
+        sits at offset (-start) mod ℓ of its block, and `core` decodes the
+        full blocks by one kernel call.  A start past the end of `word`
+        puts all of it inside one block at offset ℓ - start.
         """
-        self._refuse_unless_block_parse()
         ell = self.constant_length
         rule = self.substitution.rule
         raw = word.encode()
         n = len(word)
-        out = []
         for start in range(ell):
             if start > n:
-                out.append((start, "", [
-                    a for a in self.alphabet
-                    if rule[a][ell - start:ell - start + n] == word]))
+                # every letter is admissible, as σ is primitive
+                if any(rule[a][ell - start:ell - start + n] == word
+                       for a in self.alphabet):
+                    yield start, ""
                 continue
             try:
                 core = self.decode(raw, start).decode()
@@ -435,18 +439,9 @@ class SubshiftSystem:
             if tail < n:
                 rights = [a for a in self.alphabet
                           if rule[a].startswith(word[tail:])]
-            out.append((start, core,
-                        [l + core + r for l in lefts for r in rights]))
-        return out
-
-    def valid_phases(self, word):
-        """(start, core) of each phase of `word` in `parses` that has an
-        admissible preimage; none if a symbol lies outside the alphabet."""
-        self._refuse_unless_block_parse()
-        if not _over_alphabet(word, self.alphabet):
-            return []
-        return [(start, core) for start, core, preimages in self.parses(word)
-                if any(map(self.is_admissible, preimages))]
+            if any(self._admissible_by_parse(l + core + r)
+                   for l in lefts for r in rights):
+                yield start, core
 
     def recognizability(self):
         """(R, phases): the recognizability length R, and the start of the
@@ -499,10 +494,10 @@ class FullShiftSystem:
     coalescence checks (it has non-invertible endomorphisms).
     """
 
-    def __init__(self, alphabet="01", language_cap=24):
+    def __init__(self, alphabet="01"):
         self.name = "full-shift-%s" % alphabet
         self.alphabet = _digit_alphabet("".join(sorted(alphabet)))
-        self.language_cap = language_cap
+        self.language_cap = 24
         self.flip_closed = self.alphabet == "01"
         self.constant_length = None
         self.almost_automorphic = False

@@ -233,6 +233,8 @@ CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
     (["census", "morse", "--sample", "0"], "--sample must be >= 1, got 0"),
     (["census", "morse", "--sample", "-3", "--expect-cardinality", "2"],
      "--sample must be >= 1, got -3"),
+    (["join", "morse", "fix0", "fix0", "--member", "01", "01"],
+     "member windows need length 2L+1 = 65"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):

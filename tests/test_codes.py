@@ -7,9 +7,9 @@ import time
 import pytest
 from conftest import random_primitive_rules
 
-from minflow.codes import (SlidingBlockCode, apply_code, classify_aut_group,
-                           compose, enumerate_endomorphisms, flip_code,
-                           identity_code, invert, is_identity, shift_code,
+from minflow.codes import (SlidingBlockCode, classify_aut_group, compose,
+                           enumerate_endomorphisms, flip_code, identity_code,
+                           invert, is_identity, shift_code,
                            verify_endomorphism)
 from minflow.errors import DomainError, IntegrityError, ResourceError
 from minflow.words import (REGISTRY, FullShiftSystem, Substitution,
@@ -17,18 +17,18 @@ from minflow.words import (REGISTRY, FullShiftSystem, Substitution,
 
 
 def test_apply_examples(morse):
-    assert apply_code(identity_code(morse), "0110") == "0110"
-    assert apply_code(flip_code(morse), "0110") == "1001"
+    assert identity_code(morse).apply("0110") == "0110"
+    assert flip_code(morse).apply("0110") == "1001"
     # image length is |w| - 2r; the three windows of 01101 read 1, 0, 1
-    assert apply_code(shift_code(morse, 1), "01101") == "101"
+    assert shift_code(morse, 1).apply("01101") == "101"
 
 
 def test_apply_errors(morse):
     code = shift_code(morse, 1)
     with pytest.raises(DomainError):
-        apply_code(code, "01")            # shorter than the window
+        code.apply("01")                  # shorter than the window
     with pytest.raises(DomainError):
-        apply_code(code, "00011")         # contains the inadmissible 000
+        code.apply("00011")               # contains the inadmissible 000
 
 
 def test_compose_examples(morse):
@@ -209,10 +209,12 @@ NODE_CAP_PINS = {
 
 
 @pytest.mark.parametrize("name,radius,cap", sorted(NODE_CAP_PINS))
-def test_node_cap_raises_with_the_partial_list(name, radius, cap):
+def test_node_cap_raises_with_the_partial_list(name, radius, cap,
+                                               monkeypatch):
+    monkeypatch.setattr("minflow.codes._NODE_CAP", cap)
     t0 = time.monotonic()
     with pytest.raises(ResourceError) as err:
-        enumerate_endomorphisms(fresh_system(name), radius, node_cap=cap)
+        enumerate_endomorphisms(fresh_system(name), radius)
     assert time.monotonic() - t0 < 5
     partial = err.value.partial
     assert ([c.normal_form for c in partial], codes_digest(partial)) == \
@@ -240,24 +242,28 @@ NODE_COUNTS = {
 @pytest.mark.parametrize("name,radius", [(name, radius)
                                          for name in sorted(NODE_COUNTS)
                                          for radius in range(4)])
-def test_enumeration_visits_the_pinned_number_of_nodes(name, radius):
+def test_enumeration_visits_the_pinned_number_of_nodes(name, radius,
+                                                       monkeypatch):
     nodes = NODE_COUNTS[name][radius]
-    enumerate_endomorphisms(fresh_system(name), radius, node_cap=nodes)
+    monkeypatch.setattr("minflow.codes._NODE_CAP", nodes)
+    enumerate_endomorphisms(fresh_system(name), radius)
+    monkeypatch.setattr("minflow.codes._NODE_CAP", nodes - 1)
     with pytest.raises(ResourceError, match="node cap"):
-        enumerate_endomorphisms(fresh_system(name), radius,
-                                node_cap=nodes - 1)
+        enumerate_endomorphisms(fresh_system(name), radius)
 
 
-def test_more_blocks_than_byte_ids_are_refused():
+def test_more_blocks_than_byte_ids_are_refused(monkeypatch):
     # 2^9 blocks at r=4 are refused before the search; the 2^7 at r=3
     # still fit a byte and are searched until the node cap
     t0 = time.monotonic()
+    monkeypatch.setattr("minflow.codes._NODE_CAP", 20000)
     with pytest.raises(ResourceError, match="^512 admissible 9-blocks, "
                        "over the 255") as err:
-        enumerate_endomorphisms(FullShiftSystem("01"), 4, node_cap=20000)
+        enumerate_endomorphisms(FullShiftSystem("01"), 4)
     assert err.value.partial == []
+    monkeypatch.setattr("minflow.codes._NODE_CAP", 50)
     with pytest.raises(ResourceError, match="node cap"):
-        enumerate_endomorphisms(FullShiftSystem("01"), 3, node_cap=50)
+        enumerate_endomorphisms(FullShiftSystem("01"), 3)
     assert time.monotonic() - t0 < 5
 
 

@@ -1,7 +1,10 @@
 """No module of the package imports a name it never uses."""
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import minflow
 
@@ -34,3 +37,14 @@ def test_no_module_imports_an_unused_name():
     found = ["%s:%d %s" % (path.name, line, name) for path in modules
              for line, name in unused_imports(ast.parse(path.read_text()))]
     assert found == []
+
+
+def test_the_cli_imports_no_exact_arithmetic():
+    # only FrequencyTable.frequency reads Fraction, and it imports it
+    # itself, so no command pays for fractions, decimal and numbers
+    probe = ("import sys, minflow.cli; print(sorted({'fractions', "
+             "'decimal', 'numbers'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out == "[]\n"

@@ -5,7 +5,7 @@ import pytest
 from minflow.codes import flip_code, shift_code
 from minflow.errors import DomainError, PreconditionError
 from minflow.joins import (coalescence_check, dichotomy, fit_local_rule,
-                           joint_address_profile, joint_language, member_pair,
+                           joint_address_profile, joint_language,
                            odometer_sr_witness, sr_report)
 from minflow.pairs import distal_certificate
 from minflow.points import fixed_point, point_from_address, seam_points
@@ -51,10 +51,10 @@ def test_joint_language_matches_naive(morse, x0, L, T):
 def test_joint_language_diagonal(morse):
     mu = fixed_point(morse)
     joint = joint_language(mu, mu, 8, 512)
-    assert all(a == b for a, b in joint.pairs)
+    assert all(a == b for a, b in joint.pair_times)
     assert all(out == {a[8]} for a, out in joint.output_map().items())
     seed = (mu.window(-8, 8), mu.window(-8, 8))
-    assert member_pair(joint, *seed)
+    assert joint.member(*seed)
     assert len(joint.pair_times) <= 513
 
 
@@ -75,19 +75,12 @@ def test_member_pair_semi_decision(morse):
     joint = joint_language(mu, mu.shift(2), 8, 2048)
     a = mu.window(-8, 8)
     b = mu.shift(2).window(-8, 8)
-    assert member_pair(joint, a, b)
+    assert joint.member(a, b)
     from minflow.words import flip_word
-    assert not member_pair(joint, a, flip_word(b))
-    with pytest.raises(DomainError):
-        member_pair(joint, a[1:], b)
-
-
-def test_joint_language_closed_under_subwindowing(morse):
-    mu = fixed_point(morse)
-    joint = joint_language(mu, mu.shift(1), 6, 700)
-    shrunk = joint.restrict(5)
-    expected = {(a[1:-1], b[1:-1]) for a, b in joint.pairs}
-    assert set(shrunk.pairs) == expected
+    assert not joint.member(a, flip_word(b))
+    with pytest.raises(DomainError,
+                       match="^member windows need length 2L\\+1 = 17$"):
+        joint.member(a[1:], b)
 
 
 def test_dichotomy_extracts_shift_codes(morse, x0, cert):

@@ -161,6 +161,19 @@ def test_a_far_inadmissible_splice_fails_quickly():
         "'00100100' at coordinate -4")
 
 
+def test_the_violation_in_a_million_symbol_splice_is_named_quickly():
+    # the buffer holds 2^20 symbols on each side of the seam; naming its
+    # leftmost shortest inadmissible window scans it once, not per width
+    splice = parse_point_spec(fibonacci(), "fix0")
+    t0 = time.monotonic()
+    with pytest.raises(IntegrityError) as err:
+        splice.window(-1000000, -999997)
+    assert time.monotonic() - t0 < 0.6
+    assert str(err.value) == (
+        "splice splice(rev(fix(0)),fix(0)) produced inadmissible window "
+        "'00100100' at coordinate -4")
+
+
 def test_fresh_splice_serves_the_seam_symbol(morse):
     for spec, symbol in (("splice(rev(fix(0)),fix(0))", "0"),
                          ("splice(rev(fix(0)),fix(1))", "1")):

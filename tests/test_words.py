@@ -398,6 +398,117 @@ class ParseOracle(SubshiftSystem):
         return out
 
 
+class PhaseOracle(ParseOracle):
+    """The valid phases as they stood when every phase's preimages were
+    listed first and then tested one by one, over ParseOracle's
+    admissibility."""
+
+    def parses(self, word):
+        """The phases of `word` whose full blocks decode, as (start, core,
+        preimages); DomainError unless the images have one length ℓ and
+        are pairwise distinct.
+
+        The first full block begins at `start`, so position 0 of `word`
+        sits at offset (-start) mod ℓ of its block.  `core` decodes the
+        full blocks, by one kernel call; `preimages` are `core` with each
+        completion of the cut edge blocks.  Every start below ℓ is
+        tried: past the end of `word`, it puts all of `word` inside one
+        block at offset ℓ - start, and the preimages are the letters
+        whose image holds it there.
+        """
+        self._refuse_unless_block_parse()
+        ell = self.constant_length
+        rule = self.substitution.rule
+        raw = word.encode()
+        n = len(word)
+        out = []
+        for start in range(ell):
+            if start > n:
+                out.append((start, "", [
+                    a for a in self.alphabet
+                    if rule[a][ell - start:ell - start + n] == word]))
+                continue
+            try:
+                core = self.decode(raw, start).decode()
+            except ValueError:
+                continue
+            lefts = [""]
+            if start:
+                lefts = [a for a in self.alphabet
+                         if rule[a].endswith(word[:start])]
+            tail = n - (n - start) % ell
+            rights = [""]
+            if tail < n:
+                rights = [a for a in self.alphabet
+                          if rule[a].startswith(word[tail:])]
+            out.append((start, core,
+                        [l + core + r for l in lefts for r in rights]))
+        return out
+
+    def valid_phases(self, word):
+        """(start, core) of each phase of `word` in `parses` that has an
+        admissible preimage; none if a symbol lies outside the alphabet."""
+        self._refuse_unless_block_parse()
+        if not words._over_alphabet(word, self.alphabet):
+            return []
+        return [(start, core) for start, core, preimages in self.parses(word)
+                if any(map(self.is_admissible, preimages))]
+
+
+def phase_cases(system):
+    """The admissible words of length 12 or less, each of their one-symbol
+    mutants, and every nonempty word shorter than ℓ."""
+    alphabet = system.alphabet
+    cases = set()
+    for n in range(1, 13):
+        for w in system.language(n):
+            cases.add(w)
+            cases.update(w[:i] + c + w[i + 1:] for i in range(n)
+                         for c in alphabet if c != w[i])
+    for n in range(1, system.constant_length):
+        cases.update(map("".join, itertools.product(alphabet, repeat=n)))
+    return sorted(cases, key=lambda w: (len(w), w))
+
+
+# with ℓ = 4, a word shorter than ℓ - 1 has phases that start past its
+# end, and not every letter sits at every offset of an image
+PHASE_RULES = {"morse": TM, "period-doubling": PD, "ternary-morse": TERNARY,
+               "ell-4": {"0": "0201", "1": "0111", "2": "2100"}}
+
+
+@pytest.mark.parametrize("name", sorted(PHASE_RULES))
+def test_valid_phases_match_the_listed_preimages(name):
+    system = SubshiftSystem(name, Substitution(PHASE_RULES[name]), "0")
+    oracle = PhaseOracle(system.name, system.substitution, system.seed)
+    cases = phase_cases(system)
+    got = [system.valid_phases(w) for w in cases]
+    assert got == [oracle.valid_phases(w) for w in cases]
+    # the cases hold admissible words, with one phase or several, and
+    # words with none
+    assert {min(len(v), 2) for v in got} == {0, 1, 2}
+    with pytest.raises(DomainError, match="the empty word has no phase"):
+        system.valid_phases("")
+
+
+def test_admissibility_stops_at_the_first_valid_phase(monkeypatch):
+    # a factor beyond the cached prefix: each level of the parse decodes
+    # phase 0, and phase 1 only where phase 0 is not valid
+    word = REGISTRY["morse"]().fixed_prefix("0", 1 << 20)[300001:365537]
+    morse = REGISTRY["morse"]()
+    morse.language(64)
+    morse.test_word(4096)
+    starts = []
+    decode = kernels.decode_blocks
+
+    def spy(raw, start, *rest):
+        starts.append(start)
+        return decode(raw, start, *rest)
+
+    monkeypatch.setattr("minflow.kernels.decode_blocks", spy)
+    assert morse.is_admissible(word)
+    assert starts == [0, 1, 0, 0, 0, 0, 0, 1]
+
+
 def oracle_cases(system, rng):
     """Words for the admissibility oracle: factors of length 65-2000 of a
     2^16 prefix and their flips, seam splice buffers, factors that lie
@@ -637,8 +748,8 @@ def derived_level_cases():
 @pytest.mark.parametrize("name,cap,levels", derived_level_cases())
 def test_derived_levels_equal_the_per_level_scan(name, cap, levels,
                                                  monkeypatch):
-    system = SubshiftSystem(name, Substitution(POWER_RULES[name]), "0",
-                            language_cap=cap)
+    system = SubshiftSystem(name, Substitution(POWER_RULES[name]), "0")
+    system.language_cap = cap
     widths = counting_scans(monkeypatch)
     for m in levels:
         system.language(m)
