@@ -10,11 +10,11 @@ next to 6-decimal floats.  Exit status 0 on success, 1 when an
 import argparse
 import json
 import os
-import random
 import sys
 
 from . import factors, joins, pairs
-from .codes import classify_aut_group, compose, enumerate_endomorphisms
+from .codes import (DEFAULT_CHECK_LEN, classify_aut_group, compose,
+                    enumerate_endomorphisms)
 from .errors import DomainError, MinflowError
 from .points import INTEGER, parse_point_spec, seam_points
 from .words import REGISTRY, fixed_point_prefix, get_system
@@ -136,6 +136,8 @@ def cmd_pairs(args):
                                         args.levels)
         _emit_json(args, cert.to_json())
         return None if cert.granted or not args.expect_granted else CHECK_FAILED
+    if args.spec1 is None or args.spec2 is None:
+        raise DomainError("pairs needs two point specs (or --certify)")
     p = _point(args, args.spec1)
     q = _point(args, args.spec2)
     result = pairs.classify_pair(p, q, args.horizon, args.resolution)
@@ -173,14 +175,8 @@ def cmd_census(args):
     if args.sample is not None:
         if args.sample < 1:
             raise DomainError("--sample must be >= 1, got %d" % args.sample)
-        rng = random.Random(args.seed)
-        records = []
-        for _ in range(args.sample):
-            digits = tuple(rng.randint(0, 1) for _ in range(args.levels))
-            census = factors.fiber_census(system,
-                                          factors.OdometerAddress(digits),
-                                          args.resolution)
-            records.append(census.to_json())
+        records = [census.to_json() for census in factors.sample_censuses(
+            system, args.sample, args.levels, args.resolution, args.seed)]
         report = {"generator": "random.Random", "seed": args.seed,
                   "levels": args.levels, "resolution": args.resolution,
                   "censuses": records}
@@ -190,10 +186,12 @@ def cmd_census(args):
                 cards != {args.expect_cardinality}:
             return CHECK_FAILED
         return
+    if args.address is None:
+        raise DomainError("census needs --address or --sample")
     if not all("0" <= d <= "9" for d in args.address):
         raise DomainError("bad address %r: expected ASCII digits"
                           % args.address)
-    addr = factors.OdometerAddress(tuple(int(d) for d in args.address))
+    addr = factors.census_address(system, (int(d) for d in args.address))
     census = factors.fiber_census(system, addr, args.resolution)
     _emit_json(args, census.to_json())
     if args.expect_cardinality is not None and \
@@ -271,6 +269,8 @@ def _add_system(sub):
 
 
 def build_parser():
+    """The top parser and its subparsers action, whose `choices` are the
+    subcommands."""
     top = argparse.ArgumentParser(
         prog="minflow",
         description="desk-scale symbolic dynamics laboratory")
@@ -301,7 +301,7 @@ def build_parser():
     s = subs.add_parser("aut", help="enumerate endomorphism codes")
     _add_system(s)
     s.add_argument("--radius", type=int, default=1)
-    s.add_argument("--check-len", type=int, default=4096)
+    s.add_argument("--check-len", type=int, default=DEFAULT_CHECK_LEN)
     s.add_argument("--expect-count", type=int, default=None)
     s.add_argument("--apply", default=None, metavar="CODE",
                    help="apply a code (id|flip|shift^K[.flip]|@file.json) "
@@ -321,7 +321,8 @@ def build_parser():
     s.add_argument("--expect-verdict", default=None)
     s.add_argument("--certify", default=None, metavar="SPEC",
                    help="distal certificate for SPEC instead of a pair")
-    s.add_argument("--levels", type=int, default=12)
+    s.add_argument("--levels", type=int,
+                   default=pairs.DEFAULT_CERTIFICATE_LEVEL)
     s.add_argument("--expect-granted", action="store_true")
     s.set_defaults(func=cmd_pairs)
 
@@ -348,7 +349,7 @@ def build_parser():
                    help="census N randomly sampled addresses instead")
     s.add_argument("--levels", type=int, default=14,
                    help="address level for --sample")
-    s.add_argument("--seed", type=int, default=20190609,
+    s.add_argument("--seed", type=int, default=joins.SAMPLE_SEED,
                    help="deterministic generator seed for --sample")
     s.add_argument("--resolution", type=int, default=16)
     s.add_argument("--expect-cardinality", type=int, default=None)
@@ -380,13 +381,14 @@ def build_parser():
     s.add_argument("--steps", type=int, default=joins.DEFAULT_STEPS)
     s.add_argument("--radius-budget", type=int,
                    default=joins.DEFAULT_RADIUS_BUDGET)
-    s.add_argument("--levels", type=int, default=12)
+    s.add_argument("--levels", type=int,
+                   default=pairs.DEFAULT_CERTIFICATE_LEVEL)
     s.add_argument("--expect-case", default=None)
     s.set_defaults(func=cmd_dichotomy)
 
     s = subs.add_parser("sr", help="semi-regularity verdict report")
     s.add_argument("system", choices=sorted(REGISTRY) + ["odometer"])
-    s.add_argument("--max-shift", type=int, default=4)
+    s.add_argument("--max-shift", type=int, default=joins.DEFAULT_MAX_SHIFT)
     s.add_argument("--radius", type=int, default=2)
     s.add_argument("--resolution", type=int, default=joins.DEFAULT_RESOLUTION)
     s.add_argument("--steps", type=int, default=joins.DEFAULT_STEPS)
@@ -396,7 +398,7 @@ def build_parser():
     s = subs.add_parser("coalesce", help="invertibility of all endomorphisms")
     _add_system(s)
     s.add_argument("--radius", type=int, default=2)
-    s.add_argument("--check-len", type=int, default=4096)
+    s.add_argument("--check-len", type=int, default=DEFAULT_CHECK_LEN)
     s.add_argument("--allow-flags", action="store_true")
     s.set_defaults(func=cmd_coalesce)
 
@@ -405,10 +407,10 @@ def build_parser():
     s.add_argument("--expect", type=int, default=None)
     s.set_defaults(func=cmd_odometer)
 
-    return top
+    return top, subs
 
 
-def _apply_config(argv):
+def _apply_config(argv, commands):
     """Splice --config key=value pairs in as leading defaults."""
     if "--config" not in argv:
         return argv
@@ -432,9 +434,6 @@ def _apply_config(argv):
     # config-supplied options go right after the subcommand so explicit
     # flags still win (argparse keeps the last occurrence)
     head = argv[:i] + argv[i + 2:]
-    commands = {"lang", "point", "aut", "pairs", "collapse", "factor",
-                "census", "freq", "join", "dichotomy", "sr", "coalesce",
-                "odometer"}
     for j, tok in enumerate(head):
         if tok in commands:
             return head[:j + 1] + extra + head[j + 1:]
@@ -443,19 +442,13 @@ def _apply_config(argv):
 
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
+    parser, subs = build_parser()
     try:
-        argv = _apply_config(argv)
+        argv = _apply_config(argv, subs.choices)
     except (OSError, DomainError) as exc:
         print("minflow: %s" % exc, file=sys.stderr)
         return 2
-    parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "pairs" and args.certify is None and \
-            (args.spec1 is None or args.spec2 is None):
-        parser.error("pairs needs two point specs (or --certify)")
-    if args.command == "census" and args.address is None and \
-            args.sample is None:
-        parser.error("census needs --address or --sample")
     try:
         failed = args.func(args)
     except MinflowError as exc:

@@ -220,8 +220,8 @@ def verify_endomorphism(code: SlidingBlockCode,
     system = code.system
     master = system.test_word(check_len)
     image = code.test_image(check_len)
-    return _maps_short_words(code, image,
-                             _short_starts(system, code.radius, master)) \
+    return _maps_short_words(
+        code, _missing_short_words(system, code.radius, master)) \
         and system.is_admissible(image)
 
 
@@ -229,29 +229,24 @@ def _short_len(system, radius):
     return min(2 * radius + 8, system.language_cap)
 
 
-def _short_starts(system, radius, master):
-    """Each admissible word of length `_short_len` -> its first start in
-    `master`, or -1."""
-    return {w: master.find(w)
-            for w in system.language(_short_len(system, radius))}
+def _missing_short_words(system, radius, master):
+    """The admissible words of length `_short_len` absent from `master`."""
+    return [w for w in system.language(_short_len(system, radius))
+            if w not in master]
 
 
-def _maps_short_words(code, image, starts):
-    """Whether the code maps every admissible word of length
-    `_short_len` to an admissible word.
+def _maps_short_words(code, words):
+    """Whether the code maps each of `words`, admissible words of length
+    `_short_len`, to an admissible word, read in the rule dict.
 
-    `image` is the code's image of a test word and `starts` the
-    `_short_starts` of that word: the words that occur in it read their
-    images off `image`, and only the others are read in the rule dict.
+    Callers pass the `_missing_short_words` of a test word and also
+    require the code's image of that word to be admissible, which covers
+    the short words that occur in it: their images are its factors.
     """
     system = code.system
-    out_len = _short_len(system, code.radius) - 2 * code.radius
-    out_lang = system.language(out_len)
-    for w, i in starts.items():
-        out = _rule_image(code, w) if i < 0 else image[i:i + out_len]
-        if out not in out_lang:
-            return False
-    return True
+    out_lang = system.language(_short_len(system, code.radius)
+                               - 2 * code.radius)
+    return all(_rule_image(code, w) in out_lang for w in words)
 
 
 def _first_starts(master, width, span):
@@ -320,7 +315,7 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN):
 
     outs = [ord(a) for a in system.alphabet]
     by_id = bytearray(256)
-    short_starts = _short_starts(system, radius, master)
+    missing = _missing_short_words(system, radius, master)
     image = bytearray(len(ids))
     results = []
     nodes = 0
@@ -345,7 +340,7 @@ def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN):
             code = SlidingBlockCode(system, radius, rule)
             full = bytes(image).decode()
             if system.is_admissible(full) and \
-                    _maps_short_words(code, full, short_starts):
+                    _maps_short_words(code, missing):
                 code.test_images[check_len] = full
                 results.append(code)
             return

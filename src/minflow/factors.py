@@ -14,10 +14,8 @@ from dataclasses import dataclass
 
 from .errors import (AmbiguityError, DomainError, IntegrityError,
                      NoParseError, ResourceError)
-from .points import AddressPoint, FlippedPoint, ShiftedPoint
+from .points import BLOCK_CAP, AddressPoint, FlippedPoint, ShiftedPoint
 from .words import flip_word
-
-_CENSUS_BLOCK_CAP = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -182,6 +180,17 @@ class FiberCensus:
         }
 
 
+def _census_base(system) -> int:
+    if system.constant_length is None:
+        raise DomainError("fiber census needs a constant-length system")
+    return system.constant_length
+
+
+def census_address(system, digits) -> OdometerAddress:
+    """`digits` as an address of the system's odometer, in its base ℓ."""
+    return OdometerAddress(tuple(digits), _census_base(system))
+
+
 def fiber_census(system, addr: OdometerAddress, resolution: int) -> FiberCensus:
     """Stabilized set of centered (2L+1)-windows compatible with `addr`.
 
@@ -191,14 +200,15 @@ def fiber_census(system, addr: OdometerAddress, resolution: int) -> FiberCensus:
     nonincreasing in the level; `stabilized` records that the last two
     levels agree.
     """
-    ell = system.constant_length
-    if ell is None:
-        raise DomainError("fiber census needs a constant-length system")
+    ell = _census_base(system)
+    if addr.base != ell:
+        raise DomainError("address in base %d, the odometer of %r has base "
+                          "%d" % (addr.base, system.name, ell))
     k = addr.level
     if k < 1:
         raise DomainError("census needs at least one digit")
     L = resolution
-    if ell ** k > _CENSUS_BLOCK_CAP:
+    if ell ** k > BLOCK_CAP:
         raise ResourceError("level-%d blocks exceed cap" % k)
     levels = []
     powers = system.substitution.powers()
@@ -224,6 +234,18 @@ def fiber_census(system, addr: OdometerAddress, resolution: int) -> FiberCensus:
         quotient = None
     return FiberCensus(addr, k, L, tuple(sorted(final)), len(final),
                        quotient, stabilized)
+
+
+def sample_censuses(system, count, levels, resolution, seed):
+    """Fiber censuses of `count` addresses of `levels` digits, each digit
+    drawn below ℓ by `random.Random(seed)`, in order."""
+    import random
+    rng = random.Random(seed)
+    ell = _census_base(system)
+    return [fiber_census(system, census_address(
+                system, (rng.randrange(ell) for _ in range(levels))),
+                         resolution)
+            for _ in range(count)]
 
 
 # -- word frequencies --------------------------------------------------

@@ -20,13 +20,14 @@ from . import factors, pairs as pairs_mod
 from .codes import (DEFAULT_CHECK_LEN, SlidingBlockCode, classify_aut_group,
                     enumerate_endomorphisms, invert, verify_endomorphism)
 from .errors import DomainError, PreconditionError
+from .pairs import DEFAULT_CERTIFICATE_LEVEL
 from .points import point_from_address
 from .words import first_windows, get_system, pack_pair
 
 DEFAULT_RESOLUTION = 32
 DEFAULT_STEPS = 1 << 16
 DEFAULT_RADIUS_BUDGET = 4
-DEFAULT_CERTIFICATE_LEVEL = 12
+DEFAULT_MAX_SHIFT = 4
 SAMPLE_SEED = 20190609    # the seed of every sample a report draws
 
 
@@ -185,8 +186,7 @@ def joint_address_profile(joint: JointLanguage, levels=12, samples=32):
 def _morse_sr_records(system, max_shift, resolution, steps):
     x0 = _default_base_point(system)
     radius_budget = max(max_shift, DEFAULT_RADIUS_BUDGET)
-    certificate = pairs_mod.distal_certificate(
-        x0, level=DEFAULT_CERTIFICATE_LEVEL)
+    certificate = pairs_mod.distal_certificate(x0)
     records = []
     for flipped in (False, True):
         for k in range(-max_shift, max_shift + 1):
@@ -206,8 +206,8 @@ def _morse_sr_records(system, max_shift, resolution, steps):
     return records
 
 
-def sr_report(system_name, max_shift=8, radius=2, resolution=DEFAULT_RESOLUTION,
-              steps=DEFAULT_STEPS, levels=10):
+def sr_report(system_name, max_shift=DEFAULT_MAX_SHIFT, radius=2,
+              resolution=DEFAULT_RESOLUTION, steps=DEFAULT_STEPS, levels=10):
     """Semi-regularity verdict report for a named system (or the odometer).
 
     For the Morse system: run the dichotomy over shifted/flipped copies
@@ -234,15 +234,10 @@ def sr_report(system_name, max_shift=8, radius=2, resolution=DEFAULT_RESOLUTION,
         report["factor_symmetries"] = (
             "every translation of the equicontinuous factor commutes with "
             "the action; the realized group contains shifts only")
-        if system.constant_length == 2:
-            rng = random.Random(SAMPLE_SEED)
-            quotients = []
-            for _ in range(5):
-                digits = [rng.randint(0, 1) for _ in range(14)]
-                census = factors.fiber_census(
-                    system, factors.OdometerAddress(tuple(digits)), 16)
-                quotients.append(census.cardinality)
-            report["generic_fiber_cardinalities"] = quotients
+        if system.constant_length is not None:
+            censuses = factors.sample_censuses(system, 5, 14, 16, SAMPLE_SEED)
+            report["generic_fiber_cardinalities"] = [
+                census.cardinality for census in censuses]
             report["sample_generator"] = {"name": "random.Random",
                                           "seed": SAMPLE_SEED}
         report["summary"] = "not SR (evidence)"
@@ -262,7 +257,7 @@ def _default_base_point(system):
     return point_from_address(system, digits, system.seed)
 
 
-def coalescence_check(system, radius, check_len=4096):
+def coalescence_check(system, radius, check_len=DEFAULT_CHECK_LEN):
     """Invert every endomorphism found at the radius; flag failures.
 
     An empty flag list is coalescence evidence at this scale; the full
@@ -282,36 +277,24 @@ def odometer_sr_witness(levels: int):
     """Verify the level-`levels` cyclic approximation of the odometer is SR.
 
     The commuting bijections of (Z/2^k, +1) are exactly the 2^k
-    translations: each translation is verified to commute (exhaustively
-    for small k; above that, a deterministic sample of translations on a
-    sample of points), commuting forces f(x) = f(0) + x (checked
-    constructively for small k), and non-translations are rejected.
-    For small k both checks run in O(2^k), since each of them at a pair
-    (c, x) depends on the sum x + c alone.
+    translations: every translation is verified to commute at every
+    point, commuting is shown to force f(x) = f(0) + x, and a seeded
+    sample of non-translations is rejected.  Both exhaustive checks run
+    in O(2^k), since each of them at a pair (c, x) depends on the sum
+    x + c alone.
     """
     if levels < 0 or levels > 20:
         raise DomainError("levels must lie in 0..20")
     size = 2 ** levels
-    exhaustive = size <= 4096
+    # translation c commutes at x iff +1 steps right at x + c, and the
+    # cycle of +1 from f(0) = c reaches f(x) = x + c iff it steps right
+    # at every sum below x + c: the 2^(k+1) - 1 sums cover every pair
+    # (c, x) of both checks
+    for s in range(2 * size - 1):
+        if (s + 1) % size != (s % size + 1) % size:
+            raise DomainError("translation %d does not commute"
+                              % max(0, s - size + 1))
     rng = random.Random(SAMPLE_SEED)
-    if exhaustive:
-        # translation c commutes at x iff +1 steps right at x + c, and
-        # the cycle of +1 from f(0) = c reaches f(x) = x + c iff it steps
-        # right at every sum below x + c: the 2^(k+1) - 1 sums cover
-        # every pair (c, x) of both checks
-        for s in range(2 * size - 1):
-            if (s + 1) % size != (s % size + 1) % size:
-                raise DomainError("translation %d does not commute"
-                                  % max(0, s - size + 1))
-        forced = size
-    else:
-        points = sorted(rng.randrange(size) for _ in range(1024))
-        translations = sorted(rng.randrange(size) for _ in range(1024))
-        for c in translations:
-            for x in points:
-                if (x + 1 + c) % size != ((x + c) % size + 1) % size:
-                    raise DomainError("translation %d does not commute" % c)
-        forced = 0
     rejected = 0
     # every bijection of Z/1 and Z/2 is a translation; nothing to reject
     for _ in range(20 if size > 2 else 0):
@@ -328,8 +311,7 @@ def odometer_sr_witness(levels: int):
             raise DomainError("a non-translation commutes")
         rejected += 1
     return {"levels": levels, "translation_count": size,
-            "verification": "exhaustive" if exhaustive else "sampled",
-            "forced_translations": forced,
+            "verification": "exhaustive", "forced_translations": size,
             "non_translations_rejected": rejected,
             "sample_generator": {"name": "random.Random",
                                  "seed": SAMPLE_SEED}}

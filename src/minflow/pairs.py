@@ -22,6 +22,7 @@ from .words import flip_word
 
 DEFAULT_HORIZON = 1 << 16
 DEFAULT_RESOLUTION = 64
+DEFAULT_CERTIFICATE_LEVEL = 12
 
 POSITIVE = "positively-asymptotic"
 NEGATIVE = "negatively-asymptotic"
@@ -156,7 +157,7 @@ def _effective_horizon(p, q, horizon, resolution):
 
 def distal_certificate(p, horizon=DEFAULT_HORIZON,
                        resolution=DEFAULT_RESOLUTION,
-                       level=12) -> DistalCertificate:
+                       level=DEFAULT_CERTIFICATE_LEVEL) -> DistalCertificate:
     """Certify that p is distal up to (H, L, level).
 
     Enumerates the centered windows compatible with p's level-k address
@@ -185,7 +186,8 @@ def distal_certificate(p, horizon=DEFAULT_HORIZON,
         found = None
         # try the small shift first: far-shifted seam copies share the
         # finite-level address cylinder and may carry the same window
-        for value in sorted((addr.to_int(), addr.to_int() - 2 ** addr.level),
+        for value in sorted((addr.to_int(),
+                             addr.to_int() - addr.base ** addr.level),
                             key=abs):
             for name, sp in seams.items():
                 q = sp.shift(value)

@@ -20,7 +20,9 @@ HORIZON_CAP = 1 << 20
 # '٣')
 INTEGER = re.compile(r"[+-]?[0-9]+")
 _DIGITS = re.compile(r"[0-9]+")
-_ADDRESS_BLOCK_CAP = 1 << 22
+# the ℓ^k symbols of one level-k block, as an address point or a fiber
+# census builds it
+BLOCK_CAP = 1 << 22
 
 
 class OneSidedSpec:
@@ -233,7 +235,7 @@ class AddressPoint(Point):
             raise DomainError("digits must lie in 0..%d" % (ell - 1))
         if sheet not in system.alphabet:
             raise DomainError("sheet %r outside alphabet" % sheet)
-        if ell ** len(digits) > _ADDRESS_BLOCK_CAP:
+        if ell ** len(digits) > BLOCK_CAP:
             raise ResourceError("level-%d block exceeds cap" % len(digits))
         self.system = system
         self.digits = digits

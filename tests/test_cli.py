@@ -153,8 +153,7 @@ def test_usage_errors():
     with pytest.raises(SystemExit) as err:
         main(["lang", "sturmian"])
     assert err.value.code == 2
-    with pytest.raises(SystemExit):
-        main(["pairs", "morse", "fix0"])
+    assert main(["pairs", "morse", "fix0"]) == 2
     assert main(["point", "morse", "warp(fix0)"]) == 2
 
 
@@ -235,6 +234,8 @@ CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
      "--sample must be >= 1, got -3"),
     (["join", "morse", "fix0", "fix0", "--member", "01", "01"],
      "member windows need length 2L+1 = 65"),
+    (["census", "morse"], "census needs --address or --sample"),
+    (["pairs", "morse", "fix0"], "pairs needs two point specs (or --certify)"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):

@@ -457,15 +457,15 @@ def test_short_words_missing_from_the_test_word(name, radius, check_len,
     assert missing
     got = enumerate_endomorphisms(system, radius, check_len)
 
-    def per_word(code, image, starts):
+    def per_word(code, words):
         out_lang = system.language(short_len - 2 * radius)
         return all(code.apply(w) in out_lang
                    for w in system.language(short_len))
 
-    def occurring_only(code, image, starts):
-        return all(image[i:i + short_len - 2 * radius] in
-                   system.language(short_len - 2 * radius)
-                   for i in starts.values() if i >= 0)
+    def occurring_only(code, words):
+        # the short words that occur in the test word are covered by the
+        # admissibility of its image; this check reads none of the others
+        return True
 
     monkeypatch.setattr("minflow.codes._maps_short_words", per_word)
     want = enumerate_endomorphisms(fresh_system(name), radius, check_len)

@@ -9,8 +9,9 @@ from minflow import factors, points
 from minflow.errors import (AmbiguityError, DomainError, IntegrityError,
                             NoParseError, ResourceError)
 from minflow.factors import (FiberCensus, OdometerAddress, address,
-                             desubstitute, fiber_census, point_address,
-                             recognizability_length, word_frequencies)
+                             census_address, desubstitute, fiber_census,
+                             point_address, recognizability_length,
+                             sample_censuses, word_frequencies)
 from minflow.points import fixed_point, point_from_address, seam_points
 from minflow.words import Substitution, SubshiftSystem, flip_word
 
@@ -224,7 +225,7 @@ def test_address_point_windows_match_applied_images(name, request):
 
 
 def test_census_block_cap(morse, monkeypatch):
-    assert factors._CENSUS_BLOCK_CAP == 1 << 22
+    assert factors.BLOCK_CAP is points.BLOCK_CAP == 1 << 22
     digits = tuple(j % 2 for j in range(23))
     census = fiber_census(morse, OdometerAddress(digits[:22]), 16)
     assert (census.cardinality, census.stabilized) == (2, True)
@@ -233,6 +234,46 @@ def test_census_block_cap(morse, monkeypatch):
                             lambda *args: pytest.fail("image built"))
     with pytest.raises(ResourceError, match="level-23"):
         fiber_census(morse, OdometerAddress(digits), 16)
+
+
+def test_fiber_census_refuses_an_address_in_another_base(ternary, fib):
+    digits = (0, 1, 1, 0, 1, 1)
+    with pytest.raises(DomainError, match="base 2.*has base 3"):
+        fiber_census(ternary, OdometerAddress(digits), 8)
+    census = fiber_census(ternary, census_address(ternary, digits), 8)
+    assert census.address == OdometerAddress(digits, 3)
+    assert census.windows[0] == "01012201012120012"
+    with pytest.raises(DomainError, match="constant-length"):
+        census_address(fib, digits)
+
+
+def binary_sample(system, count, levels, resolution, seed):
+    """The census sampler as it was when its digits were binary: a copy
+    of its loop, kept as the oracle at ℓ = 2."""
+    rng = random.Random(seed)
+    censuses = []
+    for _ in range(count):
+        digits = tuple(rng.randint(0, 1) for _ in range(levels))
+        censuses.append(fiber_census(system, OdometerAddress(digits),
+                                     resolution))
+    return censuses
+
+
+@pytest.mark.parametrize("name", ["morse", "pd"])
+@pytest.mark.parametrize("seed", [0, 7, 20190609])
+def test_sample_censuses_keep_the_binary_stream(name, seed, request):
+    system = request.getfixturevalue(name)
+    for count, levels, resolution in ((5, 14, 16), (3, 9, 4)):
+        assert sample_censuses(system, count, levels, resolution, seed) == \
+            binary_sample(system, count, levels, resolution, seed)
+
+
+def test_sample_censuses_draw_digits_below_the_base(ternary, fib):
+    censuses = sample_censuses(ternary, 4, 6, 4, 0)
+    assert {c.address.base for c in censuses} == {3}
+    assert {d for c in censuses for d in c.address.digits} == {0, 1, 2}
+    with pytest.raises(DomainError, match="constant-length"):
+        sample_censuses(fib, 2, 6, 4, 0)
 
 
 def test_address_horizon_cap(morse):

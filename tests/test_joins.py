@@ -214,13 +214,14 @@ def test_odometer_sr_witness():
 
 
 def test_odometer_sr_witness_top_level_is_quick():
-    # the sampled path checks sampled translations on sampled points and
-    # builds its non-translations without touching all 2^20 points
+    # the exhaustive checks pass once over the 2^21 - 1 sums, and the
+    # non-translations are built without touching all 2^20 points
     t0 = time.monotonic()
     report = odometer_sr_witness(20)
     assert time.monotonic() - t0 < 10
     assert report == {"levels": 20, "translation_count": 1 << 20,
-                      "verification": "sampled", "forced_translations": 0,
+                      "verification": "exhaustive",
+                      "forced_translations": 1 << 20,
                       "non_translations_rejected": 20,
                       "sample_generator": {"name": "random.Random",
                                            "seed": 20190609}}
@@ -228,11 +229,9 @@ def test_odometer_sr_witness_top_level_is_quick():
 
 def test_odometer_sr_witness_reports_every_level():
     for k in range(21):
-        exhaustive = k <= 12
         assert odometer_sr_witness(k) == {
             "levels": k, "translation_count": 1 << k,
-            "verification": "exhaustive" if exhaustive else "sampled",
-            "forced_translations": (1 << k) if exhaustive else 0,
+            "verification": "exhaustive", "forced_translations": 1 << k,
             "non_translations_rejected": 20 if k > 1 else 0,
             "sample_generator": {"name": "random.Random", "seed": 20190609}}
 

@@ -9,6 +9,7 @@ from minflow.pairs import (DISTAL, DOUBLE, NEGATIVE, POSITIVE, PROXIMAL,
                            PairClassification, asymptotic_collapse,
                            classify_pair, distal_certificate)
 from minflow.points import point_from_address, seam_points
+from minflow.words import Substitution, SubshiftSystem
 
 
 @pytest.fixture(scope="module")
@@ -247,3 +248,15 @@ def test_distal_certificate_trivial_for_almost_automorphic(pd):
     assert cert.granted
     assert cert.records == ()
     assert "singleton" in cert.reason
+
+
+def test_distal_certificate_tries_the_near_seam_copies_in_base_four():
+    # Thue-Morse presented at block length 4: the seam copy one step
+    # away is the address minus 4^5, not minus 2^5
+    system = SubshiftSystem("morse-4", Substitution(
+        {"0": "0110", "1": "1001"}), "0")
+    p = point_from_address(system, (3,) * 5 + (1,) * 4, "0")
+    cert = distal_certificate(p, horizon=4000, resolution=8, level=5)
+    assert cert.records == (("nu-1", POSITIVE), ("flip", DISTAL),
+                            ("nu_prime-1", PROXIMAL))
+    assert not any("+1023" in label for label, _ in cert.records)

@@ -112,7 +112,7 @@ def test_address_point_validation(morse, fib):
 
 
 def test_address_block_cap(morse, monkeypatch):
-    assert points._ADDRESS_BLOCK_CAP == 1 << 22
+    assert points.BLOCK_CAP == 1 << 22
     digits = tuple(j % 2 for j in range(23))
     p = point_from_address(morse, digits[:22], "0")
     assert p.determined_range() == (-p.offset, (1 << 22) - p.offset - 1)
