@@ -5,6 +5,10 @@ mapping is tabulated in the README).  Reports are machine-readable and
 byte-stable: JSON with sorted keys, frequencies as count/total rationals
 next to 6-decimal floats.  Exit status 0 on success, 1 when an
 --expect... check fails, 2 on usage or domain errors.
+
+A fresh process loads only the layers its subcommand runs: each
+handler imports its own modules, and the parser reads its defaults
+from `defaults`, which imports nothing.
 """
 
 import argparse
@@ -12,11 +16,8 @@ import json
 import os
 import sys
 
-from . import factors, joins, pairs
-from .codes import (DEFAULT_CHECK_LEN, classify_aut_group, compose,
-                    enumerate_endomorphisms)
+from . import defaults
 from .errors import DomainError, MinflowError
-from .points import INTEGER, parse_point_spec, seam_points
 from .words import REGISTRY, fixed_point_prefix, get_system
 
 CHECK_FAILED = True  # handler return value mapped to exit status 1
@@ -26,10 +27,13 @@ def _emit(args, text, suffix):
     sys.stdout.write(text)
     out_dir = args.out or os.environ.get("MINFLOW_OUT")
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
         path = os.path.join(out_dir, "minflow_%s.%s" % (args.command, suffix))
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DomainError("cannot write report file: %s" % exc) from None
 
 
 def _emit_json(args, report):
@@ -41,6 +45,7 @@ def _system(args):
 
 
 def _point(args, spec):
+    from .points import parse_point_spec
     return parse_point_spec(_system(args), spec)
 
 
@@ -75,7 +80,9 @@ def cmd_point(args):
 
 def _parse_code_spec(system, text):
     """Code mini-syntax: id | flip | shift^K | shift^K.flip | @file.json."""
-    from .codes import SlidingBlockCode, flip_code, identity_code, shift_code
+    from .codes import (SlidingBlockCode, compose, flip_code, identity_code,
+                        shift_code)
+    from .points import INTEGER
     if text.startswith("@"):
         try:
             with open(text[1:]) as fh:
@@ -105,6 +112,7 @@ def _parse_code_spec(system, text):
 
 
 def cmd_aut(args):
+    from .codes import classify_aut_group, compose, enumerate_endomorphisms
     system = _system(args)
     if args.apply is not None:
         code = _parse_code_spec(system, args.apply)
@@ -130,6 +138,7 @@ def cmd_aut(args):
 
 
 def cmd_pairs(args):
+    from . import pairs
     if args.certify is not None:
         cert = pairs.distal_certificate(_point(args, args.certify),
                                         args.horizon, args.resolution,
@@ -148,6 +157,8 @@ def cmd_pairs(args):
 
 
 def cmd_collapse(args):
+    from . import pairs
+    from .points import seam_points
     system = _system(args)
     fiber = seam_points(system)
     pattern = pairs.asymptotic_collapse(fiber, args.direction, args.horizon,
@@ -156,6 +167,7 @@ def cmd_collapse(args):
 
 
 def cmd_factor(args):
+    from . import factors
     system = _system(args)
     if args.word is not None:
         preimage, offset = factors.desubstitute(system, args.word)
@@ -171,6 +183,7 @@ def cmd_factor(args):
 
 
 def cmd_census(args):
+    from . import factors
     system = _system(args)
     if args.sample is not None:
         if args.sample < 1:
@@ -200,6 +213,7 @@ def cmd_census(args):
 
 
 def cmd_freq(args):
+    from . import factors
     table = factors.word_frequencies(_system(args), args.length, args.steps)
     if args.format == "tsv":
         _emit(args, table.to_tsv(), "tsv")
@@ -208,6 +222,7 @@ def cmd_freq(args):
 
 
 def cmd_join(args):
+    from . import joins
     p = _point(args, args.spec1)
     q = _point(args, args.spec2)
     joint = joins.joint_language(p, q, args.resolution, args.steps)
@@ -229,6 +244,7 @@ def cmd_join(args):
 
 
 def cmd_dichotomy(args):
+    from . import joins
     x0 = _point(args, args.spec_x0)
     x = _point(args, args.spec_x)
     verdict = joins.dichotomy(x0, x, args.resolution, args.steps,
@@ -240,6 +256,7 @@ def cmd_dichotomy(args):
 
 
 def cmd_sr(args):
+    from . import joins
     report = joins.sr_report(args.system, max_shift=args.max_shift,
                              radius=args.radius, resolution=args.resolution,
                              steps=args.steps, levels=args.levels)
@@ -247,6 +264,7 @@ def cmd_sr(args):
 
 
 def cmd_coalesce(args):
+    from . import joins
     report = joins.coalescence_check(_system(args), args.radius,
                                      args.check_len)
     _emit_json(args, report)
@@ -255,6 +273,7 @@ def cmd_coalesce(args):
 
 
 def cmd_odometer(args):
+    from . import joins
     report = joins.odometer_sr_witness(args.levels)
     _emit_json(args, report)
     if args.expect is not None and args.expect != report["translation_count"]:
@@ -301,7 +320,7 @@ def build_parser():
     s = subs.add_parser("aut", help="enumerate endomorphism codes")
     _add_system(s)
     s.add_argument("--radius", type=int, default=1)
-    s.add_argument("--check-len", type=int, default=DEFAULT_CHECK_LEN)
+    s.add_argument("--check-len", type=int, default=defaults.CHECK_LEN)
     s.add_argument("--expect-count", type=int, default=None)
     s.add_argument("--apply", default=None, metavar="CODE",
                    help="apply a code (id|flip|shift^K[.flip]|@file.json) "
@@ -316,13 +335,14 @@ def build_parser():
     _add_system(s)
     s.add_argument("spec1", nargs="?")
     s.add_argument("spec2", nargs="?")
-    s.add_argument("--horizon", type=int, default=pairs.DEFAULT_HORIZON)
-    s.add_argument("--resolution", type=int, default=pairs.DEFAULT_RESOLUTION)
+    s.add_argument("--horizon", type=int, default=defaults.HORIZON)
+    s.add_argument("--resolution", type=int,
+                   default=defaults.PAIR_RESOLUTION)
     s.add_argument("--expect-verdict", default=None)
     s.add_argument("--certify", default=None, metavar="SPEC",
                    help="distal certificate for SPEC instead of a pair")
     s.add_argument("--levels", type=int,
-                   default=pairs.DEFAULT_CERTIFICATE_LEVEL)
+                   default=defaults.CERTIFICATE_LEVEL)
     s.add_argument("--expect-granted", action="store_true")
     s.set_defaults(func=cmd_pairs)
 
@@ -330,8 +350,9 @@ def build_parser():
     _add_system(s)
     s.add_argument("--direction", choices=("forward", "backward"),
                    required=True)
-    s.add_argument("--horizon", type=int, default=pairs.DEFAULT_HORIZON)
-    s.add_argument("--resolution", type=int, default=pairs.DEFAULT_RESOLUTION)
+    s.add_argument("--horizon", type=int, default=defaults.HORIZON)
+    s.add_argument("--resolution", type=int,
+                   default=defaults.PAIR_RESOLUTION)
     s.set_defaults(func=cmd_collapse)
 
     s = subs.add_parser("factor", help="desubstitute a word or address a point")
@@ -347,11 +368,12 @@ def build_parser():
                    help="digit string, least significant first")
     s.add_argument("--sample", type=int, default=None, metavar="N",
                    help="census N randomly sampled addresses instead")
-    s.add_argument("--levels", type=int, default=14,
+    s.add_argument("--levels", type=int, default=defaults.CENSUS_LEVELS,
                    help="address level for --sample")
-    s.add_argument("--seed", type=int, default=joins.SAMPLE_SEED,
+    s.add_argument("--seed", type=int, default=defaults.SAMPLE_SEED,
                    help="deterministic generator seed for --sample")
-    s.add_argument("--resolution", type=int, default=16)
+    s.add_argument("--resolution", type=int,
+                   default=defaults.CENSUS_RESOLUTION)
     s.add_argument("--expect-cardinality", type=int, default=None)
     s.set_defaults(func=cmd_census)
 
@@ -366,8 +388,9 @@ def build_parser():
     _add_system(s)
     s.add_argument("spec1")
     s.add_argument("spec2")
-    s.add_argument("--resolution", type=int, default=joins.DEFAULT_RESOLUTION)
-    s.add_argument("--steps", type=int, default=joins.DEFAULT_STEPS)
+    s.add_argument("--resolution", type=int,
+                   default=defaults.JOIN_RESOLUTION)
+    s.add_argument("--steps", type=int, default=defaults.STEPS)
     s.add_argument("--member", nargs=2, metavar=("A", "B"), default=None)
     s.add_argument("--check-addresses", type=int, default=None, metavar="K",
                    help="verify constant address difference mod base^K")
@@ -377,28 +400,30 @@ def build_parser():
     _add_system(s)
     s.add_argument("spec_x0")
     s.add_argument("spec_x")
-    s.add_argument("--resolution", type=int, default=joins.DEFAULT_RESOLUTION)
-    s.add_argument("--steps", type=int, default=joins.DEFAULT_STEPS)
+    s.add_argument("--resolution", type=int,
+                   default=defaults.JOIN_RESOLUTION)
+    s.add_argument("--steps", type=int, default=defaults.STEPS)
     s.add_argument("--radius-budget", type=int,
-                   default=joins.DEFAULT_RADIUS_BUDGET)
+                   default=defaults.RADIUS_BUDGET)
     s.add_argument("--levels", type=int,
-                   default=pairs.DEFAULT_CERTIFICATE_LEVEL)
+                   default=defaults.CERTIFICATE_LEVEL)
     s.add_argument("--expect-case", default=None)
     s.set_defaults(func=cmd_dichotomy)
 
     s = subs.add_parser("sr", help="semi-regularity verdict report")
     s.add_argument("system", choices=sorted(REGISTRY) + ["odometer"])
-    s.add_argument("--max-shift", type=int, default=joins.DEFAULT_MAX_SHIFT)
-    s.add_argument("--radius", type=int, default=2)
-    s.add_argument("--resolution", type=int, default=joins.DEFAULT_RESOLUTION)
-    s.add_argument("--steps", type=int, default=joins.DEFAULT_STEPS)
-    s.add_argument("--levels", type=int, default=10)
+    s.add_argument("--max-shift", type=int, default=defaults.MAX_SHIFT)
+    s.add_argument("--radius", type=int, default=defaults.SR_RADIUS)
+    s.add_argument("--resolution", type=int,
+                   default=defaults.JOIN_RESOLUTION)
+    s.add_argument("--steps", type=int, default=defaults.STEPS)
+    s.add_argument("--levels", type=int, default=defaults.SR_LEVELS)
     s.set_defaults(func=cmd_sr)
 
     s = subs.add_parser("coalesce", help="invertibility of all endomorphisms")
     _add_system(s)
     s.add_argument("--radius", type=int, default=2)
-    s.add_argument("--check-len", type=int, default=DEFAULT_CHECK_LEN)
+    s.add_argument("--check-len", type=int, default=defaults.CHECK_LEN)
     s.add_argument("--allow-flags", action="store_true")
     s.set_defaults(func=cmd_coalesce)
 

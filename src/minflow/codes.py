@@ -30,13 +30,12 @@ The windows of an admissible word are admissible, so the rule is total
 on them.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import kernels
+from . import defaults, kernels
 from .errors import DomainError, IntegrityError, ResourceError
 from .words import dense_table, first_windows, flip_word, pack_pair
 
-DEFAULT_CHECK_LEN = 4096
 _PRUNE_WINDOW = 16
 _NODE_CAP = 2_000_000
 
@@ -214,7 +213,7 @@ def is_identity(code: SlidingBlockCode) -> bool:
 
 
 def verify_endomorphism(code: SlidingBlockCode,
-                        check_len=DEFAULT_CHECK_LEN) -> bool:
+                        check_len=defaults.CHECK_LEN) -> bool:
     """Exact corpus check: every admissible word of length 2r+8 maps to an
     admissible word, and so does a generated prefix of length check_len."""
     system = code.system
@@ -266,7 +265,7 @@ def _first_starts(master, width, span):
     return first, list(first_span.values())
 
 
-def enumerate_endomorphisms(system, radius, check_len=DEFAULT_CHECK_LEN):
+def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
     """All radius-`radius` sliding block codes of the system into itself,
     certified up to `check_len`; canonically sorted.
 
@@ -365,7 +364,7 @@ def _sorted_codes(codes, blocks):
 
 
 def invert(code: SlidingBlockCode, max_radius,
-           check_len=DEFAULT_CHECK_LEN):
+           check_len=defaults.CHECK_LEN):
     """A two-sided inverse code of radius <= max_radius, or None.
 
     The candidate rule is read off the graph (image, preimage) along a
@@ -405,8 +404,7 @@ def invert(code: SlidingBlockCode, max_radius,
 
 # -- group shape ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupShapeReport:
+class GroupShapeReport(NamedTuple):
     shape: str
     forms: tuple            # sorted (k, eps) normal forms
     unrecognized: int

@@ -10,7 +10,7 @@ reconstructs which centered windows are compatible with a given address,
 and word frequencies realize the invariant-measure checks.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import (AmbiguityError, DomainError, IntegrityError,
                      NoParseError, ResourceError)
@@ -18,16 +18,20 @@ from .points import BLOCK_CAP, AddressPoint, FlippedPoint, ShiftedPoint
 from .words import flip_word
 
 
-@dataclass(frozen=True)
-class OdometerAddress:
+class _AddressFields(NamedTuple):
+    digits: tuple
+    base: int
+
+
+class OdometerAddress(_AddressFields):
     """Level-k digit string of the base-ℓ odometer, lsb first."""
 
-    digits: tuple
-    base: int = 2
+    __slots__ = ()
 
-    def __post_init__(self):
-        if any(d < 0 or d >= self.base for d in self.digits):
-            raise DomainError("digits out of range for base %d" % self.base)
+    def __new__(cls, digits, base=2):
+        if any(d < 0 or d >= base for d in digits):
+            raise DomainError("digits out of range for base %d" % base)
+        return super().__new__(cls, digits, base)
 
     @property
     def level(self):
@@ -158,8 +162,7 @@ def point_address(point, k: int) -> OdometerAddress:
 
 # -- fiber census ------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiberCensus:
+class FiberCensus(NamedTuple):
     address: OdometerAddress
     level: int
     resolution: int
@@ -250,8 +253,7 @@ def sample_censuses(system, count, levels, resolution, seed):
 
 # -- word frequencies --------------------------------------------------
 
-@dataclass(frozen=True)
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     system_name: str
     length: int
     steps: int

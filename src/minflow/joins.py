@@ -13,26 +13,17 @@ rule from the graph, verifies it as an automorphism, and returns it
 resolved.
 """
 
-import random
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import factors, pairs as pairs_mod
-from .codes import (DEFAULT_CHECK_LEN, SlidingBlockCode, classify_aut_group,
+from . import defaults, factors, pairs as pairs_mod
+from .codes import (SlidingBlockCode, classify_aut_group,
                     enumerate_endomorphisms, invert, verify_endomorphism)
 from .errors import DomainError, PreconditionError
-from .pairs import DEFAULT_CERTIFICATE_LEVEL
 from .points import point_from_address
 from .words import first_windows, get_system, pack_pair
 
-DEFAULT_RESOLUTION = 32
-DEFAULT_STEPS = 1 << 16
-DEFAULT_RADIUS_BUDGET = 4
-DEFAULT_MAX_SHIFT = 4
-SAMPLE_SEED = 20190609    # the seed of every sample a report draws
 
-
-@dataclass(frozen=True)
-class JointLanguage:
+class JointLanguage(NamedTuple):
     """Observed pair windows of (p, q) at common times 0..T."""
 
     resolution: int
@@ -56,8 +47,8 @@ class JointLanguage:
         return (a, b) in self.pair_times
 
 
-def joint_language(p, q, resolution=DEFAULT_RESOLUTION,
-                   steps=DEFAULT_STEPS) -> JointLanguage:
+def joint_language(p, q, resolution=defaults.JOIN_RESOLUTION,
+                   steps=defaults.STEPS) -> JointLanguage:
     if p.system is not q.system:
         raise DomainError("points live in different systems")
     L, T = resolution, steps
@@ -71,8 +62,7 @@ def joint_language(p, q, resolution=DEFAULT_RESOLUTION,
     return JointLanguage(L, T, times, p, q)
 
 
-@dataclass(frozen=True)
-class DichotomyVerdict:
+class DichotomyVerdict(NamedTuple):
     case: str                # "case1" | "case2" | "inconclusive"
     resolution: int
     steps: int
@@ -106,9 +96,10 @@ def fit_local_rule(joint: JointLanguage, radius_budget):
     return None
 
 
-def dichotomy(x0, x, resolution=DEFAULT_RESOLUTION, steps=DEFAULT_STEPS,
-              radius_budget=DEFAULT_RADIUS_BUDGET, certificate=None,
-              certificate_level=DEFAULT_CERTIFICATE_LEVEL) -> DichotomyVerdict:
+def dichotomy(x0, x, resolution=defaults.JOIN_RESOLUTION,
+              steps=defaults.STEPS, radius_budget=defaults.RADIUS_BUDGET,
+              certificate=None,
+              certificate_level=defaults.CERTIFICATE_LEVEL) -> DichotomyVerdict:
     """Case 1 / Case 2 experiment for the pair (x0, x).
 
     Requires x0 to carry a distal certificate (computed here when not
@@ -155,7 +146,7 @@ def dichotomy(x0, x, resolution=DEFAULT_RESOLUTION, steps=DEFAULT_STEPS,
                                 "extracted rule not invertible in budget")
     return DichotomyVerdict("case2", L, T, r, code, None,
                             "extracted code certified up to %d"
-                            % DEFAULT_CHECK_LEN)
+                            % defaults.CHECK_LEN)
 
 
 def joint_address_profile(joint: JointLanguage, levels=12, samples=32):
@@ -185,7 +176,7 @@ def joint_address_profile(joint: JointLanguage, levels=12, samples=32):
 
 def _morse_sr_records(system, max_shift, resolution, steps):
     x0 = _default_base_point(system)
-    radius_budget = max(max_shift, DEFAULT_RADIUS_BUDGET)
+    radius_budget = max(max_shift, defaults.RADIUS_BUDGET)
     certificate = pairs_mod.distal_certificate(x0)
     records = []
     for flipped in (False, True):
@@ -206,8 +197,9 @@ def _morse_sr_records(system, max_shift, resolution, steps):
     return records
 
 
-def sr_report(system_name, max_shift=DEFAULT_MAX_SHIFT, radius=2,
-              resolution=DEFAULT_RESOLUTION, steps=DEFAULT_STEPS, levels=10):
+def sr_report(system_name, max_shift=defaults.MAX_SHIFT,
+              radius=defaults.SR_RADIUS, resolution=defaults.JOIN_RESOLUTION,
+              steps=defaults.STEPS, levels=defaults.SR_LEVELS):
     """Semi-regularity verdict report for a named system (or the odometer).
 
     For the Morse system: run the dichotomy over shifted/flipped copies
@@ -235,11 +227,13 @@ def sr_report(system_name, max_shift=DEFAULT_MAX_SHIFT, radius=2,
             "every translation of the equicontinuous factor commutes with "
             "the action; the realized group contains shifts only")
         if system.constant_length is not None:
-            censuses = factors.sample_censuses(system, 5, 14, 16, SAMPLE_SEED)
+            censuses = factors.sample_censuses(
+                system, defaults.SR_CENSUS_SAMPLES, defaults.CENSUS_LEVELS,
+                defaults.CENSUS_RESOLUTION, defaults.SAMPLE_SEED)
             report["generic_fiber_cardinalities"] = [
                 census.cardinality for census in censuses]
             report["sample_generator"] = {"name": "random.Random",
-                                          "seed": SAMPLE_SEED}
+                                          "seed": defaults.SAMPLE_SEED}
         report["summary"] = "not SR (evidence)"
         return report
     records = _morse_sr_records(system, max_shift, resolution, steps)
@@ -257,7 +251,7 @@ def _default_base_point(system):
     return point_from_address(system, digits, system.seed)
 
 
-def coalescence_check(system, radius, check_len=DEFAULT_CHECK_LEN):
+def coalescence_check(system, radius, check_len=defaults.CHECK_LEN):
     """Invert every endomorphism found at the radius; flag failures.
 
     An empty flag list is coalescence evidence at this scale; the full
@@ -283,6 +277,7 @@ def odometer_sr_witness(levels: int):
     in O(2^k), since each of them at a pair (c, x) depends on the sum
     x + c alone.
     """
+    import random
     if levels < 0 or levels > 20:
         raise DomainError("levels must lie in 0..20")
     size = 2 ** levels
@@ -294,7 +289,7 @@ def odometer_sr_witness(levels: int):
         if (s + 1) % size != (s % size + 1) % size:
             raise DomainError("translation %d does not commute"
                               % max(0, s - size + 1))
-    rng = random.Random(SAMPLE_SEED)
+    rng = random.Random(defaults.SAMPLE_SEED)
     rejected = 0
     # every bijection of Z/1 and Z/2 is a translation; nothing to reject
     for _ in range(20 if size > 2 else 0):
@@ -314,4 +309,4 @@ def odometer_sr_witness(levels: int):
             "verification": "exhaustive", "forced_translations": size,
             "non_translations_rejected": rejected,
             "sample_generator": {"name": "random.Random",
-                                 "seed": SAMPLE_SEED}}
+                                 "seed": defaults.SAMPLE_SEED}}

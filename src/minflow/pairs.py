@@ -13,16 +13,12 @@ windows partly agree needs the per-window counts of
 `kernels.window_diffs`, for its separation.
 """
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from . import factors, kernels
+from . import defaults, factors, kernels
 from .errors import DomainError
 from .points import seam_points
 from .words import flip_word
-
-DEFAULT_HORIZON = 1 << 16
-DEFAULT_RESOLUTION = 64
-DEFAULT_CERTIFICATE_LEVEL = 12
 
 POSITIVE = "positively-asymptotic"
 NEGATIVE = "negatively-asymptotic"
@@ -31,8 +27,7 @@ PROXIMAL = "proximal-within-horizon"
 DISTAL = "distal-up-to-horizon"
 
 
-@dataclass(frozen=True)
-class PairClassification:
+class PairClassification(NamedTuple):
     verdict: str
     horizon: int
     resolution: int
@@ -45,8 +40,8 @@ class PairClassification:
                 "separation": self.separation}
 
 
-def classify_pair(p, q, horizon=DEFAULT_HORIZON,
-                  resolution=DEFAULT_RESOLUTION) -> PairClassification:
+def classify_pair(p, q, horizon=defaults.HORIZON,
+                  resolution=defaults.PAIR_RESOLUTION) -> PairClassification:
     """Classify (p, q) from the centered windows at shifts |n| <= horizon."""
     if p.system is not q.system:
         raise DomainError("points live in different systems")
@@ -88,8 +83,7 @@ def classify_pair(p, q, horizon=DEFAULT_HORIZON,
     return PairClassification(DISTAL, H, L, None, sep)
 
 
-@dataclass(frozen=True)
-class CollapsePattern:
+class CollapsePattern(NamedTuple):
     direction: str
     horizon: int
     resolution: int
@@ -101,8 +95,8 @@ class CollapsePattern:
                 "classes": [list(c) for c in self.classes]}
 
 
-def asymptotic_collapse(fiber, direction, horizon=DEFAULT_HORIZON,
-                        resolution=DEFAULT_RESOLUTION) -> CollapsePattern:
+def asymptotic_collapse(fiber, direction, horizon=defaults.HORIZON,
+                        resolution=defaults.PAIR_RESOLUTION) -> CollapsePattern:
     """Partition of `fiber` ({label: point}) merging pairs asymptotic in
     the given direction; the finite-scale shadow of acting by the
     forward/backward idempotent."""
@@ -131,8 +125,7 @@ def asymptotic_collapse(fiber, direction, horizon=DEFAULT_HORIZON,
     return CollapsePattern(direction, horizon, resolution, classes)
 
 
-@dataclass(frozen=True)
-class DistalCertificate:
+class DistalCertificate(NamedTuple):
     granted: bool
     level: int
     horizon: int
@@ -155,9 +148,9 @@ def _effective_horizon(p, q, horizon, resolution):
     return min(horizon, hi - resolution, -lo - resolution)
 
 
-def distal_certificate(p, horizon=DEFAULT_HORIZON,
-                       resolution=DEFAULT_RESOLUTION,
-                       level=DEFAULT_CERTIFICATE_LEVEL) -> DistalCertificate:
+def distal_certificate(p, horizon=defaults.HORIZON,
+                       resolution=defaults.PAIR_RESOLUTION,
+                       level=defaults.CERTIFICATE_LEVEL) -> DistalCertificate:
     """Certify that p is distal up to (H, L, level).
 
     Enumerates the centered windows compatible with p's level-k address

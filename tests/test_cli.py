@@ -236,6 +236,8 @@ CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
      "member windows need length 2L+1 = 65"),
     (["census", "morse"], "census needs --address or --sample"),
     (["pairs", "morse", "fix0"], "pairs needs two point specs (or --certify)"),
+    # a report directory that names an existing regular file
+    (["--out", "empty.json", "lang", "morse"], "cannot write report file"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):
