@@ -7,12 +7,13 @@ determined stretch of the image stops being admissible; survivors are
 verified exactly against the full test corpus, so the published list is
 certified up to the check length.  Each assignment determines one more
 range of the image.  The test word does not change while the rule does,
-so one kernel call per enumeration reads the id of the block under each
-of its windows (its index among the sorted blocks, one byte); a range is
-filled by `bytes.translate` of its ids through the outputs assigned so
-far, and pruned when one of its windows lies outside the language.  Ids
-in a byte name at most 255 blocks (0xFF is the kernels' unset entry), so
-a system with more blocks at the radius is refused before the search.
+so the search reads the id of the block under each of its windows (its
+index among the sorted blocks, one byte) from the system's cached
+`block_ids`; a range is filled by `bytes.translate` of its ids through
+the outputs assigned so far, and pruned when one of its windows lies
+outside the language.  Ids in a byte name at most 255 blocks (0xFF is the kernels' unset
+entry), so a system with more blocks at the radius is refused before
+the search.
 A window of the image is a function of the test word's window 2r symbols
 wider at the same start, so one scan of the test word at that width,
 made once per enumeration, gives the positions to test: those where such
@@ -21,20 +22,25 @@ the same range or by an ancestor under the same assignments.  The same
 scan gives the order in which the blocks first appear.
 
 Evaluation: a code applies itself to a long word through the kernel, one
-table lookup per window, and to the system's test word of a given length
-only once (`test_image`); the enumeration hands each survivor the image
-it already holds, so verification and inversion read it without a kernel
-call.  Short words are read window by window in the rule dict instead:
-each block of a composition, and each short word the test word misses.
-The windows of an admissible word are admissible, so the rule is total
-on them.
+table lookup per window.  Its image of the system's test word of a given
+length is made once (`test_image`), and with no kernel call of its own:
+the system caches the block ids of that word (`block_ids`, one kernel
+call per radius and length), and the image is their `bytes.translate`
+through the code's outputs.  Only a code with more blocks than a byte
+names applies itself to the word.  The enumeration hands each survivor
+the image it already holds.  Short words are read window by window in
+the rule dict instead: each block of a composition, each block an
+inversion has to check, and each short word the test word misses.  The
+windows of an admissible word are admissible, so the rule is total on
+them.
 """
 
 from typing import NamedTuple
 
 from . import defaults, kernels
 from .errors import DomainError, IntegrityError, ResourceError
-from .words import dense_table, first_windows, flip_word, pack_pair
+from .words import (dense_table, first_windows, flip_word, id_blocks,
+                    pack_pair)
 
 _PRUNE_WINDOW = 16
 _NODE_CAP = 2_000_000
@@ -62,8 +68,10 @@ class SlidingBlockCode:
 
     def _rule_table(self):
         if self._table is None:
-            self._table = bytes(_code_table(self.system, self.radius,
-                                            self.rule.items()))
+            self._table = bytes(dense_table(
+                self.rule.items(), len(self.system.alphabet),
+                2 * self.radius + 1,
+                "a radius-%d code needs a rule table" % self.radius))
         return self._table
 
     def apply(self, word: str) -> str:
@@ -79,11 +87,20 @@ class SlidingBlockCode:
         return out.decode()
 
     def test_image(self, length):
-        """The image of the system's test word of the given length,
-        applied once per code and length."""
+        """The image of the system's test word of the given length, made
+        once per code and length: the system's block ids of that word
+        translated through the rule, or applied when they do not fit a
+        byte."""
         image = self.test_images.get(length)
         if image is None:
-            image = self.apply(self.system.test_word(length))
+            system = self.system
+            if len(self.rule) > kernels.UNSET:
+                image = self.apply(system.test_word(length))
+            else:
+                blocks, ids = system.block_ids(self.radius, length)
+                image = ids.translate(bytes(
+                    [ord(self.rule[b]) for b in blocks]).ljust(256, b"\xff")
+                ).decode()
             self.test_images[length] = image
         return image
 
@@ -158,13 +175,6 @@ def _rule_image(code, word):
                     for j in range(len(word) - width + 1)])
 
 
-def _code_table(system, radius, rule=()):
-    """The dense table a radius-`radius` code is applied through, set on
-    the (block, out) pairs of `rule`."""
-    return dense_table(rule, len(system.alphabet), 2 * radius + 1,
-                       "a radius-%d code needs a rule table" % radius)
-
-
 # -- constructors -------------------------------------------------------
 
 def identity_code(system, radius=0):
@@ -196,20 +206,21 @@ def compose(c1: SlidingBlockCode, c2: SlidingBlockCode) -> SlidingBlockCode:
         raise DomainError("codes live in different systems")
     system = c1.system
     r = c1.radius + c2.radius
-    rule = {}
-    for b in system.language(2 * r + 1):
-        # the windows of an admissible block are admissible
-        mid = _rule_image(c2, b)
-        rule[b] = c1.rule.get(mid)
-        if rule[b] is None:
-            raise DomainError("composition hits block %r outside the left "
-                              "rule's domain" % mid)
-    return SlidingBlockCode(system, r, rule)
+    return SlidingBlockCode(system, r, {
+        b: _composite(c1, c2, b) for b in system.language(2 * r + 1)})
 
 
-def is_identity(code: SlidingBlockCode) -> bool:
-    r = code.radius
-    return all(out == b[r] for b, out in code.rule.items())
+def _composite(c1, c2, block):
+    """c1(c2(block)) for an admissible block of width 2(r1 + r2) + 1,
+    read in the rule dicts; DomainError when c2 maps it outside c1's
+    domain.  The windows of an admissible block are admissible, so c2's
+    rule is total on them."""
+    mid = _rule_image(c2, block)
+    out = c1.rule.get(mid)
+    if out is None:
+        raise DomainError("composition hits block %r outside the left "
+                          "rule's domain" % mid)
+    return out
 
 
 def verify_endomorphism(code: SlidingBlockCode,
@@ -282,11 +293,7 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
     # the top level first, so that one scan gives every level below it
     lang_bytes = {m: frozenset(w.encode() for w in system.language(m))
                   for m in range(prune_w, 0, -1)}
-    blocks = sorted(system.language(width))
-    if len(blocks) > kernels.UNSET:
-        raise ResourceError("%d admissible %d-blocks, over the %d that "
-                            "one-byte block ids name"
-                            % (len(blocks), width, kernels.UNSET), partial=[])
+    blocks = id_blocks(system, radius)
     master = system.test_word(check_len)
     # the prune_w-window of the image at a start is a function of the
     # window of master 2r symbols wider there
@@ -297,9 +304,7 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
                              "blocks" % (check_len, len(blocks) - len(first)))
     # the id of the block under each window of master; the search sets
     # each id's output in by_id
-    ids = kernels.apply_rule(master.encode(), radius, _code_table(
-        system, radius, ((b, chr(i)) for i, b in enumerate(blocks))),
-        len(system.alphabet))
+    _, ids = system.block_ids(radius, check_len)
     order = [ids[i] for i in first.values()]
     first_pos = [*first.values(), len(master) - width + 1]
     # the starts of the windows each search depth tests, those ending in
@@ -369,7 +374,23 @@ def invert(code: SlidingBlockCode, max_radius,
 
     The candidate rule is read off the graph (image, preimage) along a
     test word; it must be total on the admissible blocks and compose to
-    the identity with `code` in both orders.
+    the identity with `code` in both orders (Curtis-Hedlund-Lyndon: the
+    inverse of an invertible code is a code).
+
+    Only the blocks that the graph did not read are checked.  Let r be
+    the code's radius, rp the candidate's and R = r + rp, and let u be
+    the code's image of the test word `master`.  The graph is read at
+    every distinct window of u, so cand(u)[i] = master[i + R] at every
+    i.  Then at a (2R+1)-window b of master at j, code(b) =
+    u[j:j + 2rp + 1] and cand(code(b)) = master[j + R] = b[R].  At a
+    (2R+1)-window b of u at j, cand(b) = master[j + R:j + R + 2r + 1],
+    which is admissible, and code(cand(b)) = u[j + R] = b[R].  So
+    cand . code is the identity on the (2R+1)-blocks that occur in
+    master, and code . cand on those that occur in u; neither leaves its
+    left rule's domain there.  The other admissible blocks are read in
+    the rule dicts, in the order `compose` reads them, so a composition
+    that leaves the left rule's domain raises the DomainError that
+    `compose` would raise.
     """
     system = code.system
     r = code.radius
@@ -396,10 +417,19 @@ def invert(code: SlidingBlockCode, max_radius,
             if set(mapping) != set(system.language(width)):
                 continue
             cand = SlidingBlockCode(system, rp, mapping)
-            if is_identity(compose(cand, code)) and \
-                    is_identity(compose(code, cand)):
+            if _identity_off(cand, code, master) and \
+                    _identity_off(code, cand, u):
                 return cand
     return None
+
+
+def _identity_off(c1, c2, word):
+    """Whether c1(c2(b)) is the centre symbol of every admissible block
+    b of width 2(r1 + r2) + 1 that does not occur in `word`; each of them
+    is read, so DomainError comes from the same block as in `compose`."""
+    r = c1.radius + c2.radius
+    return all([_composite(c1, c2, b) == b[r]
+                for b in c1.system.language(2 * r + 1) if b not in word])
 
 
 # -- group shape ---------------------------------------------------------

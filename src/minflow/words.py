@@ -33,8 +33,10 @@ A system is one of two sibling classes; other modules read only this
 protocol of either: `name`, `alphabet` (the digits 0..k-1, since the
 kernels read symbol c as the digit ord(c) - 48; both constructors check
 it), `language_cap`, `language(n)`, `is_admissible(word)`,
-`test_word(length)`, `flip_closed`, `constant_length` (None unless all
-images have one length ℓ) and `almost_automorphic`.  `SubshiftSystem`
+`test_word(length)`, `block_ids(radius, length)` (the test word's
+windows as indices among the sorted admissible blocks, one byte each,
+cached), `flip_closed`, `constant_length` (None unless all images have
+one length ℓ) and `almost_automorphic`.  `SubshiftSystem`
 adds `substitution`, `seed`, `fixed_prefix` and `complexity`, and, when
 the images have one length and are pairwise distinct, `decode` (the
 full ℓ-blocks of a byte word, by one kernel call), `valid_phases` and
@@ -250,7 +252,49 @@ def fixed_point_prefix(sub: Substitution, seed: str, n: int) -> str:
             return images[seed][:n]
 
 
-class SubshiftSystem:
+def id_blocks(system, radius):
+    """The admissible (2r+1)-blocks of `system`, sorted: the blocks that
+    one-byte ids name.  A byte names at most 255 blocks (0xFF is the
+    kernels' unset entry), so more raise ResourceError."""
+    width = 2 * radius + 1
+    blocks = sorted(system.language(width))
+    if len(blocks) > kernels.UNSET:
+        raise ResourceError("%d admissible %d-blocks, over the %d that "
+                            "one-byte block ids name"
+                            % (len(blocks), width, kernels.UNSET), partial=[])
+    return blocks
+
+
+class _System:
+    """What the two system classes share: the block ids of their test
+    words."""
+
+    def block_ids(self, radius, length):
+        """(blocks, ids): the admissible (2r+1)-blocks, sorted, and one
+        byte per window of `test_word(length)`, the index of its block
+        among them.
+
+        Built by one kernel call on first request and cached.  Over 255
+        blocks raise ResourceError (`id_blocks`); a test word shorter
+        than the window raises DomainError.
+        """
+        got = self._ids.get((radius, length))
+        if got is None:
+            width = 2 * radius + 1
+            blocks = id_blocks(self, radius)
+            word = self.test_word(length)
+            if len(word) < width:
+                raise DomainError("word shorter than the code window")
+            table = dense_table(((b, chr(i)) for i, b in enumerate(blocks)),
+                                len(self.alphabet), width,
+                                "a radius-%d code needs a rule table"
+                                % radius)
+            got = self._ids[radius, length] = (blocks, kernels.apply_rule(
+                word.encode(), radius, bytes(table), len(self.alphabet)))
+        return got
+
+
+class SubshiftSystem(_System):
     """A named substitution subshift with a cached factor language.
 
     Each language level is built once, on first request, and then
@@ -272,6 +316,7 @@ class SubshiftSystem:
         self.language_cap = LANGUAGE_CAP
         self.almost_automorphic = almost_automorphic
         self._lang = {}
+        self._ids = {}
         self._flip_closed = None
         self._recog = None
         self._prefix = {}
@@ -487,7 +532,7 @@ class SubshiftSystem:
         return "SubshiftSystem(%r)" % self.name
 
 
-class FullShiftSystem:
+class FullShiftSystem(_System):
     """The full shift over a digit alphabet (synthetic test system).
 
     Not substitutive; every word is admissible.  Used as a foil for
@@ -502,6 +547,7 @@ class FullShiftSystem:
         self.constant_length = None
         self.almost_automorphic = False
         self._lang = {}
+        self._ids = {}
 
     def language(self, n):
         if n < 1:

@@ -9,11 +9,16 @@ from conftest import random_primitive_rules
 
 from minflow.codes import (SlidingBlockCode, classify_aut_group, compose,
                            enumerate_endomorphisms, flip_code, identity_code,
-                           invert, is_identity, shift_code,
-                           verify_endomorphism)
+                           invert, shift_code, verify_endomorphism)
 from minflow.errors import DomainError, IntegrityError, ResourceError
 from minflow.words import (REGISTRY, FullShiftSystem, Substitution,
                            SubshiftSystem, first_windows)
+
+
+def is_identity(code):
+    """Whether the code maps every block to its centre symbol."""
+    r = code.radius
+    return all(out == b[r] for b, out in code.rule.items())
 
 
 def test_apply_examples(morse):
@@ -222,6 +227,9 @@ def test_node_cap_raises_with_the_partial_list(name, radius, cap,
 
 
 def test_enumeration_refuses_tables_over_the_cap(morse, monkeypatch):
+    # the system's cached block ids were built under the real cap, so
+    # they are dropped for the enumerations to build them again
+    monkeypatch.setattr(morse, "_ids", {})
     monkeypatch.setattr("minflow.words.TABLE_CAP", 1 << 6)
     assert len(enumerate_endomorphisms(morse, 2)) == 10     # 2^5 entries
     with pytest.raises(ResourceError, match="radius-3 code needs a rule "
@@ -296,7 +304,9 @@ def test_enumerated_codes_hold_their_test_image(name, radius, check_len,
                       for code in codes]
 
 
-def test_test_image_is_applied_once_per_length(morse, kernel_calls):
+def test_test_image_is_applied_once_per_length(kernel_calls):
+    # a fresh system, whose block ids no earlier test has built
+    morse = fresh_system("morse")
     code = shift_code(morse, 2)
     first = code.test_image(100)
     assert code.test_image(100) is first and len(kernel_calls) == 1
@@ -304,6 +314,34 @@ def test_test_image_is_applied_once_per_length(morse, kernel_calls):
     assert first == shift_code(morse, 2).apply(morse.test_word(100))
     with pytest.raises(DomainError, match="shorter than the code window"):
         code.test_image(4)
+
+
+def test_test_images_share_the_systems_block_ids(kernel_calls):
+    # the first test image at a radius and length reads the block ids of
+    # the test word; every other code there translates the same ids
+    system = fresh_system("morse")
+    codes = [shift_code(system, 2), flip_code(system, 2),
+             shift_code(system, -1, 2)]
+    images = [codes[0].test_image(4096)]
+    assert len(kernel_calls) == 1
+    images += [code.test_image(4096) for code in codes[1:]]
+    assert len(kernel_calls) == 1
+    word = system.test_word(4096)
+    assert images == [code.apply(word) for code in codes]
+
+
+def test_codes_over_255_blocks_apply_themselves_to_the_test_word(
+        kernel_calls):
+    # 512 blocks at r=4 have no one-byte ids, so the code's own table
+    # gives its test image
+    system = FullShiftSystem("01")
+    code = SlidingBlockCode(system, 4, {b: str(b.count("1") % 2)
+                                        for b in system.language(9)})
+    image = code.test_image(4096)
+    assert len(kernel_calls) == 1
+    assert image == code.apply(system.test_word(4096))
+    with pytest.raises(ResourceError, match="^512 admissible 9-blocks"):
+        system.block_ids(4, 4096)
 
 
 @pytest.mark.parametrize("radius,check_len,message", [
@@ -317,6 +355,17 @@ def test_enumeration_rejects_bad_arguments_first(radius, check_len, message):
     with pytest.raises(DomainError, match="^%s$" % message):
         enumerate_endomorphisms(system, radius, check_len)
     assert system._lang == {}
+
+
+@pytest.mark.parametrize("radius,check_len,blocks", [
+    (50, 64, 328), (50, 4096, 328), (40, 16, 256)])
+def test_enumeration_refuses_over_255_blocks_before_the_test_word(
+        radius, check_len, blocks):
+    # too many blocks is a usage error, named before a short test word
+    # could fail the check that it holds every block
+    with pytest.raises(ResourceError, match="^%d admissible %d-blocks, over "
+                       "the 255" % (blocks, 2 * radius + 1)):
+        enumerate_endomorphisms(fresh_system("morse"), radius, check_len)
 
 
 def test_cold_enumeration_scans_a_constant_number_of_times(monkeypatch):
@@ -423,6 +472,54 @@ def test_invert_matches_the_window_by_window_graph(name, radius, check_len):
             got = invert(code, max_radius, check_len)
             want = naive_invert(code, max_radius, check_len)
             assert (got and got.to_json()) == (want and want.to_json())
+
+
+def inverted_or_error(invert, code, max_radius, check_len):
+    try:
+        inverse = invert(code, max_radius, check_len)
+    except DomainError as exc:
+        return str(exc)
+    return inverse and inverse.to_json()
+
+
+@pytest.mark.parametrize("name", ["morse", "fib", "pd", "full_shift",
+                                  "ternary"])
+def test_invert_matches_the_oracle_on_every_small_rule(name, request):
+    # every radius-0 rule, and every radius-1 rule where the system has
+    # at most 8 blocks of width 3, endomorphisms or not: the same
+    # inverse, None or DomainError message as the full compositions; the
+    # short test words miss blocks that the inversion then checks
+    system = request.getfixturevalue(name)
+    codes = every_rule(system, 0)
+    if len(system.language(3)) <= 8:
+        codes += every_rule(system, 1)
+    outcomes = []
+    for code in codes:
+        for max_radius in range(5):
+            for check_len in (64, 512):
+                got = inverted_or_error(invert, code, max_radius, check_len)
+                assert got == inverted_or_error(naive_invert, code,
+                                                max_radius, check_len)
+                outcomes.append(type(got))
+    # some rules invert and some do not; on Fibonacci and period-doubling
+    # some compositions also leave the left rule's domain
+    assert {dict, type(None)} <= set(outcomes)
+    assert (str in outcomes) == (name in ("fib", "pd"))
+
+
+@pytest.mark.parametrize("max_radius", [1, 2, 3])
+def test_invert_raises_where_a_block_also_fails_the_identity(morse,
+                                                            max_radius):
+    # this radius-2 Morse rule is no endomorphism; on the 16-symbol test
+    # word its candidate inverse fails the identity at a block missing
+    # from the word and leaves its domain at another; the full
+    # composition raises there, in whichever order it reads the two
+    outs = "010100110001"
+    code = SlidingBlockCode(morse, 2, dict(zip(sorted(morse.language(5)),
+                                               outs)))
+    want = "composition hits block '000' outside the left rule's domain"
+    assert inverted_or_error(naive_invert, code, max_radius, 16) == want
+    assert inverted_or_error(invert, code, max_radius, 16) == want
 
 
 def test_invert_every_morse_code(morse):

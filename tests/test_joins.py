@@ -110,19 +110,26 @@ def test_dichotomy_extracts_flip_codes(morse, x0, cert):
 @pytest.mark.parametrize("k", [0, 3, -8])
 @pytest.mark.parametrize("flip", [0, 1])
 def test_case2_dichotomy_makes_one_kernel_call(morse, x0, cert, k, flip,
-                                               kernel_calls):
-    # the extracted code's test image is applied once, for the
-    # endomorphism check, and read again by invert; compositions and the
-    # short words missing from the test word are read in rule dicts
+                                               kernel_calls, monkeypatch):
+    # the one call reads the block ids of the test word, which the system
+    # keeps: the extracted code's test image translates them, and invert
+    # reads that image again; the blocks invert checks and the short
+    # words missing from the test word are read in rule dicts
+    monkeypatch.setattr(morse, "_ids", {})
     x = x0.shift(k).flip() if flip else x0.shift(k)
-    verdict = dichotomy(x0, x, certificate=cert, radius_budget=8)
-    assert (verdict.case, verdict.code.normal_form) == ("case2", (k, flip))
-    assert len(kernel_calls) == 1
+    for _ in range(2):
+        verdict = dichotomy(x0, x, certificate=cert, radius_budget=8)
+        assert (verdict.case, verdict.code.normal_form) == \
+            ("case2", (k, flip))
+        # the second dichotomy, on the warm system, makes none
+        assert len(kernel_calls) == 1
 
 
 @pytest.mark.parametrize("r", [1, 2])
-def test_coalescence_check_makes_one_kernel_call(morse, r, kernel_calls):
+def test_coalescence_check_makes_one_kernel_call(morse, r, kernel_calls,
+                                                 monkeypatch):
     # the enumeration's one call; invert reads each survivor's test image
+    monkeypatch.setattr(morse, "_ids", {})
     assert coalescence_check(morse, r) == {
         "system": "morse", "radius": r, "checked": 4 * r + 2, "flagged": []}
     assert len(kernel_calls) == 1
@@ -207,40 +214,24 @@ def test_odometer_sr_witness():
     assert odometer_sr_witness(1)["translation_count"] == 2
     report = odometer_sr_witness(3)
     assert report["translation_count"] == 8
-    assert report["verification"] == "exhaustive"
-    assert report["non_translations_rejected"] > 0
-    with pytest.raises(DomainError):
-        odometer_sr_witness(21)
+    assert report["verification"] == "proof"
+    for levels in (-1, 21):
+        with pytest.raises(DomainError, match="levels must lie in 0..20"):
+            odometer_sr_witness(levels)
 
 
 def test_odometer_sr_witness_top_level_is_quick():
-    # the exhaustive checks pass once over the 2^21 - 1 sums, and the
-    # non-translations are built without touching all 2^20 points
+    # the witness is a proof, so no level touches its 2^k points
     t0 = time.monotonic()
     report = odometer_sr_witness(20)
-    assert time.monotonic() - t0 < 10
+    assert time.monotonic() - t0 < 0.1
     assert report == {"levels": 20, "translation_count": 1 << 20,
-                      "verification": "exhaustive",
-                      "forced_translations": 1 << 20,
-                      "non_translations_rejected": 20,
-                      "sample_generator": {"name": "random.Random",
-                                           "seed": 20190609}}
+                      "verification": "proof",
+                      "forced_translations": 1 << 20}
 
 
 def test_odometer_sr_witness_reports_every_level():
     for k in range(21):
         assert odometer_sr_witness(k) == {
             "levels": k, "translation_count": 1 << k,
-            "verification": "exhaustive", "forced_translations": 1 << k,
-            "non_translations_rejected": 20 if k > 1 else 0,
-            "sample_generator": {"name": "random.Random", "seed": 20190609}}
-
-
-def test_odometer_sr_witness_exhaustive_top_level_is_quick():
-    # both exhaustive checks pass once over the sums x + c, not over
-    # every pair (c, x)
-    t0 = time.monotonic()
-    report = odometer_sr_witness(12)
-    assert time.monotonic() - t0 < 0.5
-    assert report["verification"] == "exhaustive"
-    assert report["forced_translations"] == 4096
+            "verification": "proof", "forced_translations": 1 << k}
