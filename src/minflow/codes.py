@@ -206,8 +206,9 @@ def compose(c1: SlidingBlockCode, c2: SlidingBlockCode) -> SlidingBlockCode:
         raise DomainError("codes live in different systems")
     system = c1.system
     r = c1.radius + c2.radius
+    # sorted, so that a DomainError names the same block on every hash seed
     return SlidingBlockCode(system, r, {
-        b: _composite(c1, c2, b) for b in system.language(2 * r + 1)})
+        b: _composite(c1, c2, b) for b in sorted(system.language(2 * r + 1))})
 
 
 def _composite(c1, c2, block):
@@ -426,10 +427,13 @@ def invert(code: SlidingBlockCode, max_radius,
 def _identity_off(c1, c2, word):
     """Whether c1(c2(b)) is the centre symbol of every admissible block
     b of width 2(r1 + r2) + 1 that does not occur in `word`; each of them
-    is read, so DomainError comes from the same block as in `compose`."""
+    is read in sorted order, so DomainError comes from the same block as
+    in `compose`.  Only these blocks are sorted, so the check costs what
+    the blocks it reads cost."""
     r = c1.radius + c2.radius
     return all([_composite(c1, c2, b) == b[r]
-                for b in c1.system.language(2 * r + 1) if b not in word])
+                for b in sorted([b for b in c1.system.language(2 * r + 1)
+                                 if b not in word])])
 
 
 # -- group shape ---------------------------------------------------------

@@ -5,7 +5,10 @@ into substitution blocks once the window reaches the system's
 recognizability length; iterating the parse assigns every point a string
 of ℓ-adic digits (the odometer address, least significant first), which
 realizes the maximal equicontinuous factor map; each level's phase is
-looked up in the system's recognizability table.  The fiber census
+looked up in the system's recognizability table.  A level-k address
+fetches exactly the window its k parses read, (R+1)·ℓ^(k-1) - 1
+symbols around coordinate 0 for recognizability length R.  The caps on
+windows and blocks refuse a level before ℓ^k is built.  The fiber census
 reconstructs which centered windows are compatible with a given address,
 and word frequencies realize the invariant-measure checks.
 """
@@ -14,7 +17,8 @@ from typing import NamedTuple
 
 from .errors import (AmbiguityError, DomainError, IntegrityError,
                      NoParseError, ResourceError)
-from .points import BLOCK_CAP, AddressPoint, FlippedPoint, ShiftedPoint
+from .points import (BLOCK_CAP, HORIZON_CAP, AddressPoint, FlippedPoint,
+                     ShiftedPoint)
 from .words import flip_word
 
 
@@ -107,6 +111,22 @@ def address(system, point, k: int) -> OdometerAddress:
     j, read off the one valid phase of the recognizability-length window
     that starts h symbols to its left; shifting the point by one
     advances the address by one with carry.
+
+    The window fetched is exactly what the k parses read.  Let R be the
+    recognizability length, h = R // 2 and B = ℓ^(k-1).  Level j parses
+    R level-j blocks: the one that holds coordinate 0, which starts
+    between -(ℓ^j - 1) and 0, the h blocks left of it and the R - h - 1
+    right of it.  Level-j blocks tile each level-(k-1) block, so every
+    level reads inside the R level-(k-1) blocks that level k-1 reads,
+    and the window [-((h+1)·B - 1), (R-h)·B - 1] of (R+1)·B - 1 symbols
+    holds them at every offset of coordinate 0.  Its left end is read
+    when the level-(k-1) block of coordinate 0 starts at -(B - 1), its
+    right end when that block starts at 0, so no narrower window serves
+    every point.  Each level keeps only the full blocks of the word
+    below it.  The word of level k-1 is those R blocks alone, so it is
+    not decoded further: no parse reads the result, and it may hold no
+    full level-k block.  A symbol past these bounds would be decoded and
+    never read, so the window has no floor.
     """
     ell = system.constant_length
     if ell is None:
@@ -118,9 +138,12 @@ def address(system, point, k: int) -> OdometerAddress:
         return OdometerAddress((), ell)
     r, phases = system.recognizability()
     h = r // 2
-    half = max(64, (r + 4) * ell ** (k - 1))
-    word = point.window(-half, half).encode()
-    origin = half
+    # past the cap's bit length, ℓ^(k-1) alone puts the window beyond
+    # HORIZON_CAP, so `point.window` refuses the capped power just as it
+    # would refuse the full one, and ℓ^(k-1) is never built
+    block = ell ** min(k - 1, HORIZON_CAP.bit_length())
+    origin = (h + 1) * block - 1
+    word = point.window(-origin, (r - h) * block - 1).encode()
     digits = []
     for j in range(k):
         lo = origin - h
@@ -132,10 +155,11 @@ def address(system, point, k: int) -> OdometerAddress:
         if start is None:
             raise IntegrityError("point window has no parse at level %d" % j)
         digit = (h - start) % ell
-        start = (origin - digit) % ell
         digits.append(digit)
-        word = system.decode(word, start)
-        origin = (origin - digit - start) // ell
+        if j + 1 < k:
+            start = (origin - digit) % ell
+            word = system.decode(word, start)
+            origin = (origin - digit - start) // ell
     return OdometerAddress(tuple(digits), ell)
 
 
@@ -189,6 +213,15 @@ def _census_base(system) -> int:
     return system.constant_length
 
 
+def _refuse_over_block_cap(ell, k):
+    """ResourceError when a level-k block, ℓ^k symbols, exceeds BLOCK_CAP.
+
+    Past the cap's bit length, ℓ^k > BLOCK_CAP for every ℓ >= 2, so the
+    capped power decides without building ℓ^k."""
+    if ell ** min(k, BLOCK_CAP.bit_length()) > BLOCK_CAP:
+        raise ResourceError("level-%d blocks exceed cap" % k)
+
+
 def census_address(system, digits) -> OdometerAddress:
     """`digits` as an address of the system's odometer, in its base ℓ."""
     return OdometerAddress(tuple(digits), _census_base(system))
@@ -211,8 +244,7 @@ def fiber_census(system, addr: OdometerAddress, resolution: int) -> FiberCensus:
     if k < 1:
         raise DomainError("census needs at least one digit")
     L = resolution
-    if ell ** k > BLOCK_CAP:
-        raise ResourceError("level-%d blocks exceed cap" % k)
+    _refuse_over_block_cap(ell, k)
     levels = []
     powers = system.substitution.powers()
     next(powers)
@@ -245,6 +277,8 @@ def sample_censuses(system, count, levels, resolution, seed):
     import random
     rng = random.Random(seed)
     ell = _census_base(system)
+    # refused before any digit is drawn
+    _refuse_over_block_cap(ell, levels)
     return [fiber_census(system, census_address(
                 system, (rng.randrange(ell) for _ in range(levels))),
                          resolution)

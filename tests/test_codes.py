@@ -1,12 +1,17 @@
 import hashlib
 import itertools
 import json
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 
 import pytest
 from conftest import random_primitive_rules
 
+import minflow
 from minflow.codes import (SlidingBlockCode, classify_aut_group, compose,
                            enumerate_endomorphisms, flip_code, identity_code,
                            invert, shift_code, verify_endomorphism)
@@ -43,6 +48,34 @@ def test_compose_examples(morse):
     s2 = compose(shift_code(morse, 1), shift_code(morse, 1))
     assert s2.radius == 2
     assert s2 == shift_code(morse, 2)
+
+
+# this radius-1 Morse rule sends some 5-blocks onto '000' and others onto
+# '111', neither of them in the shift's domain; read in the frozenset's
+# order, which block the error named changed between hash seeds 0 and 1
+FAILING_COMPOSITION = """
+from minflow.codes import SlidingBlockCode, compose, shift_code
+from minflow.errors import DomainError
+from minflow.words import get_system
+morse = get_system("morse")
+code = SlidingBlockCode(morse, 1, dict(zip(sorted(morse.language(3)),
+                                           "010110")))
+try:
+    compose(shift_code(morse, 1), code)
+except DomainError as exc:
+    print(exc)
+"""
+
+
+def test_composition_error_names_one_block_on_every_hash_seed():
+    src = str(pathlib.Path(minflow.__file__).parent.parent)
+    messages = {subprocess.run(
+        [sys.executable, "-c", FAILING_COMPOSITION],
+        env=dict(os.environ, PYTHONPATH=src, PYTHONHASHSEED=seed),
+        capture_output=True, text=True, check=True).stdout
+        for seed in ("0", "1")}
+    assert messages == {"composition hits block '000' outside the left "
+                        "rule's domain\n"}
 
 
 def test_code_equality_pads_radii(morse):
@@ -391,11 +424,12 @@ def test_enumeration_requests_the_top_language_level_first(radius):
 
 
 def naive_compose(c1, c2):
-    """compose with each block's middle image applied by `c2.apply`."""
+    """compose with each block's middle image applied by `c2.apply`, the
+    blocks read in sorted order."""
     system = c1.system
     r = c1.radius + c2.radius
     rule = {}
-    for b in system.language(2 * r + 1):
+    for b in sorted(system.language(2 * r + 1)):
         mid = c2.apply(b)
         if mid not in c1.rule:
             raise DomainError("composition hits block %r outside the left "

@@ -4,6 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
+from conftest import random_primitive_rules
 
 from minflow import factors, points
 from minflow.errors import (AmbiguityError, DomainError, IntegrityError,
@@ -277,18 +278,94 @@ def test_sample_censuses_draw_digits_below_the_base(ternary, fib):
 
 
 def test_address_horizon_cap(morse):
-    # Morse decodes a window of (4 + 4) << (k - 1) symbols on each side:
-    # level 18 reads exactly HORIZON_CAP of them, level 19 would read twice
-    # as many and is refused before any symbol is built
+    # Morse (R = 4, h = 2) reads 3 << (k - 1) symbols minus one to the
+    # left: level 19 reads 786,431 of them, level 20 would read more than
+    # HORIZON_CAP and is refused before any symbol is built
     assert points.HORIZON_CAP == 1 << 20
     mu = seam_points(morse)["mu"]
     with pytest.raises(ResourceError, match="horizon cap"):
         mu.window(-(points.HORIZON_CAP + 1), 0)
     t0 = time.monotonic()
     with pytest.raises(ResourceError, match="horizon cap"):
-        address(morse, mu, 19)
+        address(morse, mu, 20)
     assert time.monotonic() - t0 < 0.5
-    assert address(morse, mu, 18).to_int() == 0
+    assert address(morse, mu, 19).to_int() == 0
+
+
+def test_caps_refuse_before_they_work(morse):
+    # neither refusal builds ℓ^k, and the sampler draws no digit; a
+    # sampler that drew its digits first would take seconds at 10^7 and
+    # fill gigabytes at 10^9, so its level stays at 10^7
+    mu = seam_points(morse)["mu"]
+    t0 = time.monotonic()
+    with pytest.raises(ResourceError,
+                       match="^window exceeds horizon cap 1048576$"):
+        address(morse, mu, 10 ** 9)
+    assert time.monotonic() - t0 < 0.5
+    t0 = time.monotonic()
+    with pytest.raises(ResourceError,
+                       match="^level-10000000 blocks exceed cap$"):
+        sample_censuses(morse, 3, 10 ** 7, 16, 0)
+    assert time.monotonic() - t0 < 0.5
+
+
+class WindowSpy(points.Point):
+    """`base`, recording each window read from it."""
+
+    def __init__(self, base):
+        self.base = base
+        self.system = base.system
+        self.reads = []
+
+    def determined_range(self):
+        return self.base.determined_range()
+
+    def _eval(self, lo, hi):
+        self.reads.append((lo, hi))
+        return self.base.window(lo, hi)
+
+
+def window_systems():
+    """Morse, period-doubling, ternary Thue-Morse and the block-parse
+    rules among 40 random primitive ones (ℓ = 2, 3, 4 and R = 3..19)."""
+    yield pytest.param(lambda request: request.getfixturevalue("morse"),
+                       id="morse")
+    yield pytest.param(lambda request: request.getfixturevalue("pd"),
+                       id="pd")
+    yield pytest.param(lambda request: request.getfixturevalue("ternary"),
+                       id="ternary")
+    for i, rule in enumerate(random_primitive_rules(random.Random(13), 40)):
+        if Substitution(rule).constant_length and \
+                len(set(rule.values())) == len(rule):
+            yield pytest.param(
+                lambda request, rule=rule: SubshiftSystem(
+                    "random", Substitution(rule), "0"), id="random-%d" % i)
+
+
+@pytest.mark.parametrize("make", window_systems())
+def test_address_reads_exactly_the_window_its_parses_read(make, request):
+    # coordinate 0 at every offset of a level-k block, for each k with
+    # ℓ^k·R <= 4096: the digits are the construction digits, read off
+    # the one window [-((h+1)·ℓ^(k-1) - 1), (R-h)·ℓ^(k-1) - 1]
+    system = make(request)
+    ell = system.constant_length
+    r = recognizability_length(system)
+    h = r // 2
+    top = max(k for k in range(1, 20) if ell ** k * r <= 4096)
+    # the level-`top` block of coordinate 0 sits in the middle of a block
+    # at least 2(R+1) times as long, which covers every window below
+    m = next(m for m in range(1, 20) if ell ** m >= 2 * (r + 1))
+    digits = (0,) * top + OdometerAddress.from_int(ell ** m // 2, m,
+                                                   ell).digits
+    base = point_from_address(system, digits, "0")
+    for k in range(1, top + 1):
+        block = ell ** (k - 1)
+        for a in range(ell ** k):
+            spy = WindowSpy(base.shift(a))
+            assert address(system, spy, k) == \
+                OdometerAddress.from_int(a, k, ell), (k, a)
+            assert spy.reads == [(-((h + 1) * block - 1),
+                                  (r - h) * block - 1)], (k, a)
 
 
 def test_seam_census_windows_are_the_splice_windows(morse):
