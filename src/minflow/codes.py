@@ -39,8 +39,7 @@ from typing import NamedTuple
 
 from . import defaults, kernels
 from .errors import DomainError, IntegrityError, ResourceError
-from .words import (dense_table, first_windows, flip_word, id_blocks,
-                    pack_pair)
+from .words import dense_table, first_windows, flip_word, id_blocks
 
 _PRUNE_WINDOW = 16
 _NODE_CAP = 2_000_000
@@ -378,6 +377,16 @@ def invert(code: SlidingBlockCode, max_radius,
     the identity with `code` in both orders (Curtis-Hedlund-Lyndon: the
     inverse of an invertible code is a code).
 
+    The graph is read at the starts the system caches for its test word
+    `master` (`first_starts`), with no scan per code.  Let top be the
+    widest candidate radius.  The (2top+1)-window of u = code(master) at
+    i, with the symbols master[i + r:i + r + 2top + 1] under it, is a
+    function of master's (2top + 2r + 1)-window at i, over the same range
+    of starts.  So the first starts of master's windows at that width
+    reach every distinct pair of windows of the graph, and each pair
+    first at its own first start; the mapping read there is the one read
+    at every start, and conflicts exactly when that one does.
+
     Only the blocks that the graph did not read are checked.  Let r be
     the code's radius, rp the candidate's and R = r + rp, and let u be
     the code's image of the test word `master`.  The graph is read at
@@ -399,11 +408,11 @@ def invert(code: SlidingBlockCode, max_radius,
     u = code.test_image(check_len)
     n = len(u)
     top = min(max_radius, (n - 1) // 2)
-    # the first starts of the distinct widest windows of u beside the
-    # symbols of master under them; every narrower window is the centre
-    # of one of these or lies within `top - rp` of an end
-    widest = first_windows(pack_pair(u, master[r:n + r]),
-                           2 * top + 1).values()
+    # starts that reach every distinct widest window of u beside the
+    # symbols of master under it, a function of master's window 2r
+    # symbols wider there; every narrower window is the centre of one of
+    # these or lies within `top - rp` of an end
+    widest = system.first_starts(2 * top + 2 * r + 1, check_len)
     for rp in range(top + 1):
         width = 2 * rp + 1
         d = top - rp

@@ -21,6 +21,9 @@ from .points import (BLOCK_CAP, HORIZON_CAP, AddressPoint, FlippedPoint,
                      ShiftedPoint)
 from .words import flip_word
 
+# most censuses one sample draws: each keeps its record until the end
+SAMPLE_CAP = 10_000
+
 
 class _AddressFields(NamedTuple):
     digits: tuple
@@ -273,11 +276,14 @@ def fiber_census(system, addr: OdometerAddress, resolution: int) -> FiberCensus:
 
 def sample_censuses(system, count, levels, resolution, seed):
     """Fiber censuses of `count` addresses of `levels` digits, each digit
-    drawn below ℓ by `random.Random(seed)`, in order."""
+    drawn below ℓ by `random.Random(seed)`, in order; ResourceError over
+    SAMPLE_CAP censuses."""
     import random
     rng = random.Random(seed)
     ell = _census_base(system)
     # refused before any digit is drawn
+    if count > SAMPLE_CAP:
+        raise ResourceError("%d censuses exceed cap %d" % (count, SAMPLE_CAP))
     _refuse_over_block_cap(ell, levels)
     return [fiber_census(system, census_address(
                 system, (rng.randrange(ell) for _ in range(levels))),

@@ -2,15 +2,15 @@
 
 The joint language of (p, q) is the set of simultaneous centered windows
 seen along the first T steps of the orbit of the pair.  It is read off
-one byte string holding both points' symbols, time by time, with
-`words.first_windows`, which skips the long repeats of substitutive
-orbits instead of slicing all T + 1 windows.  Membership of a pair of
-windows is a semi-decision: present means observed, absent means only
-"not found within (L, T)".  The dichotomy either finds the flipped
-target pair in the joint language (Case 1 evidence) or extracts a local
-rule from the graph, verifies it as an automorphism, and returns it
-(Case 2); anything else is reported inconclusive, never silently
-resolved.
+one string whose character at each time holds both points' symbols
+(`words.pack_pair`), with `words.first_windows`, which skips the long
+repeats of substitutive orbits instead of slicing all T + 1 windows.
+Membership of a pair of windows is a semi-decision: present means
+observed, absent means only "not found within (L, T)".  The dichotomy
+either finds the flipped target pair in the joint language (Case 1
+evidence) or extracts a local rule from the graph, verifies it as an
+automorphism, and returns it (Case 2); anything else is reported
+inconclusive, never silently resolved.
 """
 
 from typing import NamedTuple

@@ -35,12 +35,14 @@ kernels read symbol c as the digit ord(c) - 48; both constructors check
 it), `language_cap`, `language(n)`, `is_admissible(word)`,
 `test_word(length)`, `block_ids(radius, length)` (the test word's
 windows as indices among the sorted admissible blocks, one byte each,
-cached), `flip_closed`, `constant_length` (None unless all images have
-one length ℓ) and `almost_automorphic`.  `SubshiftSystem`
-adds `substitution`, `seed`, `fixed_prefix` and `complexity`, and, when
-the images have one length and are pairwise distinct, `decode` (the
-full ℓ-blocks of a byte word, by one kernel call), `valid_phases` and
-`recognizability`; these raise DomainError on any other system.
+cached), `first_starts(width, length)` (the first starts of the test
+word's distinct windows, cached), `flip_closed`, `constant_length`
+(None unless all images have one length ℓ) and `almost_automorphic`.
+`SubshiftSystem` adds `substitution`, `seed`, `fixed_prefix` and
+`complexity`, and, when the images have one length and are pairwise
+distinct, `decode` (the full ℓ-blocks of a byte word, by one kernel
+call), `valid_phases` and `recognizability`; these raise DomainError on
+any other system.
 `FullShiftSystem`, the full shift, has the protocol alone.
 """
 
@@ -60,25 +62,24 @@ _PROBE = 8                # first_windows: symbols past a repeat worth a skip
 _PROBE_GAP_CAP = 64       # first_windows: longest wait after a failed probe
 
 FLIP = str.maketrans("01", "10")
-# pack_pair: each digit to ten times itself, and to itself
-_DIGITS = bytes(range(48, 48 + MAX_ALPHABET))
-_TENS = bytes.maketrans(_DIGITS, bytes(range(0, 10 * MAX_ALPHABET, 10)))
-_UNITS = bytes.maketrans(_DIGITS, bytes(range(MAX_ALPHABET)))
 
 
 def flip_word(word: str) -> str:
     return word.translate(FLIP)
 
 
-def pack_pair(a: str, b: str) -> bytes:
-    """One byte 10*a[i] + b[i] for each position of two equal-length words.
+def pack_pair(a: str, b: str) -> str:
+    """One character a[i] + 256*b[i] for each position of two equal-length
+    words, so that the windows of the pair (a, b) are the windows of one
+    string.
 
-    No byte carries, since the digits lie below MAX_ALPHABET = 10, so the
-    windows of the pair (a, b) are the windows of one byte string.
+    The two words' ASCII bytes are interleaved into one buffer and read
+    as UTF-16-LE: digit bytes lie below 0x80, so no unit is a surrogate.
     """
-    return (int.from_bytes(a.encode().translate(_TENS), "big")
-            + int.from_bytes(b.encode().translate(_UNITS), "big")
-            ).to_bytes(len(a), "big")
+    buf = bytearray(2 * len(a))
+    buf[0::2] = a.encode()
+    buf[1::2] = b.encode()
+    return buf.decode("utf-16-le")
 
 
 def _over_alphabet(word: str, alphabet: str) -> bool:
@@ -267,7 +268,17 @@ def id_blocks(system, radius):
 
 class _System:
     """What the two system classes share: the block ids of their test
-    words."""
+    words and the first starts of their windows."""
+
+    def first_starts(self, width, length):
+        """The first start of each distinct width-window of
+        `test_word(length)`, in increasing order: one `first_windows`
+        scan, made on first request and cached."""
+        got = self._starts.get((width, length))
+        if got is None:
+            got = self._starts[width, length] = tuple(
+                first_windows(self.test_word(length), width).values())
+        return got
 
     def block_ids(self, radius, length):
         """(blocks, ids): the admissible (2r+1)-blocks, sorted, and one
@@ -317,6 +328,7 @@ class SubshiftSystem(_System):
         self.almost_automorphic = almost_automorphic
         self._lang = {}
         self._ids = {}
+        self._starts = {}
         self._flip_closed = None
         self._recog = None
         self._prefix = {}
@@ -548,6 +560,7 @@ class FullShiftSystem(_System):
         self.almost_automorphic = False
         self._lang = {}
         self._ids = {}
+        self._starts = {}
 
     def language(self, n):
         if n < 1:

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -247,6 +248,17 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     code, err = usage_failure(capsys, *argv)
     assert code == 2
     assert err.startswith("minflow: " + message) and err.count("\n") == 1
+
+
+def test_census_sample_is_refused_over_its_cap_before_any_census(capsys):
+    # every census keeps its record until the end, about 0.3 ms and 290
+    # bytes each, so a sample of 10^9 would run for days
+    t0 = time.monotonic()
+    code, err = usage_failure(capsys, "census", "morse", "--sample",
+                              "1000000000")
+    assert time.monotonic() - t0 < 0.5
+    assert (code, err) == (2, "minflow: 1000000000 censuses exceed cap "
+                              "10000\n")
 
 
 def test_compose_needs_no_rule_table(capsys):

@@ -16,6 +16,7 @@ from minflow.codes import (SlidingBlockCode, classify_aut_group, compose,
                            enumerate_endomorphisms, flip_code, identity_code,
                            invert, shift_code, verify_endomorphism)
 from minflow.errors import DomainError, IntegrityError, ResourceError
+from minflow.joins import coalescence_check
 from minflow.words import (REGISTRY, FullShiftSystem, Substitution,
                            SubshiftSystem, first_windows)
 
@@ -413,6 +414,27 @@ def test_cold_enumeration_scans_a_constant_number_of_times(monkeypatch):
     system = fresh_system("morse")
     assert len(enumerate_endomorphisms(system, 3)) == 14
     assert len(calls) <= len(system.language(7)) + 2
+
+
+def test_inversions_scan_once_per_system_width_and_length(monkeypatch):
+    calls = []
+
+    def scan(word, width):
+        calls.append((width, len(word)))
+        return first_windows(word, width)
+
+    monkeypatch.setattr("minflow.words.first_windows", scan)
+    monkeypatch.setattr("minflow.codes.first_windows", scan)
+    # 256 codes, one enumeration scan and one inversion scan
+    report = coalescence_check(FullShiftSystem("01"), 1)
+    assert (report["checked"], len(report["flagged"])) == (256, 250)
+    assert len(calls) == len(set(calls)) == 2
+    morse = fresh_system("morse")
+    codes = enumerate_endomorphisms(morse, 2)
+    invert(codes[0], 4)
+    calls.clear()
+    assert all(invert(code, 4) for code in codes)
+    assert calls == []
 
 
 @pytest.mark.parametrize("radius", [1, 3])

@@ -1,5 +1,7 @@
+import gc
 import itertools
 import random
+import statistics
 import time
 
 import pytest
@@ -12,7 +14,7 @@ from minflow.errors import (ConstructionError, DomainError, IntegrityError,
 from minflow.words import (PREFIX_MIN, REGISTRY, SHORT_WORD_LEN,
                            FullShiftSystem, Substitution, SubshiftSystem,
                            first_windows, fixed_point_prefix, flip_word,
-                           get_system)
+                           get_system, pack_pair)
 
 TM = {"0": "01", "1": "10"}
 PD = {"0": "01", "1": "00"}
@@ -93,6 +95,62 @@ def test_first_windows_edge_widths():
     assert list(first_windows("0110100110", 3).items()) == \
         [("011", 0), ("110", 1), ("101", 2), ("010", 3), ("100", 4),
          ("001", 5)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10).flatmap(
+    lambda k: st.integers(0, 300).flatmap(lambda n: st.tuples(
+        *[st.text(alphabet="0123456789"[:k], min_size=n, max_size=n)] * 2))),
+    st.data())
+def test_first_windows_of_a_packed_pair_are_the_pairs_first_starts(pair,
+                                                                    data):
+    a, b = pair
+    width = data.draw(st.integers(0, len(a) + 1))
+    want = {}
+    for i in range(len(a) - width + 1):
+        want.setdefault((a[i:i + width], b[i:i + width]), i)
+    assert list(first_windows(pack_pair(a, b), width).values()) == \
+        list(want.values())
+
+
+def test_pack_pair_of_empty_words():
+    assert pack_pair("", "") == ""
+
+
+def _best_scan_times(word, widths, cost):
+    # best of 5, the widths taken in turn so that a busy moment of the
+    # machine falls on one time of many widths, not on every time of one
+    gc.disable()
+    try:
+        for _ in range(5):
+            for w in widths:
+                t0 = time.perf_counter()
+                first_windows(word, w)
+                cost[w] = min(cost[w], time.perf_counter() - t0)
+    finally:
+        gc.enable()
+
+
+def _over_neighbours(cost):
+    return [w for w in cost
+            if cost[w] > 3 * statistics.median(
+                cost[v] for v in range(w - 2, w + 3) if v != w and v in cost)]
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: a repeat is "
+                   "extended only from its window's first start, so a few "
+                   "widths of each fixed point cost 7-12x their neighbours "
+                   "(FOUND in CHANGES.md)")
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_first_windows_costs_about_what_neighbouring_widths_cost(name):
+    # a width whose repeats are not extended from the right earlier
+    # start falls back to one slice per position; a width over the bound
+    # is timed again before the assertion
+    word = REGISTRY[name]().test_word(4096)
+    cost = dict.fromkeys(range(1, 65), float("inf"))
+    _best_scan_times(word, cost, cost)
+    _best_scan_times(word, _over_neighbours(cost), cost)
+    assert _over_neighbours(cost) == []
 
 
 @pytest.mark.parametrize("name", sorted(REGISTRY))
