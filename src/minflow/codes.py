@@ -11,15 +11,15 @@ so the search reads the id of the block under each of its windows (its
 index among the sorted blocks, one byte) from the system's cached
 `block_ids`; a range is filled by `bytes.translate` of its ids through
 the outputs assigned so far, and pruned when one of its windows lies
-outside the language.  Ids in a byte name at most 255 blocks (0xFF is the kernels' unset
-entry), so a system with more blocks at the radius is refused before
-the search.
-A window of the image is a function of the test word's window 2r symbols
-wider at the same start, so one scan of the test word at that width,
-made once per enumeration, gives the positions to test: those where such
-a window first occurs.  Every other image window repeats one tested in
-the same range or by an ancestor under the same assignments.  The same
-scan gives the order in which the blocks first appear.
+outside the language.  Ids in a byte name at most 255 blocks (0xFF is
+the kernels' unset entry), so a system with more blocks at the radius is
+refused before the search.  The blocks are assigned in the order of
+their ids' first starts in that column.  A window of the image is a
+function of the test word's window 2r symbols wider at the same start,
+so the search tests only the first starts of those wider windows, which
+the system also caches (`first_starts`); every other image window
+repeats one tested in the same range or by an ancestor under the same
+assignments.
 
 Evaluation: a code applies itself to a long word through the kernel, one
 table lookup per window.  Its image of the system's test word of a given
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from . import defaults, kernels
 from .errors import DomainError, IntegrityError, ResourceError
-from .words import dense_table, first_windows, flip_word, id_blocks
+from .words import dense_table, flip_word, id_blocks
 
 _PRUNE_WINDOW = 16
 _NODE_CAP = 2_000_000
@@ -259,23 +259,6 @@ def _maps_short_words(code, words):
     return all(_rule_image(code, w) in out_lang for w in words)
 
 
-def _first_starts(master, width, span):
-    """One scan of `master` at width `span` >= `width`: each distinct
-    width-window -> its first start, in order of first start, and the
-    first starts of the distinct span-windows.
-
-    A width-window first starts where a span-window does (as its prefix)
-    or in the last span - width starts.
-    """
-    first_span = first_windows(master, span)
-    first = {}
-    for w, i in first_span.items():
-        first.setdefault(w[:width], i)
-    for i in range(len(master) - span + 1, len(master) - width + 1):
-        first.setdefault(master[i:i + width], i)
-    return first, list(first_span.values())
-
-
 def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
     """All radius-`radius` sliding block codes of the system into itself,
     certified up to `check_len`; canonically sorted.
@@ -295,24 +278,24 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
                   for m in range(prune_w, 0, -1)}
     blocks = id_blocks(system, radius)
     master = system.test_word(check_len)
-    # the prune_w-window of the image at a start is a function of the
-    # window of master 2r symbols wider there
-    first, span_starts = _first_starts(master, width,
-                                       max(prune_w, 1) + 2 * radius)
-    if len(first) != len(blocks):
-        raise IntegrityError("test word of length %d misses %d admissible "
-                             "blocks" % (check_len, len(blocks) - len(first)))
     # the id of the block under each window of master; the search sets
     # each id's output in by_id
-    _, ids = system.block_ids(radius, check_len)
-    order = [ids[i] for i in first.values()]
-    first_pos = [*first.values(), len(master) - width + 1]
+    ids = system.block_ids(radius, check_len)[1] if check_len >= width \
+        else b""
+    first_pos = sorted(ids.find(k) for k in range(len(blocks)))
+    if first_pos[0] < 0:
+        raise IntegrityError("test word of length %d misses %d admissible "
+                             "blocks" % (check_len, first_pos.count(-1)))
+    order = [ids[i] for i in first_pos]
+    first_pos.append(len(ids))
     # the starts of the windows each search depth tests, those ending in
-    # the range it fills: a window whose wider window of master first
-    # starts earlier equals one tested before under the same assignments
+    # the range it fills: the prune_w-window of the image at a start is a
+    # function of the window of master 2r symbols wider there, and one
+    # whose wider window first starts earlier equals one tested before
+    # under the same assignments
     tests = [[] for _ in order]
     j = 0
-    for i in span_starts:
+    for i in system.first_starts(max(prune_w, 1) + 2 * radius, check_len):
         while i + prune_w > first_pos[j + 1]:
             j += 1
         tests[j].append(i)

@@ -17,9 +17,8 @@ from typing import NamedTuple
 
 from .errors import (AmbiguityError, DomainError, IntegrityError,
                      NoParseError, ResourceError)
-from .points import (BLOCK_CAP, HORIZON_CAP, AddressPoint, FlippedPoint,
-                     ShiftedPoint)
-from .words import flip_word
+from .points import HORIZON_CAP, AddressPoint, FlippedPoint, ShiftedPoint
+from .words import BLOCK_CAP, flip_word
 
 # most censuses one sample draws: each keeps its record until the end
 SAMPLE_CAP = 10_000
@@ -78,7 +77,7 @@ def recognizability_length(system) -> int:
     """Smallest n such that every admissible length-n word parses uniquely.
 
     Exact, since it is read off the exact language; found at first use
-    and cached by the system, asserted <= 64.
+    and cached by the system (see `SubshiftSystem.recognizability`).
     """
     return system.recognizability()[0]
 

@@ -12,7 +12,7 @@ import re
 
 from .errors import (DomainError, IntegrityError, ResourceError,
                      UndeterminedError)
-from .words import first_windows, flip_word
+from .words import BLOCK_CAP, first_windows, flip_word
 
 HORIZON_CAP = 1 << 20
 # an integer of the spec grammars: an optional sign, then ASCII digits
@@ -20,9 +20,6 @@ HORIZON_CAP = 1 << 20
 # '٣')
 INTEGER = re.compile(r"[+-]?[0-9]+")
 _DIGITS = re.compile(r"[0-9]+")
-# the ℓ^k symbols of one level-k block, as an address point or a fiber
-# census builds it
-BLOCK_CAP = 1 << 22
 
 
 class OneSidedSpec:

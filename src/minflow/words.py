@@ -50,13 +50,14 @@ import functools
 import itertools
 
 from . import kernels
-from .errors import ConstructionError, DomainError, IntegrityError, ResourceError
+from .errors import ConstructionError, DomainError, ResourceError
 
 MAX_ALPHABET = 10
 LANGUAGE_CAP = 256        # longest n the language cache will enumerate
 SHORT_WORD_LEN = 64       # direct membership below, certificates above
 PREFIX_MIN = 4096         # shortest fixed-point prefix a system caches
 RECOG_CAP = 64            # longest recognizability length searched for
+BLOCK_CAP = 1 << 22       # symbols of a fixed-point prefix or level-k block
 TABLE_CAP = 1 << 24       # entries (base ** width) of a dense kernel table
 _PROBE = 8                # first_windows: symbols past a repeat worth a skip
 _PROBE_GAP_CAP = 64       # first_windows: longest wait after a failed probe
@@ -240,9 +241,13 @@ def fixed_point_prefix(sub: Substitution, seed: str, n: int) -> str:
 
     Requires rule(seed) to begin with seed and be longer than it
     (prolongable), so the prefix is stable under further substitution.
+    Over BLOCK_CAP symbols raise ResourceError before any is built.
     """
     if n < 1:
         raise DomainError("prefix length must be >= 1")
+    if n > BLOCK_CAP:
+        raise ResourceError("fixed-point prefix of %d symbols, over the cap "
+                            "%d" % (n, BLOCK_CAP))
     image = sub.rule.get(seed)
     if image is None:
         raise DomainError("seed %r outside alphabet" % seed)
@@ -338,11 +343,12 @@ class SubshiftSystem(_System):
     # -- language ----------------------------------------------------
 
     def fixed_prefix(self, seed: str, n: int) -> str:
-        """Cached fixed-point prefix; grows geometrically and serves slices."""
+        """Cached fixed-point prefix; grows geometrically, up to
+        BLOCK_CAP, and serves slices."""
         have = self._prefix.get(seed, "")
         if len(have) < n:
-            have = fixed_point_prefix(self.substitution, seed,
-                                      max(n, 2 * len(have), PREFIX_MIN))
+            have = fixed_point_prefix(self.substitution, seed, max(
+                n, min(2 * len(have), BLOCK_CAP), PREFIX_MIN))
             self._prefix[seed] = have
         return have[:max(n, 0)]
 
@@ -506,7 +512,9 @@ class SubshiftSystem(_System):
 
         R is the least n at which every admissible n-word has exactly one
         valid phase, over the exact language.  Found at first use and
-        cached; asserted <= RECOG_CAP.
+        cached.  With no R <= RECOG_CAP: DomainError when the complexity
+        p(n) = p(n + 1) for some n < RECOG_CAP, which proves the system
+        periodic (Morse-Hedlund), so that no R exists; else ResourceError.
         """
         if self._recog is None:
             for n in range(1, RECOG_CAP + 1):
@@ -520,8 +528,15 @@ class SubshiftSystem(_System):
                     self._recog = (n, phases)
                     break
             else:
-                raise IntegrityError("no recognizability length <= %d for %r"
-                                     % (RECOG_CAP, self.name))
+                for n in range(1, RECOG_CAP):
+                    if self.complexity(n) == self.complexity(n + 1):
+                        raise DomainError(
+                            "%r is periodic: its complexity is %d at "
+                            "lengths %d and %d, so it has no "
+                            "recognizability length"
+                            % (self.name, self.complexity(n), n, n + 1))
+                raise ResourceError("no recognizability length <= %d for %r"
+                                    % (RECOG_CAP, self.name))
         return self._recog
 
     # -- structure flags ----------------------------------------------
@@ -589,8 +604,10 @@ class FullShiftSystem(_System):
         return (seq * reps)[:max(length, 0)]
 
 
+@functools.lru_cache(maxsize=16)
 def _de_bruijn(alphabet, order):
-    """Standard de Bruijn sequence B(k, order) as a string."""
+    """Standard de Bruijn sequence B(k, order) as a string, built once
+    per alphabet and order."""
     k = len(alphabet)
     a = [0] * k * order
     seq = []

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -248,6 +249,20 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     code, err = usage_failure(capsys, *argv)
     assert code == 2
     assert err.startswith("minflow: " + message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("lang", "morse", "--fixed-point"),
+    ("freq", "morse", "--length", "1", "--steps"),
+    ("aut", "morse", "--radius", "0", "--check-len"),
+    ("coalesce", "morse", "--radius", "0", "--check-len")])
+def test_fixed_point_prefix_over_its_cap_exits_2(capsys, argv):
+    # refused before the prefix is built, not by running out of memory;
+    # the cap is words.BLOCK_CAP
+    code, err = usage_failure(capsys, *argv, str((1 << 22) + 1))
+    assert code == 2
+    assert re.fullmatch(r"minflow: fixed-point prefix of \d+ symbols, over "
+                        r"the cap 4194304\n", err)
 
 
 def test_census_sample_is_refused_over_its_cap_before_any_census(capsys):

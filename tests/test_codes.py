@@ -410,10 +410,32 @@ def test_cold_enumeration_scans_a_constant_number_of_times(monkeypatch):
         return first_windows(word, width)
 
     monkeypatch.setattr("minflow.words.first_windows", scan)
-    monkeypatch.setattr("minflow.codes.first_windows", scan)
     system = fresh_system("morse")
     assert len(enumerate_endomorphisms(system, 3)) == 14
     assert len(calls) <= len(system.language(7)) + 2
+
+
+def test_warm_enumeration_makes_no_scan_and_no_block_id_call(monkeypatch):
+    # the block ids and the first starts it reads are the system's,
+    # cached by the first enumeration
+    morse = fresh_system("morse")
+    codes = enumerate_endomorphisms(morse, 2)
+    calls = []
+
+    def scan(word, width):
+        calls.append(width)
+        return first_windows(word, width)
+
+    # every minflow module that binds the scan
+    for name, module in list(sys.modules.items()):
+        if name.startswith("minflow") and \
+                getattr(module, "first_windows", None) is first_windows:
+            monkeypatch.setattr(module, "first_windows", scan)
+    monkeypatch.setattr("minflow.kernels.apply_rule",
+                        lambda *args: pytest.fail("block ids rebuilt"))
+    again = enumerate_endomorphisms(morse, 2)
+    assert [c.rule for c in again] == [c.rule for c in codes]
+    assert calls == []
 
 
 def test_inversions_scan_once_per_system_width_and_length(monkeypatch):
@@ -424,7 +446,6 @@ def test_inversions_scan_once_per_system_width_and_length(monkeypatch):
         return first_windows(word, width)
 
     monkeypatch.setattr("minflow.words.first_windows", scan)
-    monkeypatch.setattr("minflow.codes.first_windows", scan)
     # 256 codes, one enumeration scan and one inversion scan
     report = coalescence_check(FullShiftSystem("01"), 1)
     assert (report["checked"], len(report["flagged"])) == (256, 250)

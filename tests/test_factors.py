@@ -130,6 +130,31 @@ def test_desubstitute_short_word_inside_one_block(rule, word, offsets, r):
     assert recognizability_length(system) == r
 
 
+def test_periodic_rule_has_no_recognizability_length():
+    # primitive, with fixed point (012)^inf: p(1) = p(2) = 3 proves the
+    # system periodic, so no window length parses uniquely
+    system = SubshiftSystem("p", Substitution(
+        {"0": "01", "1": "20", "2": "12"}), "0")
+    for call in (recognizability_length,
+                 lambda s: desubstitute(s, "0120"),
+                 lambda s: address(s, fixed_point(s), 2)):
+        with pytest.raises(DomainError, match="^'p' is periodic: its "
+                           "complexity is 3 at lengths 1 and 2, so it has "
+                           "no recognizability length$"):
+            call(system)
+
+
+def test_recognizability_search_stops_at_its_cap(monkeypatch):
+    # Morse's R is 4 and its complexity grows at every length, so the
+    # search over lengths <= 3 hits a cap, not a periodic system
+    monkeypatch.setattr("minflow.words.RECOG_CAP", 3)
+    system = SubshiftSystem("morse", Substitution({"0": "01", "1": "10"}),
+                            "0")
+    with pytest.raises(ResourceError, match="^no recognizability length "
+                       "<= 3 for 'morse'$"):
+        recognizability_length(system)
+
+
 # the top digit 1 puts coordinate 0 in the middle third of its level-12
 # block, 3^11 symbols from either end
 TERNARY_DIGITS = tuple(random.Random(12).randrange(3)

@@ -1,7 +1,9 @@
-"""No module of the package imports a name it never uses, and a
-command loads only the modules it runs."""
+"""No module of the package imports a name it never uses, a command
+loads only the modules it runs, and the benchmark's tracer finds every
+name it wraps."""
 
 import ast
+import importlib.util
 import os
 import pathlib
 import subprocess
@@ -80,3 +82,22 @@ LAYERS = {"minflow.codes", "minflow.points", "minflow.factors",
 def test_a_command_loads_only_the_modules_it_runs(argv, unloaded):
     run = "import minflow.cli\nassert minflow.cli.main(%r) == 0" % argv
     assert loaded_in_fresh_interpreter(run, unloaded) == "[]\n"
+
+
+def test_every_traced_name_resolves_as_the_tracer_resolves_it():
+    # perfbench/spans.py imports only the standard library; its tracer
+    # wraps a method through the class's own __dict__, so a method moved
+    # to a base class stops a traced run
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / \
+        "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for targets in spans.LAYERS.values():
+        for module_name, attr_path in targets:
+            module = importlib.import_module(module_name)
+            if "." in attr_path:
+                cls_name, attr = attr_path.split(".")
+                assert attr in vars(getattr(module, cls_name)), attr_path
+            else:
+                assert callable(getattr(module, attr_path)), attr_path

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 from minflow import factors, kernels, points, words
 from minflow.errors import (ConstructionError, DomainError, IntegrityError,
                             ResourceError)
-from minflow.words import (PREFIX_MIN, REGISTRY, SHORT_WORD_LEN,
+from minflow.words import (BLOCK_CAP, PREFIX_MIN, REGISTRY, SHORT_WORD_LEN,
                            FullShiftSystem, Substitution, SubshiftSystem,
                            first_windows, fixed_point_prefix, flip_word,
                            get_system, pack_pair)
@@ -184,6 +184,33 @@ def test_fixed_point_prefix_is_prefix_stable(morse):
     sub = morse.substitution
     long = fixed_point_prefix(sub, "0", 512)
     assert sub.apply(long).startswith(long[:512])
+
+
+def test_fixed_point_prefix_over_the_cap_builds_nothing(monkeypatch):
+    monkeypatch.setattr(Substitution, "powers",
+                        lambda self: pytest.fail("image built"))
+    with pytest.raises(ResourceError, match="^fixed-point prefix of %d "
+                       "symbols, over the cap %d$" % (BLOCK_CAP + 1,
+                                                      BLOCK_CAP)):
+        fixed_point_prefix(Substitution(TM), "0", BLOCK_CAP + 1)
+
+
+def test_cached_prefix_doubles_up_to_the_cap():
+    # doubling 3/4 of the cap would pass it; the cache stops at the cap,
+    # so every legal request is served
+    system = SubshiftSystem("morse", Substitution(TM), "0")
+    system.fixed_prefix("0", 3 << 20)
+    assert len(system.fixed_prefix("0", (3 << 20) + 1)) == (3 << 20) + 1
+    assert len(system._prefix["0"]) == BLOCK_CAP
+    assert system.fixed_prefix("0", BLOCK_CAP) == \
+        fixed_point_prefix(system.substitution, "0", BLOCK_CAP)
+
+
+def test_full_shift_builds_its_de_bruijn_sequence_once_per_order():
+    words._de_bruijn.cache_clear()
+    system = FullShiftSystem("01")
+    assert [len(system.test_word(4096)) for _ in range(3)] == [4096] * 3
+    assert words._de_bruijn.cache_info().misses == 1
 
 
 def test_non_prolongable_seed(fib):
