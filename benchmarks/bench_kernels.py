@@ -14,10 +14,12 @@ The window scan `words.first_windows` is timed through its callers
 built-in system) and against the plain per-position loop on a random
 binary word of 2^17 symbols, where long repeats are rare (its worst
 case; no caller feeds it such a word).  A cold `language(16)`, the top
-level an enumeration requests, is built on each fresh built-in system
-twice: by one request per level from 1 up (each level read off the
-images) and by one request at 16 (that level read off the images, the
-lower ones derived by truncation).
+level an enumeration requests, is built with every level below it on
+each fresh built-in system twice: by one request per level from 1 up
+(each level read off the images) and by one request at 16 (that level
+read off the images, the lower ones derived by truncation).  An
+enumeration derives only the lower levels it reads (its blocks, its
+short words and their images), so the full tower bounds its cost.
 
 Iterated images sigma^20(a) of each Morse and Fibonacci letter are built
 through `Substitution.powers` (one join per letter of the rule and level)

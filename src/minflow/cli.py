@@ -436,13 +436,18 @@ def build_parser():
 
 
 def _apply_config(argv, commands):
-    """Splice --config key=value pairs in as leading defaults."""
-    if "--config" not in argv:
+    """Splice --config key=value pairs in as leading defaults; the file
+    is named as `--config FILE` or `--config=FILE`."""
+    for i, tok in enumerate(argv):
+        flag, inline, path = tok.partition("=")
+        if flag == "--config":
+            break
+    else:
         return argv
-    i = argv.index("--config")
-    if i + 1 == len(argv):
-        raise DomainError("--config needs a FILE argument")
-    path = argv[i + 1]
+    if not inline:
+        if i + 1 == len(argv):
+            raise DomainError("--config needs a FILE argument")
+        path = argv[i + 1]
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -450,15 +455,18 @@ def _apply_config(argv, commands):
         raise DomainError("config file %s is not text: %s"
                           % (path, exc)) from None
     extra = []
-    for line in lines:
+    for n, line in enumerate(lines, 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        key, _, value = line.partition("=")
+        key, eq, value = line.partition("=")
+        if not (eq and key.strip()):
+            raise DomainError("config file %s line %d: expected key=value"
+                              % (path, n))
         extra.extend(["--" + key.strip().replace("_", "-"), value.strip()])
     # config-supplied options go right after the subcommand so explicit
     # flags still win (argparse keeps the last occurrence)
-    head = argv[:i] + argv[i + 2:]
+    head = argv[:i] + argv[i + (1 if inline else 2):]
     for j, tok in enumerate(head):
         if tok in commands:
             return head[:j + 1] + extra + head[j + 1:]

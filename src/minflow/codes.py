@@ -5,21 +5,14 @@ system.  Enumeration searches the rule space depth-first in block
 first-appearance order along a generated test word, pruning as soon as a
 determined stretch of the image stops being admissible; survivors are
 verified exactly against the full test corpus, so the published list is
-certified up to the check length.  Each assignment determines one more
-range of the image.  The test word does not change while the rule does,
-so the search reads the id of the block under each of its windows (its
-index among the sorted blocks, one byte) from the system's cached
-`block_ids`; a range is filled by `bytes.translate` of its ids through
-the outputs assigned so far, and pruned when one of its windows lies
-outside the language.  Ids in a byte name at most 255 blocks (0xFF is
-the kernels' unset entry), so a system with more blocks at the radius is
-refused before the search.  The blocks are assigned in the order of
-their ids' first starts in that column.  A window of the image is a
-function of the test word's window 2r symbols wider at the same start,
-so the search tests only the first starts of those wider windows, which
-the system also caches (`first_starts`); every other image window
-repeats one tested in the same range or by an ancestor under the same
-assignments.
+certified up to the check length.  The test word does not change while
+the rule does, so the search reads the id of the block under each of its
+windows (its index among the sorted blocks, one byte) from the system's
+cached `block_ids`, and assigns the blocks in the order of their ids'
+first starts there.  Ids in a byte name at most 255 blocks (0xFF is the
+kernels' unset entry), so a system with more blocks at the radius is
+refused before the search.  A node translates only the slices of the ids
+that it tests, and the search builds one language level to test them.
 
 Evaluation: a code applies itself to a long word through the kernel, one
 table lookup per window.  Its image of the system's test word of a given
@@ -35,6 +28,7 @@ windows of an admissible word are admissible, so the rule is total on
 them.
 """
 
+from bisect import bisect_left
 from typing import NamedTuple
 
 from . import defaults, kernels
@@ -264,18 +258,27 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
     certified up to `check_len`; canonically sorted.
 
     The search assigns outputs block-by-block in order of first
-    appearance along the test word, so the determined image grows as a
-    prefix; a prefix that stops being admissible prunes the subtree.
+    appearance along the test word, so each depth determines one more
+    range of the image, and a node whose image stops being admissible
+    prunes its subtree.  A node tests the prefixes of the image shorter
+    than the prune window w that end in its range, then the w-windows
+    that end there.  Every admissible word extends to the right, so a
+    shorter prefix is admissible iff it begins a word of language(w): the
+    first word at or after it in sorted order.  A w-window of the image
+    is a function of the test word's window 2r symbols wider at the same
+    start, so only the first starts of those wider windows (the system's
+    `first_starts`) are tested; every other w-window repeats one tested
+    in the same range or by an ancestor under the same assignments.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0, got %r" % (radius,))
     if check_len < 1:
         raise DomainError("check_len must be >= 1, got %r" % (check_len,))
     width = 2 * radius + 1
-    prune_w = min(_PRUNE_WINDOW, check_len - width + 1)
-    # the top level first, so that one scan gives every level below it
-    lang_bytes = {m: frozenset(w.encode() for w in system.language(m))
-                  for m in range(prune_w, 0, -1)}
+    prune_w = max(min(_PRUNE_WINDOW, check_len - width + 1), 1)
+    # the top level first, so that every level below it is its prefixes
+    lang = frozenset(w.encode() for w in system.language(prune_w))
+    top = sorted(lang)
     blocks = id_blocks(system, radius)
     master = system.test_word(check_len)
     # the id of the block under each window of master; the search sets
@@ -288,14 +291,13 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
                              "blocks" % (check_len, first_pos.count(-1)))
     order = [ids[i] for i in first_pos]
     first_pos.append(len(ids))
-    # the starts of the windows each search depth tests, those ending in
-    # the range it fills: the prune_w-window of the image at a start is a
-    # function of the window of master 2r symbols wider there, and one
-    # whose wider window first starts earlier equals one tested before
-    # under the same assignments
+    # per depth, the lengths of the short prefixes and the starts of the
+    # prune_w-windows that end in its range
+    prefixes = [range(first_pos[j] + 1, min(first_pos[j + 1], prune_w - 1)
+                      + 1) for j in range(len(order))]
     tests = [[] for _ in order]
     j = 0
-    for i in system.first_starts(max(prune_w, 1) + 2 * radius, check_len):
+    for i in system.first_starts(prune_w + 2 * radius, check_len):
         while i + prune_w > first_pos[j + 1]:
             j += 1
         tests[j].append(i)
@@ -303,29 +305,27 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
     outs = [ord(a) for a in system.alphabet]
     by_id = bytearray(256)
     missing = _missing_short_words(system, radius, master)
-    image = bytearray(len(ids))
     results = []
     nodes = 0
 
     def admissible_prefix(j):
-        # every block of the range is assigned
-        begin, end = first_pos[j], first_pos[j + 1]
-        image[begin:end] = ids[begin:end].translate(by_id)
-        for p in range(begin, min(end, prune_w - 1)):
-            if bytes(image[:p + 1]) not in lang_bytes[p + 1]:
+        # every block up to the end of the range is assigned
+        for n in prefixes[j]:
+            word = ids[:n].translate(by_id)
+            k = bisect_left(top, word)
+            if k == len(top) or not top[k].startswith(word):
                 return False
-        # the prune_w-windows that end in the range, at their tested starts
-        lo = max(begin - prune_w + 1, 0)
-        seg = bytes(image[lo:end])
-        lang = lang_bytes[prune_w]
-        return all(seg[i - lo:i - lo + prune_w] in lang for i in tests[j])
+        for i in tests[j]:
+            if ids[i:i + prune_w].translate(by_id) not in lang:
+                return False
+        return True
 
     def dfs(j):
         nonlocal nodes
         if j == len(order):
             rule = {b: chr(by_id[i]) for i, b in enumerate(blocks)}
             code = SlidingBlockCode(system, radius, rule)
-            full = bytes(image).decode()
+            full = ids.translate(by_id).decode()
             if system.is_admissible(full) and \
                     _maps_short_words(code, missing):
                 code.test_images[check_len] = full

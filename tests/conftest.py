@@ -25,13 +25,17 @@ def full_shift():
     return FullShiftSystem("01")
 
 
-@pytest.fixture(scope="session")
-def ternary():
+def ternary_morse():
     """Thue-Morse on three letters, 0 -> 012, 1 -> 120, 2 -> 201: a
     bijective substitution of constant length 3 (Coven, Quas and
     Yassawi 2016), kept out of the registry."""
     return SubshiftSystem("ternary-morse", Substitution(
         {"0": "012", "1": "120", "2": "201"}), "0")
+
+
+@pytest.fixture(scope="session")
+def ternary():
+    return ternary_morse()
 
 
 @pytest.fixture

@@ -170,7 +170,9 @@ def usage_failure(capsys, *argv):
 CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
               "half.json": b'{"radius": 0.5, "blocks": []}',
               "latin1.json": b"\x80", "deep.json": b"[" * 5000 + b"]" * 5000,
-              "latin1.cfg": b"length=\x80"}
+              "latin1.cfg": b"length=\x80",
+              "nokey.cfg": b"length=2\n\nnonsense\n",
+              "emptykey.cfg": b" = 5\n"}
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -240,6 +242,14 @@ CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
     (["pairs", "morse", "fix0"], "pairs needs two point specs (or --certify)"),
     # a report directory that names an existing regular file
     (["--out", "empty.json", "lang", "morse"], "cannot write report file"),
+    # a config line with no "=" or no key, under either spelling of the
+    # option
+    (["--config", "nokey.cfg", "lang", "morse"],
+     "config file nokey.cfg line 3: expected key=value"),
+    (["--config=nokey.cfg", "lang", "morse"],
+     "config file nokey.cfg line 3: expected key=value"),
+    (["--config", "emptykey.cfg", "lang", "morse"],
+     "config file emptykey.cfg line 1: expected key=value"),
 ])
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):
@@ -320,6 +330,17 @@ def test_config_file(tmp_path, capsys):
     code, out = run(capsys, "--config", str(cfg), "lang", "morse",
                     "--length", "1")
     assert out.splitlines() == ["0", "1"]
+
+
+def test_config_file_named_with_an_equals_sign(tmp_path, capsys):
+    # argparse takes --config=FILE at the top level too, so the file is
+    # read under that spelling as well
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("radius=2\n")
+    spaced = run(capsys, "--config", str(cfg), "aut", "morse")
+    inline = run(capsys, "--config=%s" % cfg, "aut", "morse")
+    assert inline == spaced
+    assert spaced[0] == 0 and len(json.loads(spaced[1])["codes"]) == 10
 
 
 # -- fuzzing the exit-status contract ------------------------------------

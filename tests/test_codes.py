@@ -9,7 +9,7 @@ import sys
 import time
 
 import pytest
-from conftest import random_primitive_rules
+from conftest import random_primitive_rules, ternary_morse
 
 import minflow
 from minflow.codes import (SlidingBlockCode, classify_aut_group, compose,
@@ -209,6 +209,8 @@ def codes_digest(codes):
 
 
 def fresh_system(name):
+    if name == "ternary":
+        return ternary_morse()
     return FullShiftSystem("01") if name == "full-shift" else REGISTRY[name]()
 
 
@@ -279,6 +281,59 @@ NODE_COUNTS = {
     "fibonacci": (6, 18, 40, 72),
     "period-doubling": (6, 34, 80, 176),
 }
+
+
+# (system, radius) -> the outcome at each of SHORT_CHECK_LENS, as the
+# search gave it when it built every language level up to the prune
+# window: the count and digest of the codes, or the number of admissible
+# blocks that the test word misses (IntegrityError)
+SHORT_CHECK_LENS = (2, 3, 5, 8, 12, 17, 20, 33)
+SHORT_CHECK_PINS = {
+    ("morse", 0): [(2, "4cf61edf3db7e564")] * 8,
+    ("morse", 1): [6, 5, 3] + [(6, "db161c0a72570b53")] * 5,
+    ("morse", 2): [12, 12, 11, 8, 4] + [(10, "5a1b03de51f2a322")] * 3,
+    ("fibonacci", 0): [(1, "b291fcca21b8c889")] * 8,
+    ("fibonacci", 1): [4, 3, 1] + [(3, "31d2adca5bb9a7ab")] * 5,
+    ("fibonacci", 2): [6, 6, 5, 2] + [(5, "a9a16679fd064c1b")] * 4,
+    ("period-doubling", 0): [(1, "b291fcca21b8c889")] * 8,
+    ("period-doubling", 1): [5, 4, 2] + [(3, "8871df96a711cf00")] * 5,
+    ("period-doubling", 2): [8, 8, 7, 4, 1, (7, "f558c206cf981ee3")] +
+                            [(5, "0655f0983936a127")] * 2,
+    ("ternary", 0): [1] + [(3, "06424db9c051f1d5")] * 7,
+    ("ternary", 1): [15, 14, 12, 9, 6, 4, 2, 2],
+    ("ternary", 2): [30, 30, 29, 26, 22, 19, 16, 9],
+    ("full-shift", 0): [1, 1] + [(4, "7f6ee8bf961a4b74")] * 6,
+    ("full-shift", 1): [8, 7, 6, 4, 2, 2, 1, (256, "6beb132ed62aea2b")],
+}
+
+
+@pytest.mark.parametrize("name,radius,check_len", [
+    (name, radius, check_len) for name, radius in sorted(SHORT_CHECK_PINS)
+    for check_len in SHORT_CHECK_LENS])
+def test_short_check_lengths_are_pinned(name, radius, check_len):
+    # below 16 + 2r the prune window is shorter than 16, and the prefixes
+    # of the image shorter than it do the pruning
+    want = SHORT_CHECK_PINS[name, radius][SHORT_CHECK_LENS.index(check_len)]
+    if type(want) is int:
+        want = ("IntegrityError", "test word of length %d misses %d "
+                "admissible blocks" % (check_len, want))
+    try:
+        codes = enumerate_endomorphisms(fresh_system(name), radius,
+                                        check_len)
+        got = (len(codes), codes_digest(codes))
+    except IntegrityError as exc:
+        got = (type(exc).__name__, str(exc))
+    assert got == want
+
+
+@pytest.mark.parametrize("radius", range(4))
+def test_cold_enumeration_builds_only_the_levels_it_reads(radius):
+    # the blocks, the short words and their output level, and the prune
+    # level, which the others are built from as its prefixes
+    system = fresh_system("morse")
+    enumerate_endomorphisms(system, radius, 4096)
+    assert sorted(system._lang) == sorted({2 * radius + 1, 8,
+                                           2 * radius + 8, 16})
 
 
 @pytest.mark.parametrize("name,radius", [(name, radius)
