@@ -292,7 +292,10 @@ def build_parser():
     subcommands."""
     top = argparse.ArgumentParser(
         prog="minflow",
-        description="desk-scale symbolic dynamics laboratory")
+        description="desk-scale symbolic dynamics laboratory",
+        # `_apply_config` reads the file only when named in full; an
+        # abbreviation such as --conf would otherwise parse and be ignored
+        allow_abbrev=False)
     top.add_argument("--out", default=None,
                      help="directory for report files (default: "
                           "$MINFLOW_OUT, else stdout only)")

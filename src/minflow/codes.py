@@ -29,6 +29,7 @@ them.
 """
 
 from bisect import bisect_left
+from itertools import chain
 from typing import NamedTuple
 
 from . import defaults, kernels
@@ -400,8 +401,8 @@ def invert(code: SlidingBlockCode, max_radius,
         width = 2 * rp + 1
         d = top - rp
         mapping = {}
-        for i in (*range(d), *(i + d for i in widest),
-                  *range(n - width - d + 1, n - width + 1)):
+        for i in chain(range(d), (i + d for i in widest),
+                       range(n - width - d + 1, n - width + 1)):
             b = u[i:i + width]
             t = master[i + rp + r]
             if mapping.setdefault(b, t) != t:

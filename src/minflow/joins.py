@@ -121,13 +121,17 @@ def dichotomy(x0, x, resolution=defaults.JOIN_RESOLUTION,
     if witness is not None:
         return DichotomyVerdict("case1", L, T, None, None, witness,
                                 "flipped target pair observed")
-    multi = [a for a, outs in joint.output_map().items() if len(outs) > 1]
-    if multi:
-        return DichotomyVerdict("inconclusive", L, T, None, None, None,
-                                "output map not single-valued on %d windows"
-                                % len(multi))
+    # a rule that fits makes the second centre a function of the first
+    # window, so the output map is single-valued; it is built only to
+    # name why no rule fits
     fit = fit_local_rule(joint, radius_budget)
     if fit is None:
+        multi = [a for a, outs in joint.output_map().items()
+                 if len(outs) > 1]
+        if multi:
+            return DichotomyVerdict("inconclusive", L, T, None, None, None,
+                                    "output map not single-valued on %d "
+                                    "windows" % len(multi))
         return DichotomyVerdict("inconclusive", L, T, None, None, None,
                                 "no single-valued rule within radius budget "
                                 "%d" % radius_budget)

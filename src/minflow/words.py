@@ -98,17 +98,31 @@ def first_windows(word, width) -> dict:
     """Each distinct width-`width` window of `word` -> its first start.
 
     Keys come in order of first start; `word` may be a str or bytes.
-    Repeats are skipped Lempel-Ziv style: when the window at n already
-    began at j < n and the next _PROBE symbols after both agree too, the
-    longest common extension m of j and n is found by galloping and then
-    halving on slice equality.  Every window inside that match equals one
-    that starts earlier, so the walk jumps to n + m - width + 1.
-    Substitutive words repeat long stretches, so only a few positions per
-    distinct window are sliced.  A failed probe delays the next one by a
-    gap that doubles up to _PROBE_GAP_CAP, so that text with few long
-    repeats (random words) costs little more than one slice per position.
+    Repeats are skipped Lempel-Ziv style.  At a window n that already
+    began at j < n, the probe compares the _PROBE symbols after both.
+    When that fails, the probe span (the window and those symbols) is
+    looked up among the spans of earlier failed probes, and a span that
+    began at j < n is the source instead; otherwise n files its own.
+    From a source j the longest common extension m of j and n is found
+    by galloping and then halving on slice equality.  Every window
+    inside that match equals one that starts earlier, so the walk jumps
+    to n + m - width + 1.  Substitutive words repeat long stretches, so
+    only a few positions per distinct window are sliced.  A failed probe
+    delays the next one by a gap that doubles up to _PROBE_GAP_CAP, so
+    that text with few long repeats (random words) costs little more
+    than one slice per position.  Only a probe that succeeds from the
+    first start resets the gap: a jump from a filed span follows a
+    failed probe from the first start, so the next one is no likelier
+    to succeed.
+
+    The gallop's first step is the largest power of two s <= width (1
+    for width 0), since the match already holds width + _PROBE symbols.
+    It tries s, 2s, 4s, ... up to the first failing step S, and the
+    halving then tries S/2, ..., 1, which settles every length below S;
+    so m is exact whatever s is.
     """
     first = {}
+    spans = {}
     last = len(word) - width
     n = probe_at = 0
     gap = 1
@@ -119,15 +133,21 @@ def first_windows(word, width) -> dict:
                 first[window] = n
             elif n >= probe_at:
                 j = first[window]
-                if word[j + width:j + width + _PROBE] == \
-                        word[n + width:n + width + _PROBE]:
+                tail = word[n + width:n + width + _PROBE]
+                if word[j + width:j + width + _PROBE] == tail:
+                    gap = 1
+                    break
+                # a span cut short by the end matches no earlier span,
+                # which is longer
+                j = spans.setdefault(window + tail, n)
+                if j < n:
                     break
                 probe_at = n + gap
                 gap = min(2 * gap, _PROBE_GAP_CAP)
         else:
             break
         # a slice running past the end is short, so it never compares equal
-        m, step = width + _PROBE, 1
+        m, step = width + _PROBE, 1 << max(width.bit_length() - 1, 0)
         while word[j + m:j + m + step] == word[n + m:n + m + step]:
             m += step
             step *= 2
@@ -136,7 +156,6 @@ def first_windows(word, width) -> dict:
             if word[j + m:j + m + step] == word[n + m:n + m + step]:
                 m += step
         n += m - width + 1
-        gap = 1
     return first
 
 

@@ -343,6 +343,17 @@ def test_config_file_named_with_an_equals_sign(tmp_path, capsys):
     assert spaced[0] == 0 and len(json.loads(spaced[1])["codes"]) == 10
 
 
+@pytest.mark.parametrize("flag", ["--conf", "--c", "--ou"])
+def test_top_level_options_are_not_abbreviated(tmp_path, capsys, flag):
+    # an abbreviated --config used to parse, and the file was never read
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("length=2\n")
+    with pytest.raises(SystemExit) as exc:
+        main([flag, str(cfg), "lang", "morse"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
 # -- fuzzing the exit-status contract ------------------------------------
 
 SYMBOLS = st.sampled_from("0123")

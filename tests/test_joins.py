@@ -148,6 +148,17 @@ def test_dichotomy_budget_exhaustion_is_inconclusive(morse, x0, cert):
     assert verdict.code is None
 
 
+@pytest.mark.parametrize("L,k,windows", [(1, -3, 4), (2, -4, 8)])
+def test_dichotomy_names_a_multi_valued_output_map(x0, cert, L, k, windows):
+    # a shift by more than L leaves the second centre outside the first
+    # window, so no rule fits and the output map is named first
+    verdict = dichotomy(x0, x0.shift(k), resolution=L, steps=4096,
+                        radius_budget=8, certificate=cert)
+    assert verdict == ("inconclusive", L, 4096, None, None, None,
+                       "output map not single-valued on %d windows"
+                       % windows)
+
+
 def test_joint_address_profile_constant(morse, x0):
     joint = joint_language(x0, x0.shift(5), 8, 4096)
     profile = joint_address_profile(joint, levels=8, samples=16)

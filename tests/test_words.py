@@ -79,6 +79,28 @@ def test_first_windows_periodic_words():
         assert_first_windows(word, range(1, len(word) + 2))
 
 
+@pytest.mark.parametrize("period", [64, 128])
+def test_first_windows_long_repeats(period):
+    # a random block repeated: each repeat extends far past the window,
+    # to the word's end, at lengths around a power of two and at lengths
+    # where the extension from the first repeat ends exactly on a gallop
+    # step s(2^t - 1) past width + 8 (s the largest power of two <= width)
+    rng = random.Random(period)
+    block = "".join(rng.choice("0123") for _ in range(period))
+    widths = [1, 2, 63, 64, 65, 127, 128, 129]
+    sizes = {n + d for n in (512, 1024, 2048) for d in (-1, 0, 1)}
+    for w in widths:
+        s = 1 << (w.bit_length() - 1)
+        sizes.update(period + w + 8 + s * ((1 << t) - 1) + d
+                     for t in range(1, 5) for d in (-1, 0, 1))
+    for size in sorted(sizes):
+        word = (block * (size // period + 1))[:size]
+        assert_first_windows(word, widths)
+        # a single change ends one run of repeats and starts another
+        mid = size // 2
+        assert_first_windows(word[:mid] + "4" + word[mid + 1:], widths)
+
+
 @pytest.mark.parametrize("rule", [TM, FIB, PD])
 def test_first_windows_substitutive_prefixes(rule):
     word = oracle_prefix(rule, "0", 2000)
@@ -137,10 +159,6 @@ def _over_neighbours(cost):
                 cost[v] for v in range(w - 2, w + 3) if v != w and v in cost)]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 8: a repeat is "
-                   "extended only from its window's first start, so a few "
-                   "widths of each fixed point cost 7-12x their neighbours "
-                   "(FOUND in CHANGES.md)")
 @pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_first_windows_costs_about_what_neighbouring_widths_cost(name):
     # a width whose repeats are not extended from the right earlier
