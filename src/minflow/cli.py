@@ -479,6 +479,13 @@ def _apply_config(argv, commands):
 def main(argv=None):
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, subs = build_parser()
+    # argparse would read an unknown option's value as the subcommand
+    for tok in argv:
+        if tok in subs.choices:
+            break
+        if tok.startswith("-") and tok.partition("=")[0] not in (
+                "--out", "--config", "-h", "--help"):
+            parser.error("unrecognized arguments: %s" % tok)
     try:
         argv = _apply_config(argv, subs.choices)
     except (OSError, DomainError) as exc:

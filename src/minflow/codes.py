@@ -34,7 +34,7 @@ from typing import NamedTuple
 
 from . import defaults, kernels
 from .errors import DomainError, IntegrityError, ResourceError
-from .words import dense_table, flip_word, id_blocks
+from .words import dense_table, flip_word, id_blocks, refuse_unless_flip_closed
 
 _PRUNE_WINDOW = 16
 _NODE_CAP = 2_000_000
@@ -185,9 +185,7 @@ def shift_code(system, k, radius=None):
 
 
 def flip_code(system, radius=0):
-    if not system.flip_closed:
-        raise DomainError("%r is not closed under the symbol flip"
-                          % system.name)
+    refuse_unless_flip_closed(system)
     rule = {b: flip_word(b[radius]) for b in system.language(2 * radius + 1)}
     return SlidingBlockCode(system, radius, rule)
 

@@ -18,7 +18,7 @@ from typing import NamedTuple
 from .errors import (AmbiguityError, DomainError, IntegrityError,
                      NoParseError, ResourceError)
 from .points import HORIZON_CAP, AddressPoint, FlippedPoint, ShiftedPoint
-from .words import BLOCK_CAP, flip_word
+from .words import BLOCK_CAP, block_length, flip_word
 
 # most censuses one sample draws: each keeps its record until the end
 SAMPLE_CAP = 10_000
@@ -88,10 +88,7 @@ def desubstitute(system, word: str):
     Returns (preimage of the full blocks, d), where position 0 of `word`
     sits at offset d of its block.
     """
-    ell = system.constant_length
-    if ell is None:
-        raise DomainError("desubstitution needs a constant-length system, "
-                          "%r is not" % system.name)
+    ell = block_length(system, "desubstitutions")
     valid = [(-start % ell, core) for start, core in system.valid_phases(word)]
     if not valid:
         raise NoParseError("%r has no substitution parse" % word)
@@ -130,10 +127,7 @@ def address(system, point, k: int) -> OdometerAddress:
     full level-k block.  A symbol past these bounds would be decoded and
     never read, so the window has no floor.
     """
-    ell = system.constant_length
-    if ell is None:
-        raise DomainError("addresses need a constant-length system, "
-                          "%r is not" % system.name)
+    ell = block_length(system, "addresses")
     if k < 0:
         raise DomainError("levels must be >= 0")
     if k == 0:
@@ -174,9 +168,8 @@ def point_address(point, k: int) -> OdometerAddress:
         if isinstance(base, ShiftedPoint):
             shift += base.k
             base = base.base
-        elif isinstance(base, FlippedPoint) and base.system.flip_closed:
-            # flip commutes with the substitution for flip-closed systems,
-            # so it does not move block boundaries
+        elif isinstance(base, FlippedPoint):
+            # a flip (of flip-closed systems only) keeps block boundaries
             base = base.base
         else:
             break
@@ -209,12 +202,6 @@ class FiberCensus(NamedTuple):
         }
 
 
-def _census_base(system) -> int:
-    if system.constant_length is None:
-        raise DomainError("fiber census needs a constant-length system")
-    return system.constant_length
-
-
 def _refuse_over_block_cap(ell, k):
     """ResourceError when a level-k block, ℓ^k symbols, exceeds BLOCK_CAP.
 
@@ -226,7 +213,8 @@ def _refuse_over_block_cap(ell, k):
 
 def census_address(system, digits) -> OdometerAddress:
     """`digits` as an address of the system's odometer, in its base ℓ."""
-    return OdometerAddress(tuple(digits), _census_base(system))
+    return OdometerAddress(tuple(digits),
+                           block_length(system, "fiber censuses"))
 
 
 def fiber_census(system, addr: OdometerAddress, resolution: int) -> FiberCensus:
@@ -238,7 +226,7 @@ def fiber_census(system, addr: OdometerAddress, resolution: int) -> FiberCensus:
     nonincreasing in the level; `stabilized` records that the last two
     levels agree.
     """
-    ell = _census_base(system)
+    ell = block_length(system, "fiber censuses")
     if addr.base != ell:
         raise DomainError("address in base %d, the odometer of %r has base "
                           "%d" % (addr.base, system.name, ell))
@@ -279,7 +267,7 @@ def sample_censuses(system, count, levels, resolution, seed):
     SAMPLE_CAP censuses."""
     import random
     rng = random.Random(seed)
-    ell = _census_base(system)
+    ell = block_length(system, "fiber censuses")
     # refused before any digit is drawn
     if count > SAMPLE_CAP:
         raise ResourceError("%d censuses exceed cap %d" % (count, SAMPLE_CAP))

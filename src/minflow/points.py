@@ -2,9 +2,9 @@
 
 A point is a constructor tree: a splice of two one-sided fixed-point
 specs, a shift or flip of another point, or a partial point pinned by an
-odometer address.  Every materialized window is checked against the
-system language, so an inconsistent construction fails loudly with the
-offending window instead of silently emitting junk.
+odometer address.  A flip needs a flip-closed system; a splice checks
+each window it builds against the language, so a bad construction fails
+loudly with the offending window instead of silently emitting junk.
 """
 
 import itertools
@@ -12,7 +12,8 @@ import re
 
 from .errors import (DomainError, IntegrityError, ResourceError,
                      UndeterminedError)
-from .words import BLOCK_CAP, first_windows, flip_word
+from .words import (BLOCK_CAP, block_length, first_windows, flip_word,
+                    refuse_unless_flip_closed)
 
 HORIZON_CAP = 1 << 20
 # an integer of the spec grammars: an optional sign, then ASCII digits
@@ -31,10 +32,10 @@ class OneSidedSpec:
         self.seed = system.seed if seed is None else seed
         if self.seed not in system.alphabet:
             raise DomainError("seed %r outside alphabet" % self.seed)
+        if flipped:
+            refuse_unless_flip_closed(system)
         self.flipped = flipped
         self.reversed_ = reversed_
-        if flipped and system.alphabet != "01":
-            raise DomainError("flip is defined for binary alphabets only")
 
     def rev(self):
         return OneSidedSpec(self.system, self.seed, self.flipped,
@@ -86,8 +87,6 @@ class Point:
         return ShiftedPoint(self, k)
 
     def flip(self):
-        if self.system.alphabet != "01":
-            raise DomainError("flip is defined for binary alphabets only")
         return FlippedPoint(self)
 
     def label(self):
@@ -158,9 +157,6 @@ class ShiftedPoint(Point):
     """p(n) = base(n + k); nested shifts collapse to a single offset."""
 
     def __init__(self, base, k):
-        if isinstance(base, ShiftedPoint):
-            k += base.k
-            base = base.base
         self.base = base
         self.k = k
         self.system = base.system
@@ -182,30 +178,19 @@ class ShiftedPoint(Point):
 
 
 class FlippedPoint(Point):
-    """Coordinatewise 0<->1 exchange of the base point."""
+    """Coordinatewise 0<->1 exchange of the base point; only a flip-closed
+    system has one, so its windows need no check."""
 
     def __init__(self, base):
+        refuse_unless_flip_closed(base.system)
         self.base = base
         self.system = base.system
-        self._checked = (0, -1)
 
     def flip(self):
         return self.base
 
     def _eval(self, lo, hi):
-        out = flip_word(self.base.window(lo, hi))
-        if not self.system.flip_closed:
-            clo, chi = self._checked
-            if lo < clo or hi > chi:
-                lo2, hi2 = min(lo, clo), max(hi, chi)
-                span = flip_word(self.base.window(lo2, hi2))
-                if not self.system.is_admissible(span):
-                    bad, at = _find_violation(self.system, span, lo2)
-                    raise IntegrityError(
-                        "flip of %s produced inadmissible window %r at %d"
-                        % (self.base.label(), bad, at))
-                self._checked = (lo2, hi2)
-        return out
+        return flip_word(self.base.window(lo, hi))
 
     def determined_range(self):
         return self.base.determined_range()
@@ -224,9 +209,7 @@ class AddressPoint(Point):
     """
 
     def __init__(self, system, digits, sheet):
-        ell = system.constant_length
-        if ell is None:
-            raise DomainError("address points need a constant-length system")
+        ell = block_length(system, "address points")
         digits = tuple(int(d) for d in digits)
         if any(d < 0 or d >= ell for d in digits):
             raise DomainError("digits must lie in 0..%d" % (ell - 1))
@@ -277,10 +260,8 @@ def seam_points(system) -> dict:
 
     mu = rev(Q)+Q, mu_prime = rev(Q')+Q', nu = rev(Q')+Q and
     nu_prime = rev(Q)+Q', where Q is the one-sided fixed point and Q' its
-    flip.  Requires a flip-closed system.
+    flip, which a system not closed under the flip refuses.
     """
-    if not system.flip_closed:
-        raise DomainError("seam splices need a flip-closed system")
     q = OneSidedSpec(system)
     qp = q.flip()
     return {

@@ -43,7 +43,10 @@ word's distinct windows, cached), `flip_closed`, `constant_length`
 distinct, `decode` (the full ℓ-blocks of a byte word, by one kernel
 call), `valid_phases` and `recognizability`; these raise DomainError on
 any other system.
-`FullShiftSystem`, the full shift, has the protocol alone.
+`FullShiftSystem`, the full shift, has the protocol alone.  Every layer
+refuses a flip and a block structure by two helpers that read
+`flip_closed` and `constant_length`: `refuse_unless_flip_closed` and
+`block_length`.
 """
 
 import functools
@@ -67,6 +70,30 @@ FLIP = str.maketrans("01", "10")
 
 def flip_word(word: str) -> str:
     return word.translate(FLIP)
+
+
+def refuse_unless_flip_closed(system):
+    """DomainError unless `system` is closed under the symbol flip.
+
+    This refuses no point of the system.  A minimal system and its flip
+    are both minimal, so equal or disjoint, and `flip_closed` is False
+    only on a certificate (True is bounded evidence): an alphabet other
+    than 01, where no flip is defined, or an inadmissible flipped word.
+    So every flipped point, or splice with a flipped half, of such a
+    system lies outside it.
+    """
+    if not system.flip_closed:
+        raise DomainError("%r is not closed under the symbol flip"
+                          % system.name)
+
+
+def block_length(system, what):
+    """The image length ℓ of a constant-length system; DomainError
+    naming `what` (a plural) on any other."""
+    if system.constant_length is None:
+        raise DomainError("%s need a constant-length system, %r is not"
+                          % (what, system.name))
+    return system.constant_length
 
 
 def pack_pair(a: str, b: str) -> str:
@@ -185,8 +212,6 @@ class Substitution:
             return "".join(rule[c] for c in word)
         except KeyError as exc:
             raise DomainError("symbol %s outside alphabet" % exc) from None
-
-    __call__ = apply
 
     def powers(self):
         """Yield {a: σ^j(a)} for j = 0, 1, 2, ..., without end.

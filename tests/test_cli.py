@@ -261,6 +261,44 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     assert err.startswith("minflow: " + message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,message", [
+    # a flipped point of a system the flip maps off itself is refused at
+    # construction, before any window is printed
+    (["point", "period-doubling", "flip(addr(0101,0))", "--lo", "0", "--hi",
+      "0"], "'period-doubling' is not closed under the symbol flip"),
+    (["point", "period-doubling", "flip(addr(0101,0))", "--lo", "-2", "--hi",
+      "3"], "'period-doubling' is not closed under the symbol flip"),
+    (["point", "fibonacci", "splice(rev(flip(fix0)),fix0)"],
+     "'fibonacci' is not closed under the symbol flip"),
+    (["dichotomy", "period-doubling", "addr(010101010101010101,0)",
+      "shift(addr(010101010101010101,0),2)"],
+     "'period-doubling' is not closed under the symbol flip"),
+    # at L = 0 each flipped window is one admissible symbol, and the
+    # flipped target pair was once reported as a Case 1 witness
+    (["dichotomy", "period-doubling", "addr(010101010101010101,0)",
+      "shift(addr(010101010101010101,0),2)", "--resolution", "0"],
+     "'period-doubling' is not closed under the symbol flip"),
+    (["collapse", "fibonacci", "--direction", "forward"],
+     "'fibonacci' is not closed under the symbol flip"),
+    (["aut", "fibonacci", "--apply", "flip"],
+     "'fibonacci' is not closed under the symbol flip"),
+    (["factor", "fibonacci", "--word", "0100101"],
+     "desubstitutions need a constant-length system, 'fibonacci' is not"),
+    (["factor", "fibonacci", "--address-of", "fix0"],
+     "addresses need a constant-length system, 'fibonacci' is not"),
+    (["census", "fibonacci", "--address", "0101"],
+     "fiber censuses need a constant-length system, 'fibonacci' is not"),
+    (["census", "fibonacci", "--sample", "2"],
+     "fiber censuses need a constant-length system, 'fibonacci' is not"),
+    (["point", "fibonacci", "addr(01,0)"],
+     "address points need a constant-length system, 'fibonacci' is not"),
+])
+def test_structural_refusals_exit_2_with_one_line(capsys, argv, message):
+    code, err = usage_failure(capsys, *argv)
+    assert (code, err) == (2, "minflow: %s\n" % message)
+    assert capsys.readouterr().out == ""
+
+
 @pytest.mark.parametrize("argv", [
     ("lang", "morse", "--fixed-point"),
     ("freq", "morse", "--length", "1", "--steps"),
@@ -352,6 +390,33 @@ def test_top_level_options_are_not_abbreviated(tmp_path, capsys, flag):
         main([flag, str(cfg), "lang", "morse"])
     assert exc.value.code == 2
     assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["--conf", "{cfg}", "lang", "morse"],
+    ["--conf={cfg}", "lang", "morse"],
+    ["--out", "{dir}", "--conf", "{cfg}", "lang", "morse"],
+    ["--ou", "{dir}", "lang", "morse"],
+    ["--bogus", "lang", "morse"]])
+def test_an_unknown_top_level_option_is_named(tmp_path, capsys, monkeypatch,
+                                              argv):
+    # argparse alone reads the value after an unknown option as the
+    # subcommand, and names the value instead of the option
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("length=2\n")
+    opened = []
+    monkeypatch.setattr("builtins.open",
+                        lambda *a, **k: opened.append(a) or pytest.fail())
+    argv = [t.format(cfg=cfg, dir=tmp_path / "out") for t in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    flag = next(t for t in argv if t.startswith("--") and t != "--out")
+    assert out == "" and opened == []
+    assert err.splitlines()[-1] == \
+        "minflow: error: unrecognized arguments: %s" % flag
+    assert not (tmp_path / "out").exists()
 
 
 # -- fuzzing the exit-status contract ------------------------------------

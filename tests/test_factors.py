@@ -302,6 +302,20 @@ def test_sample_censuses_draw_digits_below_the_base(ternary, fib):
         sample_censuses(fib, 2, 6, 4, 0)
 
 
+@pytest.mark.parametrize("what,refused", [
+    ("desubstitutions", lambda fib: desubstitute(fib, "0100101")),
+    ("addresses", lambda fib: address(fib, fixed_point(fib), 4)),
+    ("address points", lambda fib: point_from_address(fib, (0, 1), "0")),
+    ("fiber censuses", lambda fib: census_address(fib, (0, 1))),
+    ("fiber censuses",
+     lambda fib: fiber_census(fib, OdometerAddress((0, 1)), 4)),
+    ("fiber censuses", lambda fib: sample_censuses(fib, 2, 6, 4, 0))])
+def test_block_structures_share_one_refusal(fib, what, refused):
+    with pytest.raises(DomainError, match="^%s need a constant-length "
+                       "system, 'fibonacci' is not$" % what):
+        refused(fib)
+
+
 def test_address_horizon_cap(morse):
     # Morse (R = 4, h = 2) reads 3 << (k - 1) symbols minus one to the
     # left: level 19 reads 786,431 of them, level 20 would read more than

@@ -159,6 +159,24 @@ def test_dichotomy_names_a_multi_valued_output_map(x0, cert, L, k, windows):
                        % windows)
 
 
+@pytest.mark.parametrize("k,witness", [(128, 128), (-128, 128), (127, 128),
+                                       (1000, 2560)])
+def test_dichotomy_case1_observes_the_flipped_pair(x0, cert, k, witness):
+    # Case 1: at some time n <= T the pair (x0, x) shows, across its
+    # 65-window, what the pair (x0, flip x) shows at time 0; the witness
+    # is the first such n, checked here from that definition
+    L = 32
+    x = x0.shift(k)
+    verdict = dichotomy(x0, x, resolution=L, steps=1 << 16, radius_budget=4,
+                        certificate=cert)
+    assert verdict == ("case1", L, 1 << 16, None, None, witness,
+                       "flipped target pair observed")
+    target = (x0.window(-L, L), x.flip().window(-L, L))
+    seen = [n for n in range(witness + 1)
+            if (x0.window(n - L, n + L), x.window(n - L, n + L)) == target]
+    assert seen == [witness]
+
+
 def test_joint_address_profile_constant(morse, x0):
     joint = joint_language(x0, x0.shift(5), 8, 4096)
     profile = joint_address_profile(joint, levels=8, samples=16)

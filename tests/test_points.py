@@ -8,7 +8,9 @@ from minflow.errors import (DomainError, IntegrityError, ResourceError,
 from minflow.points import (HORIZON_CAP, AddressPoint, OneSidedSpec,
                             ShiftedPoint, SplicePoint, fixed_point,
                             parse_point_spec, point_from_address, seam_points)
-from minflow.words import Substitution, fibonacci, fixed_point_prefix
+from minflow.codes import flip_code
+from minflow.words import (Substitution, fibonacci, fixed_point_prefix,
+                           flip_word)
 
 
 @pytest.fixture(scope="module")
@@ -183,10 +185,43 @@ def test_fresh_splice_serves_the_seam_symbol(morse):
 def test_inadmissible_flip_fails_loudly(pd):
     p = point_from_address(pd, (0,) * 10, "0")
     assert p.window(0, 7) == "01000101"
-    flipped = p.flip()
-    with pytest.raises(IntegrityError) as err:
-        flipped.window(0, 7)
-    assert "11" in str(err.value)
+    with pytest.raises(DomainError, match=FLIP_REFUSAL % "period-doubling"):
+        p.flip()
+
+
+FLIP_REFUSAL = "^'%s' is not closed under the symbol flip$"
+
+
+@pytest.mark.parametrize("name", ["fib", "pd", "ternary"])
+def test_a_system_not_closed_under_the_flip_refuses_every_flip(name,
+                                                               request):
+    # the flip maps such a minimal system onto a disjoint one, so no
+    # flipped point or half is a point of it
+    system = request.getfixturevalue(name)
+    refusal = FLIP_REFUSAL % system.name
+    digits = (0,) * 3 if system.constant_length else None
+    builds = [lambda: fixed_point(system).flip(),
+              lambda: fixed_point(system).shift(5).flip(),
+              lambda: fixed_point(system, flipped=True),
+              lambda: OneSidedSpec(system).flip(),
+              lambda: seam_points(system),
+              lambda: parse_point_spec(system, "splice(rev(flip(fix0)),fix0)"),
+              lambda: parse_point_spec(system, "flip(fix0)")]
+    if digits:
+        builds.append(lambda: point_from_address(system, digits, "0").flip())
+    for build in builds:
+        with pytest.raises(DomainError, match=refusal):
+            build()
+    with pytest.raises(DomainError, match=refusal):
+        flip_code(system)     # the codes layer shares the refusal
+
+
+def test_a_flipped_address_point_is_the_flip_of_its_windows(morse):
+    p = point_from_address(morse, (0, 1, 0, 1), "1")
+    lo, hi = p.determined_range()
+    assert p.flip().window(lo, hi) == flip_word(p.window(lo, hi))
+    assert p.flip().flip() is p
+    assert vars(p.flip()).keys() == {"base", "system"}
 
 
 def test_seam_points_need_flip_closure(fib):
