@@ -26,20 +26,29 @@ through `Substitution.powers` (one join per letter of the rule and level)
 and beside them by the per-symbol loop it replaced.
 
 Level towers decode a 2^19-symbol Morse and period-doubling fixed-point
-prefix level by level to the top, as `factors.address` does, through
-`decode_blocks` (its key column), through the window lookup alone (the
-path that tables without a key column take) and by the per-block loop.
+prefix level by level to the top, through `decode_blocks` (its key
+column), through the window lookup alone (the path that tables without a
+key column take) and by the per-block loop.
+
+Addresses of shifted Morse seam points at levels 12..16 are timed
+through `factors.address`, which reads only each level's parsed blocks,
+and through `AddressOracle` of `tests/test_factors.py`, the
+level-by-level decode it replaced; both give the same digits first.
+Where the tests do not import (no pytest), this case alone is skipped.
 
 Usage: python benchmarks/bench_kernels.py [--repeat N] [--size N]
 """
 
 import argparse
 import itertools
+import os
 import random
+import sys
 import time
 
 from minflow import kernels
 from minflow.codes import shift_code
+from minflow.factors import address
 from minflow.joins import joint_language
 from minflow.pairs import classify_pair
 from minflow.points import point_from_address, seam_points
@@ -229,6 +238,40 @@ def bench_towers(repeat, size=1 << 19):
             label, *(t * 1e3 for t in times)))
 
 
+def bench_addresses(repeat, count=32):
+    # the oracle lives with the tests, which need pytest: without it
+    # only this case is skipped
+    sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(
+        __file__)), os.pardir, "tests"))
+    try:
+        from test_factors import AddressOracle
+    except ImportError as exc:
+        print()
+        print("Morse addresses skipped: tests/test_factors.py does not "
+              "import (%s)" % exc)
+        return
+
+    morse = get_system("morse")
+    oracle = AddressOracle(morse)
+    mu = seam_points(morse)["mu"]
+    rng = random.Random(28)
+    shifted = [mu.shift(rng.randint(-1 << 16, 1 << 16))
+               for _ in range(count)]
+    print()
+    print("Morse addresses of %d shifted seam points, best of %d per point"
+          % (count, repeat))
+    print("%-32s %12s %12s %9s" % ("level", "decode", "address",
+                                    "speedup"))
+    for k in range(12, 17):
+        for p in shifted:
+            assert address(morse, p, k) == oracle.address(p, k), k
+        t_old = sum(best_of(repeat, oracle.address, p, k) for p in shifted)
+        t_new = sum(best_of(repeat, address, morse, p, k) for p in shifted)
+        print("%-32s %10.1fus %10.1fus %8.1fx" % (
+            "  k=%d" % k, t_old / count * 1e6, t_new / count * 1e6,
+            t_old / t_new))
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=5)
@@ -279,6 +322,7 @@ def main():
     bench_windows(args.repeat, seam, morse)
     bench_powers(args.repeat)
     bench_towers(args.repeat)
+    bench_addresses(args.repeat)
 
 
 if __name__ == "__main__":

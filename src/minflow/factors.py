@@ -7,10 +7,13 @@ of ℓ-adic digits (the odometer address, least significant first), which
 realizes the maximal equicontinuous factor map; each level's phase is
 looked up in the system's recognizability table.  A level-k address
 fetches exactly the window its k parses read, (R+1)·ℓ^(k-1) - 1
-symbols around coordinate 0 for recognizability length R.  The caps on
-windows and blocks refuse a level before ℓ^k is built.  The fiber census
-reconstructs which centered windows are compatible with a given address,
-and word frequencies realize the invariant-measure checks.
+symbols around coordinate 0 for recognizability length R, and matches
+of each level only the R blocks its parse reads, and the few at the
+window's ends, against the system's cached level images; every other
+block is checked by the level above it.  The caps on windows and blocks
+refuse a level before ℓ^k is built.  The fiber census reconstructs
+which centered windows are compatible with a given address, and word
+frequencies realize the invariant-measure checks.
 """
 
 from typing import NamedTuple
@@ -18,7 +21,7 @@ from typing import NamedTuple
 from .errors import (AmbiguityError, DomainError, IntegrityError,
                      NoParseError, ResourceError)
 from .points import HORIZON_CAP, AddressPoint, FlippedPoint, ShiftedPoint
-from .words import BLOCK_CAP, block_length, flip_word
+from .words import block_length, flip_word, refuse_over_block_cap
 
 # most censuses one sample draws: each keeps its record until the end
 SAMPLE_CAP = 10_000
@@ -107,9 +110,9 @@ def address(system, point, k: int) -> OdometerAddress:
     """Level-k odometer address of `point`, read off its windows.
 
     digit j is the phase offset of coordinate 0 at desubstitution level
-    j, read off the one valid phase of the recognizability-length window
-    that starts h symbols to its left; shifting the point by one
-    advances the address by one with carry.
+    j, read off the one valid phase of the recognizability-length word
+    of level-j letters that starts h letters to its left; shifting the
+    point by one advances the address by one with carry.
 
     The window fetched is exactly what the k parses read.  Let R be the
     recognizability length, h = R // 2 and B = ℓ^(k-1).  Level j parses
@@ -121,11 +124,39 @@ def address(system, point, k: int) -> OdometerAddress:
     holds them at every offset of coordinate 0.  Its left end is read
     when the level-(k-1) block of coordinate 0 starts at -(B - 1), its
     right end when that block starts at 0, so no narrower window serves
-    every point.  Each level keeps only the full blocks of the word
-    below it.  The word of level k-1 is those R blocks alone, so it is
-    not decoded further: no parse reads the result, and it may hold no
-    full level-k block.  A symbol past these bounds would be decoded and
-    never read, so the window has no floor.
+    every point.  A symbol past these bounds would be checked and never
+    read, so the window has no floor.
+
+    No level is decoded whole.  The level-j blocks are the full
+    ℓ^j-blocks of the window from s_j, where s_0 = 0 and s_(j+1) is the
+    start of the level-(j+1) block of coordinate 0 (the level-j one less
+    digit j blocks), taken mod ℓ^(j+1): arithmetic on the digits.  The
+    parse of level j reads only its R blocks.  While R·ℓ^j <=
+    PARSE_KEY_CAP, where hashing the span is cheaper than matching its
+    blocks one by one, their span is looked up whole among the level-j
+    images of the recognizability table's words
+    (`SubshiftSystem.parse_images`); otherwise, or to name the fault
+    when that lookup misses, the letter of the block at p is the a with
+    `word.startswith(σ^j(a), p)`, one memcmp against the cached image
+    (`SubshiftSystem.level_images`).
+    Yet every level-j block, for 1 <= j <= k-1, is still checked to be
+    the image of a letter, as a level-by-level decode checks it:
+    - at level k-1 the R parsed blocks are that level's whole word,
+      since the window holds exactly R full level-(k-1) blocks;
+    - at each level 1 <= j <= k-2, the leading level-j blocks before
+      s_(j+1) and the trailing ones after the last full level-(j+1)
+      block are matched directly;
+    - every other level-j block lies inside a level-(j+1) block that is
+      checked, by induction down from level k-1.  Its image σ^(j+1)(a)
+      is the concatenation of σ^j(b) over the letters b of σ(a), and σ^j
+      is injective on words of one length (its images have one length
+      and are pairwise distinct), so the level-j blocks inside it are
+      the images of those letters, and their letters are the ones a
+      decode would give.  The same injectivity makes a span found whole
+      the images of the R letters of its word.
+    Level-0 blocks are symbols, which only the parses read.
+    A block that is not an image raises IntegrityError naming its level
+    and coordinate.
     """
     ell = block_length(system, "addresses")
     if k < 0:
@@ -138,25 +169,65 @@ def address(system, point, k: int) -> OdometerAddress:
     # HORIZON_CAP, so `point.window` refuses the capped power just as it
     # would refuse the full one, and ℓ^(k-1) is never built
     block = ell ** min(k - 1, HORIZON_CAP.bit_length())
-    origin = (h + 1) * block - 1
-    word = point.window(-origin, (r - h) * block - 1).encode()
+    zero = here = (h + 1) * block - 1
+    word = point.window(-here, (r - h) * block - 1)
+    first, end = 0, len(word)
+    levels = system.level_images(k - 1) if k > 1 else ()
+    keyed = system.parse_images()
     digits = []
+    # at level j: blocks of `size` = ℓ^j symbols, the full ones spanning
+    # [first, end) of the window, the one of coordinate 0 at `here`
+    size = 1
     for j in range(k):
-        lo = origin - h
-        if lo < 0 or lo + r > len(word):
+        at = here - h * size
+        if at < 0 or at + r * size > len(word):
             raise AmbiguityError(
                 "window too short to determine digit at level %d" % j,
                 level=j)
-        start = phases.get(word[lo:lo + r].decode())
+        # keyed[0] is the recognizability table itself
+        start = None
+        if j < len(keyed):
+            start = keyed[j].get(word[at:at + r * size])
+        if start is None and j:
+            start = phases.get(_letters(
+                word, range(at, at + r * size, size), levels[j], j, zero))
         if start is None:
             raise IntegrityError("point window has no parse at level %d" % j)
         digit = (h - start) % ell
         digits.append(digit)
-        if j + 1 < k:
-            start = (origin - digit) % ell
-            word = system.decode(word, start)
-            origin = (origin - digit - start) // ell
+        if j + 1 == k:
+            break
+        here -= digit * size
+        below, size = size, size * ell
+        nfirst = here % size
+        nend = len(word) - (len(word) - nfirst) % size
+        if j and (nfirst > first or nend < end):
+            # the blocks before the next level's first full block and
+            # after its last one
+            _letters(word, (*range(first, nfirst, below),
+                            *range(nend, end, below)), levels[j], j, zero)
+        first, end = nfirst, nend
     return OdometerAddress(tuple(digits), ell)
+
+
+def _letters(word, positions, images, level, zero):
+    """The letters of the level-`level` blocks of `word` at `positions`:
+    for each, the a with `word.startswith(σ^level(a), p)`, `images`
+    being the level's {a: σ^level(a)}.  IntegrityError at a block that
+    is no image, naming its coordinate (`word` holds coordinate 0 at
+    position `zero`)."""
+    starts = word.startswith
+    out = []
+    for p in positions:
+        for a, image in images.items():
+            if starts(image, p):
+                out.append(a)
+                break
+        else:
+            raise IntegrityError(
+                "point window has a level-%d block at coordinate %d that "
+                "is no letter's image" % (level, p - zero))
+    return "".join(out)
 
 
 def point_address(point, k: int) -> OdometerAddress:
@@ -202,15 +273,6 @@ class FiberCensus(NamedTuple):
         }
 
 
-def _refuse_over_block_cap(ell, k):
-    """ResourceError when a level-k block, ℓ^k symbols, exceeds BLOCK_CAP.
-
-    Past the cap's bit length, ℓ^k > BLOCK_CAP for every ℓ >= 2, so the
-    capped power decides without building ℓ^k."""
-    if ell ** min(k, BLOCK_CAP.bit_length()) > BLOCK_CAP:
-        raise ResourceError("level-%d blocks exceed cap" % k)
-
-
 def census_address(system, digits) -> OdometerAddress:
     """`digits` as an address of the system's odometer, in its base ℓ."""
     return OdometerAddress(tuple(digits),
@@ -222,9 +284,11 @@ def fiber_census(system, addr: OdometerAddress, resolution: int) -> FiberCensus:
 
     At level j the window is cut from the image of an admissible word
     spanning the level-j blocks that cover [-L, L] around the addressed
-    position; the census is the set of distinct cuts.  Cardinality is
-    nonincreasing in the level; `stabilized` records that the last two
-    levels agree.
+    position; the census is the set of distinct cuts.  Each cut joins
+    only what it keeps: the tail of the first block's image from the
+    cut, the middle images whole and the head of the last one.
+    Cardinality is nonincreasing in the level; `stabilized` records that
+    the last two levels agree.
     """
     ell = block_length(system, "fiber censuses")
     if addr.base != ell:
@@ -234,20 +298,22 @@ def fiber_census(system, addr: OdometerAddress, resolution: int) -> FiberCensus:
     if k < 1:
         raise DomainError("census needs at least one digit")
     L = resolution
-    _refuse_over_block_cap(ell, k)
     levels = []
-    powers = system.substitution.powers()
-    next(powers)
-    for j, images in zip(range(1, k + 1), powers):
+    for j, images in enumerate(system.level_images(k)[1:], 1):
         block = ell ** j
         rj = addr.truncate(j).to_int()
         t0 = (rj - L) // block
         t1 = (rj + L) // block
         span = t1 - t0 + 1
         cut = rj - L - t0 * block
-        wins = frozenset(
-            "".join(images[c] for c in v)[cut:cut + 2 * L + 1]
-            for v in system.language(span))
+        stop = rj + L + 1 - t1 * block   # symbols kept of the last image
+        if span == 1:
+            wins = frozenset(images[c][cut:stop]
+                             for c in system.language(1))
+        else:
+            wins = frozenset(
+                images[v[0]][cut:] + "".join([images[c] for c in v[1:-1]])
+                + images[v[-1]][:stop] for v in system.language(span))
         if levels and len(wins) > len(levels[-1]):
             raise IntegrityError("census cardinality increased at level %d" % j)
         levels.append(wins)
@@ -271,7 +337,7 @@ def sample_censuses(system, count, levels, resolution, seed):
     # refused before any digit is drawn
     if count > SAMPLE_CAP:
         raise ResourceError("%d censuses exceed cap %d" % (count, SAMPLE_CAP))
-    _refuse_over_block_cap(ell, levels)
+    refuse_over_block_cap(ell, levels)
     return [fiber_census(system, census_address(
                 system, (rng.randrange(ell) for _ in range(levels))),
                          resolution)

@@ -12,8 +12,10 @@ truncation, and otherwise by that scan.
 
 Iterated images come from `Substitution.powers`, which builds each level
 σ^(j+1)(a) by joining the level-j images of the letters of σ(a), so no
-Python loop runs once per symbol; languages, fixed-point prefixes,
-address blocks and fiber censuses all read it.
+Python loop runs once per symbol; languages, fixed-point prefixes and
+address points read it.  Addresses and fiber censuses read the levels
+that a system keeps from one such walk (`level_images`), and addresses
+the images of its recognizability table's words (`parse_images`).
 
 Admissibility of words longer than SHORT_WORD_LEN is decided exactly.
 First occurrence: a word found in the fixed-point prefix already cached
@@ -39,10 +41,11 @@ cached), `first_starts(width, length)` (the first starts of the test
 word's distinct windows, cached), `flip_closed`, `constant_length`
 (None unless all images have one length ℓ) and `almost_automorphic`.
 `SubshiftSystem` adds `substitution`, `seed`, `fixed_prefix` and
-`complexity`, and, when the images have one length and are pairwise
+`complexity`; when the images have one length, `level_images` (the
+cached σ^j images up to a level); and, when they are also pairwise
 distinct, `decode` (the full ℓ-blocks of a byte word, by one kernel
-call), `valid_phases` and `recognizability`; these raise DomainError on
-any other system.
+call), `valid_phases`, `recognizability` and `parse_images`; these raise
+DomainError on any other system.
 `FullShiftSystem`, the full shift, has the protocol alone.  Every layer
 refuses a flip and a block structure by two helpers that read
 `flip_closed` and `constant_length`: `refuse_unless_flip_closed` and
@@ -62,6 +65,10 @@ PREFIX_MIN = 4096         # shortest fixed-point prefix a system caches
 RECOG_CAP = 64            # longest recognizability length searched for
 BLOCK_CAP = 1 << 22       # symbols of a fixed-point prefix or level-k block
 TABLE_CAP = 1 << 24       # entries (base ** width) of a dense kernel table
+# longest R·ℓ^j of a level parse looked up whole: hashing the span costs
+# about what matching its R blocks does near 4096-8192 symbols on Morse
+# and period-doubling (BENCH_28), and more above
+PARSE_KEY_CAP = 1 << 12
 _PROBE = 8                # first_windows: symbols past a repeat worth a skip
 _PROBE_GAP_CAP = 64       # first_windows: longest wait after a failed probe
 
@@ -302,6 +309,15 @@ def fixed_point_prefix(sub: Substitution, seed: str, n: int) -> str:
             return images[seed][:n]
 
 
+def refuse_over_block_cap(ell, k):
+    """ResourceError when a level-k block, ℓ^k symbols, exceeds BLOCK_CAP.
+
+    Past the cap's bit length, ℓ^k > BLOCK_CAP for every ℓ >= 2, so the
+    capped power decides without building ℓ^k."""
+    if ell ** min(k, BLOCK_CAP.bit_length()) > BLOCK_CAP:
+        raise ResourceError("level-%d blocks exceed cap" % k)
+
+
 def id_blocks(system, radius):
     """The admissible (2r+1)-blocks of `system`, sorted: the blocks that
     one-byte ids name.  A byte names at most 255 blocks (0xFF is the
@@ -382,6 +398,9 @@ class SubshiftSystem(_System):
         self._recog = None
         self._prefix = {}
         self._decode = None
+        self._powers = substitution.powers()
+        self._images = []
+        self._parse_images = None
         fixed_point_prefix(substitution, seed, 2)  # validate prolongable now
 
     # -- language ----------------------------------------------------
@@ -444,6 +463,39 @@ class SubshiftSystem(_System):
             if min(map(len, images.values())) >= n - 1:
                 break
         return (images[a] + images[b][:n - 1] for a, b in two)
+
+    def level_images(self, top):
+        """[{a: σ^j(a)} for j = 0..top]: the level-j blocks of a
+        constant-length system, which addresses and fiber censuses read.
+
+        The levels come from one `Substitution.powers` walk, built up to
+        the highest level asked for and kept for the system's lifetime:
+        at most 2·|A|·ℓ^top symbols, 16 MB for Morse once a level-22
+        census has run (BENCH_28).  A top level whose blocks exceed
+        BLOCK_CAP symbols raises ResourceError before any level is built;
+        a system whose images differ in length, DomainError."""
+        levels = self._images
+        if len(levels) <= top:
+            refuse_over_block_cap(block_length(self, "level images"), top)
+            while len(levels) <= top:
+                levels.append(next(self._powers))
+        return levels[:top + 1]
+
+    def parse_images(self):
+        """({σ^j(w): start} for j = 0, 1, ...): each word w of the
+        recognizability table, keyed by its level-j blocks, to the start
+        of its one valid phase.  A key has R·ℓ^j symbols, so the levels
+        run while that is at most PARSE_KEY_CAP.  Built at first use."""
+        if self._parse_images is None:
+            r, phases = self.recognizability()
+            top = 0
+            while r * self.constant_length ** (top + 1) <= PARSE_KEY_CAP:
+                top += 1
+            self._parse_images = tuple(
+                {"".join([images[a] for a in w]): start
+                 for w, start in phases.items()}
+                for images in self.level_images(top))
+        return self._parse_images
 
     def complexity(self, n: int) -> int:
         return len(self.language(n))

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import random_primitive_rules
 
-from minflow import factors, points
+from minflow import factors, points, words
 from minflow.errors import (AmbiguityError, DomainError, IntegrityError,
                             NoParseError, ResourceError)
 from minflow.factors import (FiberCensus, OdometerAddress, address,
@@ -251,7 +251,7 @@ def test_address_point_windows_match_applied_images(name, request):
 
 
 def test_census_block_cap(morse, monkeypatch):
-    assert factors.BLOCK_CAP is points.BLOCK_CAP == 1 << 22
+    assert words.BLOCK_CAP is points.BLOCK_CAP == 1 << 22
     digits = tuple(j % 2 for j in range(23))
     census = fiber_census(morse, OdometerAddress(digits[:22]), 16)
     assert (census.cardinality, census.stabilized) == (2, True)
@@ -331,8 +331,9 @@ def test_address_horizon_cap(morse):
     assert address(morse, mu, 19).to_int() == 0
 
 
-def test_caps_refuse_before_they_work(morse):
-    # neither refusal builds ℓ^k, and the sampler draws no digit; a
+def test_caps_refuse_before_they_work(morse, monkeypatch):
+    # no refusal builds ℓ^k, the sampler draws no digit and the image
+    # cache builds no level, even on a system that has built none yet; a
     # sampler that drew its digits first would take seconds at 10^7 and
     # fill gigabytes at 10^9, so its level stays at 10^7
     mu = seam_points(morse)["mu"]
@@ -346,6 +347,26 @@ def test_caps_refuse_before_they_work(morse):
                        match="^level-10000000 blocks exceed cap$"):
         sample_censuses(morse, 3, 10 ** 7, 16, 0)
     assert time.monotonic() - t0 < 0.5
+    built = []
+    powers = Substitution.powers
+
+    def counted(sub):
+        for images in powers(sub):
+            built.append(len(next(iter(images.values()))))
+            yield images
+    monkeypatch.setattr(Substitution, "powers", counted)
+    system = SubshiftSystem("morse", Substitution({"0": "01", "1": "10"}),
+                            "0")
+    before = len(built)
+    t0 = time.monotonic()
+    with pytest.raises(ResourceError,
+                       match="^level-10000000 blocks exceed cap$"):
+        system.level_images(10 ** 7)
+    assert time.monotonic() - t0 < 0.5
+    assert len(built) == before
+    assert [len(images["0"]) for images in system.level_images(3)] == \
+        [1, 2, 4, 8]
+    assert built[before:] == [1, 2, 4, 8]
 
 
 class WindowSpy(points.Point):
@@ -405,6 +426,168 @@ def test_address_reads_exactly_the_window_its_parses_read(make, request):
                 OdometerAddress.from_int(a, k, ell), (k, a)
             assert spy.reads == [(-((h + 1) * block - 1),
                                   (r - h) * block - 1)], (k, a)
+
+
+def deep_point(system, digits):
+    """The address point with low digits `digits` and sheet 0 whose
+    level-len(digits) block sits in the middle of a block at least
+    2(R+2) times as long, so that every window of an address up to that
+    level, and of its shifts by up to one such block, is determined."""
+    ell = system.constant_length
+    r = recognizability_length(system)
+    m = next(m for m in range(1, 20) if ell ** m >= 2 * (r + 2))
+    return point_from_address(system, tuple(digits) + OdometerAddress.from_int(
+        ell ** m // 2, m, ell).digits, "0")
+
+
+class AddressOracle:
+    """`address` as it stood when every level below the top was decoded
+    whole by `system.decode`: a copy of its loop, kept as the oracle
+    that reading only the parsed blocks dropped no check.  A block that
+    is no image escapes as the kernel's ValueError."""
+
+    def __init__(self, system):
+        self.system = system
+
+    def address(self, point, k):
+        system = self.system
+        ell = system.constant_length
+        if k == 0:
+            return OdometerAddress((), ell)
+        r, phases = system.recognizability()
+        h = r // 2
+        block = ell ** min(k - 1, points.HORIZON_CAP.bit_length())
+        origin = (h + 1) * block - 1
+        word = point.window(-origin, (r - h) * block - 1).encode()
+        digits = []
+        for j in range(k):
+            lo = origin - h
+            if lo < 0 or lo + r > len(word):
+                raise AmbiguityError(
+                    "window too short to determine digit at level %d" % j,
+                    level=j)
+            start = phases.get(word[lo:lo + r].decode())
+            if start is None:
+                raise IntegrityError("point window has no parse at level %d"
+                                     % j)
+            digit = (h - start) % ell
+            digits.append(digit)
+            if j + 1 < k:
+                start = (origin - digit) % ell
+                word = system.decode(word, start)
+                origin = (origin - digit - start) // ell
+        return OdometerAddress(tuple(digits), ell)
+
+
+@pytest.mark.parametrize("make", window_systems())
+def test_address_matches_the_level_by_level_decode(make, request):
+    # address points at random depths and offsets, and for the binary
+    # systems the seam splice too, at every level up to ℓ^k·R <= 4096
+    system = make(request)
+    oracle = AddressOracle(system)
+    ell = system.constant_length
+    r = recognizability_length(system)
+    top = max(k for k in range(1, 20) if ell ** k * r <= 4096)
+    rng = random.Random(28)
+    bases = [deep_point(system, (rng.randrange(ell) for _ in range(top)))]
+    if system.flip_closed:
+        bases.append(fixed_point(system))
+    for base in bases:
+        for _ in range(12):
+            p = base.shift(rng.randint(-ell ** top, ell ** top))
+            for k in range(top + 1):
+                assert address(system, p, k) == oracle.address(p, k), k
+
+
+def test_address_makes_no_decode_call(morse, monkeypatch):
+    # the recognizability table, and the splice's check of its own
+    # windows, decode by the phase parse, so both are warmed first; the
+    # address itself only matches blocks
+    p = fixed_point(morse).shift(12345)
+    address(morse, p, 16)
+    for name in ("decode", "_block_decode_table"):
+        monkeypatch.setattr(SubshiftSystem, name,
+                            lambda *args: pytest.fail("decoded"))
+    monkeypatch.setattr("minflow.kernels.decode_blocks",
+                        lambda *args: pytest.fail("decoded"))
+    for k in (1, 9, 16):
+        assert address(morse, p, k) == OdometerAddress.from_int(12345, k)
+
+
+class CorruptedPoint(points.Point):
+    """`base` with the symbol at coordinate `at` replaced by `symbol`."""
+
+    def __init__(self, base, at, symbol):
+        self.base = base
+        self.system = base.system
+        self.at = at
+        self.symbol = symbol
+
+    def determined_range(self):
+        return self.base.determined_range()
+
+    def _eval(self, lo, hi):
+        word = self.base.window(lo, hi)
+        i = self.at - lo
+        if 0 <= i < len(word):
+            word = word[:i] + self.symbol + word[i + 1:]
+        return word
+
+
+def refusal(read):
+    """The class of the error that `read()` raises, or None and its
+    value."""
+    try:
+        return None, read()
+    except (IntegrityError, ValueError) as exc:
+        return type(exc), None
+
+
+@pytest.mark.parametrize("name", ["morse", "pd", "ternary"])
+def test_a_corrupted_window_is_refused_as_the_decode_refuses_it(name,
+                                                                request):
+    # every single-symbol corruption of the window of levels 1..6, at
+    # three offsets of coordinate 0: the address refuses it, always with
+    # IntegrityError, exactly when the level-by-level decode refuses it
+    system = request.getfixturevalue(name)
+    oracle = AddressOracle(system)
+    ell = system.constant_length
+    r = recognizability_length(system)
+    h = r // 2
+    rng = random.Random(6)
+    base = deep_point(system, (rng.randrange(ell) for _ in range(6)))
+    refused = kept = 0
+    for shift in (0, 5, -77):
+        p = base.shift(shift)
+        for k in range(1, 7):
+            block = ell ** (k - 1)
+            for at in range(-((h + 1) * block - 1), (r - h) * block):
+                for symbol in system.alphabet.replace(p.window(at, at), ""):
+                    bad = CorruptedPoint(p, at, symbol)
+                    got = refusal(lambda: address(system, bad, k))
+                    want = refusal(lambda: oracle.address(bad, k))
+                    assert got[0] in (None, IntegrityError)
+                    assert (got[0] is None) == (want[0] is None), \
+                        (shift, k, at, symbol, want[0])
+                    assert got[1] == want[1]
+                    refused += got[0] is not None
+                    kept += got[0] is None
+    # most corruptions are refused, yet some are read past unchanged
+    assert refused > kept > 0
+
+
+def test_a_block_that_is_no_image_names_its_level_and_coordinate(morse):
+    # the seam point's level-j blocks start at the multiples of 2^j.  The
+    # parses of levels 0..3 read [-16, 15], so the flipped symbol at 21
+    # is first read by the parse of level 4, in its block [16, 31]; the
+    # decode found it at level 0, and raised the kernel's ValueError
+    mu = fixed_point(morse)
+    bad = CorruptedPoint(mu, 21, "1" if mu.window(21, 21) == "0" else "0")
+    with pytest.raises(ValueError):
+        AddressOracle(morse).address(bad, 6)
+    with pytest.raises(IntegrityError, match="^point window has a level-4 "
+                       "block at coordinate 16 that is no letter's image$"):
+        address(morse, bad, 6)
 
 
 def test_seam_census_windows_are_the_splice_windows(morse):

@@ -800,6 +800,37 @@ def test_powers_match_iterated_apply(name):
     assert next(sub.powers()) == {a: a for a in sub.alphabet}
 
 
+@pytest.mark.parametrize("rule", [TM, PD, TERNARY])
+def test_level_images_match_iterated_apply(rule):
+    # asked for out of order, the cache keeps one walk of the levels
+    system = SubshiftSystem("s", Substitution(rule), "0")
+    expected = applied_powers(system.substitution)
+    top = len(expected) - 1
+    assert system.level_images(3) == expected[:4]
+    assert system.level_images(top) == expected
+    assert system.level_images(1) == expected[:2]
+
+
+def test_level_images_need_one_image_length(fib):
+    with pytest.raises(DomainError, match="^level images need a "
+                       "constant-length system, 'fibonacci' is not$"):
+        fib.level_images(2)
+
+
+@pytest.mark.parametrize("rule", [TM, PD, TERNARY])
+def test_parse_images_key_each_table_word_by_its_blocks(rule):
+    system = SubshiftSystem("s", Substitution(rule), "0")
+    r, phases = system.recognizability()
+    keyed = system.parse_images()
+    ell = system.constant_length
+    assert r * ell ** (len(keyed) - 1) <= words.PARSE_KEY_CAP < \
+        r * ell ** len(keyed)
+    assert keyed[0] == phases
+    for table, images in zip(keyed, applied_powers(system.substitution)):
+        assert table == {"".join(images[a] for a in w): start
+                         for w, start in phases.items()}
+
+
 @pytest.mark.parametrize("name", sorted(POWER_RULES))
 def test_fixed_point_prefix_matches_iterated_apply(name):
     sub = Substitution(POWER_RULES[name])
