@@ -33,7 +33,7 @@ from itertools import chain
 from typing import NamedTuple
 
 from . import defaults, kernels
-from .errors import DomainError, IntegrityError, ResourceError
+from .errors import DomainError, ResourceError
 from .words import dense_table, flip_word, id_blocks, refuse_unless_flip_closed
 
 _PRUNE_WINDOW = 16
@@ -69,16 +69,24 @@ class SlidingBlockCode:
         return self._table
 
     def apply(self, word: str) -> str:
-        """Image word of length len(word) - 2r (Curtis-Hedlund-Lyndon)."""
-        if len(word) < 2 * self.radius + 1:
+        """Image word of length len(word) - 2r (Curtis-Hedlund-Lyndon).
+
+        DomainError names the first window of `word` outside the rule: the
+        kernel says only that one is, as the table maps exactly the rule's
+        blocks."""
+        width = 2 * self.radius + 1
+        if len(word) < width:
             raise DomainError("word shorter than the code window")
+        table = self._rule_table()
         try:
-            out = kernels.apply_rule(word.encode(), self.radius,
-                                     self._rule_table(),
-                                     len(self.system.alphabet))
-        except ValueError as exc:
-            raise DomainError(str(exc)) from None
-        return out.decode()
+            return kernels.apply_rule(word.encode(), self.radius, table,
+                                      len(self.system.alphabet)).decode()
+        except ValueError:
+            pass
+        at = next(i for i in range(len(word) - width + 1)
+                  if word[i:i + width] not in self.rule)
+        raise DomainError("window %r at %d has no rule entry"
+                          % (word[at:at + width], at))
 
     def test_image(self, length):
         """The image of the system's test word of the given length, made
@@ -286,8 +294,8 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
         else b""
     first_pos = sorted(ids.find(k) for k in range(len(blocks)))
     if first_pos[0] < 0:
-        raise IntegrityError("test word of length %d misses %d admissible "
-                             "blocks" % (check_len, first_pos.count(-1)))
+        raise DomainError("test word of length %d misses %d admissible "
+                          "blocks" % (check_len, first_pos.count(-1)))
     order = [ids[i] for i in first_pos]
     first_pos.append(len(ids))
     # per depth, the lengths of the short prefixes and the starts of the

@@ -26,8 +26,8 @@ class ResourceError(MinflowError):
 
 
 class IntegrityError(MinflowError):
-    """An internal consistency check failed, e.g. a constructed point
-    produced an inadmissible window."""
+    """An internal consistency check failed, e.g. a fiber census grew
+    from one level to the next."""
 
 
 class UndeterminedError(MinflowError):

@@ -3,7 +3,9 @@
 Words travel as ASCII digit bytes (symbols '0' .. '0' + base - 1), rule
 tables as flat byte arrays indexed by the base-`base` value of a block
 (most significant symbol first), with 0xFF marking entries outside the
-admissible set.
+admissible set.  `apply_rule` builds a system's block ids and backs
+`SlidingBlockCode.apply`; `decode_blocks` serves the parse certificate;
+`window_diffs` gives pair separation.
 
 No kernel runs Python code once per symbol.  `apply_rule` asks one
 question, which `_lookup` answers: the table entry of each width-`width`
@@ -18,13 +20,11 @@ byte map `mismatch_map`, which pair classification reads too.
 whose symbol alone names the table entry, as offset 0 does for Morse and
 offset 1 for period-doubling.  Chunk by chunk it translates that
 column's strided slice to the entries and checks every other column
-against the symbols the entries expect with one comparison.  A chunk
-that fails, and every chunk after it, goes to `_lookup`, as does every
-table without a key column, so the errors are `_lookup`'s.
+against the symbols the entries expect with one comparison.  Every table
+without a key column goes to `_lookup`.
 
-Errors come in the order of a window-by-window scan: a window with no
-table entry that lies wholly before the first symbol outside the
-alphabet, else that symbol.
+A kernel says only that a word fails, by a ValueError with no position;
+a caller that shows the fault names it (`SlidingBlockCode.apply`).
 """
 
 import functools
@@ -59,12 +59,9 @@ def apply_rule(word: bytes, radius: int, table: bytes, base: int) -> bytes:
     n = len(word)
     if n < width:
         raise ValueError("word shorter than the rule window")
-    out, foreign = _lookup(word, 0, n - width + 1, 1, width, table, base)
-    unmapped = out.find(UNSET)
-    if unmapped >= 0:
-        raise ValueError("block with no rule entry at %d" % unmapped)
-    if foreign >= 0:
-        raise ValueError("symbol outside alphabet at %d" % foreign)
+    out = _lookup(word, 0, n - width + 1, 1, width, table, base)
+    if UNSET in out:
+        raise ValueError("block with no rule entry")
     return out
 
 
@@ -97,9 +94,8 @@ def decode_blocks(word: bytes, start: int, block_len: int, table: bytes,
     """Decode the full `block_len`-blocks of `word` beginning at `start`.
 
     Trailing symbols that do not fill a block are ignored.  Raises
-    ValueError on a symbol outside the alphabet (its position in `word`)
-    or on a block that is not a substitution image (its index counted
-    from `start`), whichever comes first.
+    ValueError on a symbol outside the alphabet or a block that is not a
+    substitution image.
     """
     n = len(word)
     if start < 0 or start > n:
@@ -107,44 +103,33 @@ def decode_blocks(word: bytes, start: int, block_len: int, table: bytes,
     if block_len < 1:
         raise ValueError("bad block length")
     count = (n - start) // block_len
-    parts = []
-    first = 0
     key = _key_column(table, block_len, base)
-    if key is not None:
-        p, letters, expect = key
-        for first in range(0, count, CHUNK_BLOCKS):
-            lo = start + first * block_len
-            end = lo + min(CHUNK_BLOCKS, count - first) * block_len
-            column = word[lo + p:end:block_len]
-            part = column.translate(letters)
-            if UNSET in part or any(
-                    word[lo + j:end:block_len] != column.translate(symbols)
-                    for j, symbols in expect):
-                break
-            parts.append(part)
-        else:
-            return b"".join(parts)
-    out, foreign = _lookup(word, start + first * block_len, count - first,
-                           block_len, block_len, table, base)
-    parts.append(out)
-    out = b"".join(parts)
-    unmapped = out.find(UNSET)
-    if unmapped >= 0:
-        raise ValueError("block %d is not a substitution image" % unmapped)
-    if foreign >= 0:
-        raise ValueError("symbol outside alphabet at %d" % foreign)
-    return out
+    if key is None:
+        out = _lookup(word, start, count, block_len, block_len, table, base)
+        if UNSET in out:
+            raise ValueError("block is not a substitution image")
+        return out
+    p, letters, expect = key
+    parts = []
+    for first in range(0, count, CHUNK_BLOCKS):
+        lo = start + first * block_len
+        end = lo + min(CHUNK_BLOCKS, count - first) * block_len
+        column = word[lo + p:end:block_len]
+        part = column.translate(letters)
+        if UNSET in part or any(
+                word[lo + j:end:block_len] != column.translate(symbols)
+                for j, symbols in expect):
+            raise ValueError("block is not a substitution image")
+        parts.append(part)
+    return b"".join(parts)
 
 
 def _lookup(word, start, count, step, width, table, base):
     """Table entries of the `count` width-`width` windows of `word` at
     start, start + step, ...
 
-    Returns (entries, foreign).  `foreign` is the position in `word` of
-    the first symbol outside the alphabet, or -1; the entries then stop
-    at the last window wholly before it.  They also stop after the pass
-    that met the first UNSET entry, so the callers' `find(UNSET)` names
-    the first unmapped window.
+    Raises ValueError on a symbol outside the alphabet.  The entries
+    stop after the pass that met the first UNSET entry.
     """
     size = base ** width
     if len(table) < size:
@@ -158,10 +143,8 @@ def _lookup(word, start, count, step, width, table, base):
         m = min(CHUNK_BLOCKS, count - first)
         lo = start + first * step
         body = word[lo:lo + (m - 1) * step + width].translate(digits)
-        foreign = body.find(UNSET)
-        if foreign >= 0:
-            body = body[:foreign]
-            m = min(m, max(0, (foreign - width) // step + 1))
+        if UNSET in body:
+            raise ValueError("symbol outside alphabet")
         codes = _window_codes(body, width, base, slot)
         if slot == 1:
             part = codes[:m * step:step].translate(lookup)
@@ -171,11 +154,9 @@ def _lookup(word, start, count, step, width, table, base):
                 codes.byteswap()
             part = bytes(map(table.__getitem__, codes[:m * step:step]))
         parts.append(part)
-        if foreign >= 0:
-            return b"".join(parts), lo + foreign
         if UNSET in part:
             break
-    return b"".join(parts), -1
+    return b"".join(parts)
 
 
 @functools.lru_cache(maxsize=16)

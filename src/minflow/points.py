@@ -10,10 +10,9 @@ loudly with the offending window instead of silently emitting junk.
 import itertools
 import re
 
-from .errors import (DomainError, IntegrityError, ResourceError,
-                     UndeterminedError)
-from .words import (BLOCK_CAP, block_length, first_windows, flip_word,
-                    refuse_unless_flip_closed)
+from .errors import DomainError, ResourceError, UndeterminedError
+from .words import (block_length, first_windows, flip_word,
+                    refuse_over_block_cap, refuse_unless_flip_closed)
 
 HORIZON_CAP = 1 << 20
 # an integer of the spec grammars: an optional sign, then ASCII digits
@@ -137,7 +136,7 @@ class SplicePoint(Point):
         buf = self.left.prefix(target)[::-1] + self.right.prefix(target + 1)
         if not self.system.is_admissible(buf):
             bad, at = _find_violation(self.system, buf, -target)
-            raise IntegrityError(
+            raise DomainError(
                 "splice %s produced inadmissible window %r at coordinate %d"
                 % (self.label(), bad, at))
         # publish the buffer before the watermark so concurrent readers
@@ -215,8 +214,7 @@ class AddressPoint(Point):
             raise DomainError("digits must lie in 0..%d" % (ell - 1))
         if sheet not in system.alphabet:
             raise DomainError("sheet %r outside alphabet" % sheet)
-        if ell ** len(digits) > BLOCK_CAP:
-            raise ResourceError("level-%d block exceeds cap" % len(digits))
+        refuse_over_block_cap(ell, len(digits))
         self.system = system
         self.digits = digits
         self.sheet = sheet

@@ -548,7 +548,8 @@ class SubshiftSystem(_System):
 
     def decode(self, raw: bytes, start: int) -> bytes:
         """The letters of the full ℓ-blocks of the byte word `raw` from
-        `start` on, by one kernel call; ValueError as in `decode_blocks`."""
+        `start` on, by one kernel call; ValueError, naming no block, when
+        one of them is not an image."""
         return kernels.decode_blocks(raw, start, self.constant_length,
                                      self._block_decode_table(),
                                      len(self.alphabet))

@@ -261,6 +261,27 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     assert err.startswith("minflow: " + message) and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv,line", [
+    # a word with a window outside the code's rule: the first such window
+    # and its position are named, whether it holds a symbol outside the
+    # alphabet or an inadmissible block
+    (["aut", "morse", "--apply", "id", "--word", "0120"],
+     "window '2' at 2 has no rule entry"),
+    (["aut", "morse", "--apply", "shift^1", "--word", "00010"],
+     "window '000' at 0 has no rule entry"),
+    (["aut", "morse", "--apply", "flip", "--compose", "shift^1", "--word",
+      "0110100x"], "window '00x' at 5 has no rule entry"),
+    # a test word too short to hold every block, and a seam that is not
+    # admissible, are faults of the input
+    (["aut", "morse", "--radius", "1", "--check-len", "3"],
+     "test word of length 3 misses 5 admissible blocks"),
+    (["point", "fibonacci", "fix0"],
+     "splice splice(rev(fix(0)),fix(0)) produced inadmissible window "
+     "'00100100' at coordinate -4")])
+def test_input_faults_name_themselves_on_one_line(capsys, argv, line):
+    assert usage_failure(capsys, *argv) == (2, "minflow: %s\n" % line)
+
+
 @pytest.mark.parametrize("argv,message", [
     # a flipped point of a system the flip maps off itself is refused at
     # construction, before any window is printed

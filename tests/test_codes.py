@@ -15,7 +15,7 @@ import minflow
 from minflow.codes import (SlidingBlockCode, classify_aut_group, compose,
                            enumerate_endomorphisms, flip_code, identity_code,
                            invert, shift_code, verify_endomorphism)
-from minflow.errors import DomainError, IntegrityError, ResourceError
+from minflow.errors import DomainError, ResourceError
 from minflow.joins import coalescence_check
 from minflow.words import (REGISTRY, FullShiftSystem, Substitution,
                            SubshiftSystem, first_windows)
@@ -38,8 +38,14 @@ def test_apply_errors(morse):
     code = shift_code(morse, 1)
     with pytest.raises(DomainError):
         code.apply("01")                  # shorter than the window
-    with pytest.raises(DomainError):
+    # the first window outside the rule is named, its position counted
+    # in symbols
+    with pytest.raises(DomainError, match="^window '000' at 0 has no rule "
+                                          "entry$"):
         code.apply("00011")               # contains the inadmissible 000
+    with pytest.raises(DomainError, match="^window '10\u00e9' at 2 has no "
+                                          "rule entry$"):
+        code.apply("0110\u00e91")
 
 
 def test_compose_examples(morse):
@@ -286,7 +292,7 @@ NODE_COUNTS = {
 # (system, radius) -> the outcome at each of SHORT_CHECK_LENS, as the
 # search gave it when it built every language level up to the prune
 # window: the count and digest of the codes, or the number of admissible
-# blocks that the test word misses (IntegrityError)
+# blocks that the test word misses (DomainError)
 SHORT_CHECK_LENS = (2, 3, 5, 8, 12, 17, 20, 33)
 SHORT_CHECK_PINS = {
     ("morse", 0): [(2, "4cf61edf3db7e564")] * 8,
@@ -315,13 +321,13 @@ def test_short_check_lengths_are_pinned(name, radius, check_len):
     # of the image shorter than it do the pruning
     want = SHORT_CHECK_PINS[name, radius][SHORT_CHECK_LENS.index(check_len)]
     if type(want) is int:
-        want = ("IntegrityError", "test word of length %d misses %d "
+        want = ("DomainError", "test word of length %d misses %d "
                 "admissible blocks" % (check_len, want))
     try:
         codes = enumerate_endomorphisms(fresh_system(name), radius,
                                         check_len)
         got = (len(codes), codes_digest(codes))
-    except IntegrityError as exc:
+    except DomainError as exc:
         got = (type(exc).__name__, str(exc))
     assert got == want
 
@@ -712,8 +718,8 @@ def brute_force_endomorphisms(system, radius, check_len):
     missing = set(blocks) - set(first_windows(system.test_word(check_len),
                                               width))
     if missing:
-        raise IntegrityError("test word of length %d misses %d admissible "
-                             "blocks" % (check_len, len(missing)))
+        raise DomainError("test word of length %d misses %d admissible "
+                          "blocks" % (check_len, len(missing)))
     rules = (dict(zip(blocks, outs)) for outs in
              itertools.product(sorted(system.alphabet), repeat=len(blocks)))
     return [code for code in (SlidingBlockCode(system, radius, rule)
@@ -724,7 +730,7 @@ def brute_force_endomorphisms(system, radius, check_len):
 def codes_or_error(search, system, radius, check_len):
     try:
         return [c.to_json() for c in search(system, radius, check_len)]
-    except IntegrityError as exc:
+    except DomainError as exc:
         return str(exc)
 
 

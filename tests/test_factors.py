@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 from conftest import random_primitive_rules
 
-from minflow import factors, points, words
+from minflow import factors, points
 from minflow.errors import (AmbiguityError, DomainError, IntegrityError,
                             NoParseError, ResourceError)
 from minflow.factors import (FiberCensus, OdometerAddress, address,
@@ -251,14 +251,15 @@ def test_address_point_windows_match_applied_images(name, request):
 
 
 def test_census_block_cap(morse, monkeypatch):
-    assert words.BLOCK_CAP is points.BLOCK_CAP == 1 << 22
+    # a level-22 Morse census (blocks of 2^22 symbols) runs, a level-23
+    # one is refused before any block is built
     digits = tuple(j % 2 for j in range(23))
     census = fiber_census(morse, OdometerAddress(digits[:22]), 16)
     assert (census.cardinality, census.stabilized) == (2, True)
     for name in ("powers", "apply"):
         monkeypatch.setattr(Substitution, name,
                             lambda *args: pytest.fail("image built"))
-    with pytest.raises(ResourceError, match="level-23"):
+    with pytest.raises(ResourceError, match="^level-23 blocks exceed cap$"):
         fiber_census(morse, OdometerAddress(digits), 16)
 
 
