@@ -14,6 +14,15 @@ kernels' unset entry), so a system with more blocks at the radius is
 refused before the search.  A node translates only the slices of the ids
 that it tests, and the search builds one language level to test them.
 
+End(X) is closed under left composition with any automorphism, and a
+rotation of the alphabet that preserves the language is a radius-0 one.
+Such a rotation also acts on the search tree, whose pruning reads
+nothing but one language level: a node passes iff its relabelling does.
+So the search explores one first output per orbit of the rotations that
+preserve that level and relabels each leaf it reaches by the others
+(half the nodes on Thue-Morse, a third on its ternary version).  Every
+relabelled leaf goes through the same exact leaf check as a searched one.
+
 Evaluation: a code applies itself to a long word through the kernel, one
 table lookup per window.  Its image of the system's test word of a given
 length is made once (`test_image`), and with no kernel call of its own:
@@ -276,6 +285,22 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
     start, so only the first starts of those wider windows (the system's
     `first_starts`) are tested; every other w-window repeats one tested
     in the same range or by an ancestor under the same assignments.
+
+    One branch per rotation orbit.  Let H be the rotations a -> a + t of
+    the alphabet (in its order) that map language(w), as the search
+    reads it, onto itself (`_rotation_step`, an exact test of each
+    word), and d = |A|/|H|.  A node reads only language(w) and its
+    prefixes, so a node passes iff its image under a rotation g in H
+    passes, and the subtree under first output g(c) is the g-image of
+    the subtree under c.  The first block therefore takes only the
+    outputs alphabet[:d], one per H-orbit, and each leaf reached stands
+    for its relabellings by H, which are formed there.  Every leaf,
+    searched or relabelled, is decided by the same check: the
+    admissibility of its image of the test word and of the short words
+    that word misses.  No leaf is assumed from its twin, and the flip's
+    bounded evidence (`flip_closed`) is not read.  Relabelled leaves are
+    not counted as nodes against `_NODE_CAP`; they join the partial list
+    like any other survivor.  With H trivial the search is unchanged.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0, got %r" % (radius,))
@@ -310,6 +335,10 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
         tests[j].append(i)
 
     outs = [ord(a) for a in system.alphabet]
+    step = _rotation_step(lang, outs)
+    # the relabellings by the rotations in H: each leaf under a first
+    # output in outs[:step] stands for its images under them
+    twins = [_rotation(outs, t) for t in range(step, len(outs), step)]
     by_id = bytearray(256)
     missing = _missing_short_words(system, radius, master)
     results = []
@@ -327,18 +356,22 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
                 return False
         return True
 
+    def keep_if_endomorphism(leaf):
+        rule = {b: chr(leaf[i]) for i, b in enumerate(blocks)}
+        code = SlidingBlockCode(system, radius, rule)
+        full = ids.translate(leaf).decode()
+        if system.is_admissible(full) and _maps_short_words(code, missing):
+            code.test_images[check_len] = full
+            results.append(code)
+
     def dfs(j):
         nonlocal nodes
         if j == len(order):
-            rule = {b: chr(by_id[i]) for i, b in enumerate(blocks)}
-            code = SlidingBlockCode(system, radius, rule)
-            full = ids.translate(by_id).decode()
-            if system.is_admissible(full) and \
-                    _maps_short_words(code, missing):
-                code.test_images[check_len] = full
-                results.append(code)
+            keep_if_endomorphism(by_id)
+            for tab in twins:
+                keep_if_endomorphism(by_id.translate(tab))
             return
-        for out in outs:
+        for out in outs[:step] if j == 0 else outs:
             nodes += 1
             if nodes > _NODE_CAP:
                 raise ResourceError("enumeration node cap exceeded",
@@ -352,6 +385,29 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
     for c in codes:
         c.certified_len = check_len
     return codes
+
+
+def _rotation_step(lang, outs):
+    """The least t > 0 such that rotating the alphabet `outs` (as bytes)
+    by t maps every word of `lang` into `lang`, or len(outs).
+
+    A rotation maps the finite set `lang` into itself iff onto it, so
+    the rotations that pass form a subgroup H of Z/k, k the alphabet's
+    size.  H is generated by its least positive element, which divides
+    k: trying t = 1, 2, ... in turn, each with one `bytes.translate` per
+    word, the first that passes is |A|/|H|."""
+    k = len(outs)
+    for t in range(1, k):
+        tab = _rotation(outs, t)
+        if all(w.translate(tab) in lang for w in lang):
+            return t
+    return k
+
+
+def _rotation(outs, t):
+    """The `bytes.translate` table of the rotation a -> a + t of the
+    alphabet `outs`, a list of symbol codes in order."""
+    return bytes.maketrans(bytes(outs), bytes(outs[t:] + outs[:t]))
 
 
 def _sorted_codes(codes, blocks):

@@ -15,6 +15,7 @@ import minflow
 from minflow.codes import (SlidingBlockCode, classify_aut_group, compose,
                            enumerate_endomorphisms, flip_code, identity_code,
                            invert, shift_code, verify_endomorphism)
+from minflow.defaults import CHECK_LEN
 from minflow.errors import DomainError, ResourceError
 from minflow.joins import coalescence_check
 from minflow.words import (REGISTRY, FullShiftSystem, Substitution,
@@ -222,7 +223,8 @@ def fresh_system(name):
 
 # (system, radius) -> (count, digest of every code's to_json), as the
 # search enumerated them before it filled ranges through the kernel and
-# certified images by occurrence in the fixed point
+# certified images by occurrence in the fixed point (ternary Thue-Morse:
+# as it enumerated them when it searched every first output)
 ENUMERATION_PINS = {
     ("morse", 0): (2, "4cf61edf3db7e564"),
     ("morse", 1): (6, "db161c0a72570b53"),
@@ -237,6 +239,9 @@ ENUMERATION_PINS = {
     ("period-doubling", 2): (5, "0655f0983936a127"),
     ("full-shift", 0): (4, "7f6ee8bf961a4b74"),
     ("full-shift", 1): (256, "6beb132ed62aea2b"),
+    ("ternary", 0): (3, "06424db9c051f1d5"),
+    ("ternary", 1): (9, "1466bfdd397568f8"),
+    ("ternary", 2): (15, "9d01bc30a82e6d10"),
 }
 
 
@@ -247,9 +252,11 @@ def test_enumeration_is_pinned(name, radius):
         ENUMERATION_PINS[name, radius]
 
 
-# (system, radius, node cap) -> normal forms and digest of the partial list
+# (system, radius, node cap) -> normal forms and digest of the partial list;
+# a leaf's relabellings by the alphabet rotations that preserve the prune
+# level join it there (Morse: each code and its flip)
 NODE_CAP_PINS = {
-    ("morse", 3, 50): ([(-2, 1)], "1c3de5df575534bc"),
+    ("morse", 3, 50): ([(-2, 0), (-2, 1)], "d37de4cd4f1ae521"),
     ("fibonacci", 3, 25): ([(-1, 0)], "6239888a82fc47ec"),
     ("fibonacci", 3, 15): ([], "4f53cda18c2baa0c"),
 }
@@ -280,10 +287,14 @@ def test_enumeration_refuses_tables_over_the_cap(morse, monkeypatch):
 
 
 # system -> the smallest node cap that completes its enumeration at
-# r = 0..3, as the search counted nodes before it pruned ranges at
-# precomputed windows
+# r = 0, 1, ..., as the search counted nodes before it pruned ranges at
+# precomputed windows, with one first output per orbit of the alphabet
+# rotations that preserve the prune level: half of them on Morse (flip),
+# a third on ternary Thue-Morse, and all of them where no rotation but
+# the identity does (Fibonacci, period-doubling)
 NODE_COUNTS = {
-    "morse": (6, 70, 354, 614),
+    "morse": (3, 35, 177, 307),
+    "ternary": (13, 280, 643),
     "fibonacci": (6, 18, 40, 72),
     "period-doubling": (6, 34, 80, 176),
 }
@@ -342,9 +353,9 @@ def test_cold_enumeration_builds_only_the_levels_it_reads(radius):
                                            2 * radius + 8, 16})
 
 
-@pytest.mark.parametrize("name,radius", [(name, radius)
-                                         for name in sorted(NODE_COUNTS)
-                                         for radius in range(4)])
+@pytest.mark.parametrize("name,radius", [
+    (name, radius) for name in sorted(NODE_COUNTS)
+    for radius in range(len(NODE_COUNTS[name]))])
 def test_enumeration_visits_the_pinned_number_of_nodes(name, radius,
                                                        monkeypatch):
     nodes = NODE_COUNTS[name][radius]
@@ -755,3 +766,82 @@ def test_enumeration_matches_a_brute_force_search(rule, radius, check_len):
     assert codes_or_error(enumerate_endomorphisms, system, radius,
                           check_len) == \
         codes_or_error(brute_force_endomorphisms, system, radius, check_len)
+
+
+def rotation_equivariant_rules(rng, count):
+    """`count` primitive rules sigma(c) = w + c mod k on k = 2 or 3
+    letters, w a random word that starts with 0.  Each commutes with the
+    rotations of the alphabet, so every rotation preserves its language."""
+    rules = []
+    while len(rules) < count:
+        k = rng.choice((2, 3))
+        w = [0] + [rng.randrange(k) for _ in range(rng.randint(1, 3))]
+        rule = {str(c): "".join(str((x + c) % k) for x in w)
+                for c in range(k)}
+        if rule not in rules and Substitution(rule).is_primitive:
+            rules.append(rule)
+    return rules
+
+
+def symmetric_system(spec):
+    if type(spec) is dict:
+        return SubshiftSystem("random", Substitution(spec), "0")
+    return FullShiftSystem(spec) if spec in ("01", "012") else \
+        fresh_system(spec)
+
+
+# systems that some rotation of the alphabet preserves, where the search
+# takes one first output per rotation orbit and relabels its leaves; the
+# ternary full shift is searched below a check length of 16 + 2r, since
+# its language(16) exceeds the cap
+SYMMETRIC_CASES = [
+    (spec, radius, check_len)
+    for spec, radius in [("morse", 0), ("morse", 1), ("ternary", 0),
+                         ("01", 0), ("01", 1)] + [
+        (rule, radius)
+        for rule in rotation_equivariant_rules(random.Random(3), 8)
+        for radius in brute_force_radii(rule)]
+    for check_len in (16, 64, 512)] + [("012", 0, 5), ("012", 0, 8)]
+
+
+@pytest.mark.parametrize("spec,radius,check_len", SYMMETRIC_CASES, ids=repr)
+def test_orbit_search_matches_a_brute_force_search(spec, radius, check_len):
+    assert codes_or_error(enumerate_endomorphisms, symmetric_system(spec),
+                          radius, check_len) == \
+        codes_or_error(brute_force_endomorphisms, symmetric_system(spec),
+                       radius, check_len)
+
+
+@pytest.mark.parametrize("name,radius,checks", [("morse", 3, 14),
+                                                ("ternary", 2, 15)])
+def test_relabelled_leaves_are_checked_not_assumed(name, radius, checks,
+                                                   monkeypatch):
+    # every code found, a searched leaf or a relabelled one, is the image
+    # of one admissibility check on the full test image, and there are as
+    # many checks as when every first output was searched
+    system = fresh_system(name)
+    checked = []
+    is_admissible = system.is_admissible
+
+    def spy(word):
+        if len(word) == CHECK_LEN - 2 * radius:
+            checked.append(word)
+        return is_admissible(word)
+
+    monkeypatch.setattr(system, "is_admissible", spy)
+    codes = enumerate_endomorphisms(system, radius)
+    assert len(checked) == checks
+    assert sorted(checked) == sorted(c.test_image(CHECK_LEN) for c in codes)
+
+
+def test_rotations_are_read_off_the_prune_level_not_the_flip(monkeypatch):
+    # the flip check is bounded evidence; the search must not rest on it
+    def refuse(system):
+        raise AssertionError("flip_closed read by the search")
+
+    monkeypatch.setattr(SubshiftSystem, "flip_closed", property(refuse))
+    for name, radius in sorted(ENUMERATION_PINS):
+        if name in ("morse", "ternary"):
+            codes = enumerate_endomorphisms(fresh_system(name), radius)
+            assert (len(codes), codes_digest(codes)) == \
+                ENUMERATION_PINS[name, radius]
