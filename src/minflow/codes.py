@@ -15,13 +15,14 @@ refused before the search.  A node translates only the slices of the ids
 that it tests, and the search builds one language level to test them.
 
 End(X) is closed under left composition with any automorphism, and a
-rotation of the alphabet that preserves the language is a radius-0 one.
-Such a rotation also acts on the search tree, whose pruning reads
-nothing but one language level: a node passes iff its relabelling does.
-So the search explores one first output per orbit of the rotations that
-preserve that level and relabels each leaf it reaches by the others
-(half the nodes on Thue-Morse, a third on its ternary version).  Every
-relabelled leaf goes through the same exact leaf check as a searched one.
+letter permutation that commutes with σ is a radius-0 one (the system's
+`is_letter_automorphism`).  A rotation of the alphabet that passes that
+test maps the whole language onto itself, so it acts on the search tree,
+whose pruning reads one language level: a node passes iff its
+relabelling does.  So the search explores one first output per orbit of
+those rotations (half the nodes on Thue-Morse, a third on its ternary
+version).  A leaf that passes the exact leaf check adds its
+relabellings, which pass it too, with no second check.
 
 Evaluation: a code applies itself to a long word through the kernel, one
 table lookup per window.  Its image of the system's test word of a given
@@ -43,7 +44,8 @@ from typing import NamedTuple
 
 from . import defaults, kernels
 from .errors import DomainError, ResourceError
-from .words import dense_table, flip_word, id_blocks, refuse_unless_flip_closed
+from .words import (FLIP, dense_table, flip_word, id_blocks,
+                    refuse_unless_flip_commutes)
 
 _PRUNE_WINDOW = 16
 _NODE_CAP = 2_000_000
@@ -142,7 +144,7 @@ class SlidingBlockCode:
     def normal_form(self):
         """(k, eps) when the code equals shift^k . flip^eps, else None."""
         r = self.radius
-        flips = (0, 1) if self.system.flip_closed else (0,)
+        flips = (0, 1) if self.system.is_letter_automorphism(FLIP) else (0,)
         for k in range(-r, r + 1):
             for eps in flips:
                 if all(self.rule[b] == (flip_word(b[r + k]) if eps
@@ -202,7 +204,7 @@ def shift_code(system, k, radius=None):
 
 
 def flip_code(system, radius=0):
-    refuse_unless_flip_closed(system)
+    refuse_unless_flip_commutes(system)
     rule = {b: flip_word(b[radius]) for b in system.language(2 * radius + 1)}
     return SlidingBlockCode(system, radius, rule)
 
@@ -287,20 +289,21 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
     in the same range or by an ancestor under the same assignments.
 
     One branch per rotation orbit.  Let H be the rotations a -> a + t of
-    the alphabet (in its order) that map language(w), as the search
-    reads it, onto itself (`_rotation_step`, an exact test of each
-    word), and d = |A|/|H|.  A node reads only language(w) and its
-    prefixes, so a node passes iff its image under a rotation g in H
+    the alphabet (in its order) that commute with σ
+    (`is_letter_automorphism`), and d = |A|/|H|.  Each g in H maps the
+    language onto itself, so a node passes iff its image under g
     passes, and the subtree under first output g(c) is the g-image of
     the subtree under c.  The first block therefore takes only the
-    outputs alphabet[:d], one per H-orbit, and each leaf reached stands
-    for its relabellings by H, which are formed there.  Every leaf,
-    searched or relabelled, is decided by the same check: the
-    admissibility of its image of the test word and of the short words
-    that word misses.  No leaf is assumed from its twin, and the flip's
-    bounded evidence (`flip_closed`) is not read.  Relabelled leaves are
+    outputs alphabet[:d], one per H-orbit.  A leaf φ is decided by the
+    exact check: the admissibility of its image of the test word T and
+    of the images of the short words that T misses.  A word w is
+    admissible iff g(w) is, so g∘φ passes iff φ does, and its image of
+    T is g(φ(T)): a leaf that passes adds g∘φ for each g in H, with that
+    image, and parses none of them again.  A rotation that preserves the
+    prune level but does not commute with σ is not used, and the first
+    outputs it would merge are searched in full.  Relabelled leaves are
     not counted as nodes against `_NODE_CAP`; they join the partial list
-    like any other survivor.  With H trivial the search is unchanged.
+    with their leaf.  With H trivial the search is unchanged.
     """
     if radius < 0:
         raise DomainError("radius must be >= 0, got %r" % (radius,))
@@ -334,11 +337,14 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
             j += 1
         tests[j].append(i)
 
-    outs = [ord(a) for a in system.alphabet]
-    step = _rotation_step(lang, outs)
-    # the relabellings by the rotations in H: each leaf under a first
-    # output in outs[:step] stands for its images under them
-    twins = [_rotation(outs, t) for t in range(step, len(outs), step)]
+    a, k = system.alphabet, len(system.alphabet)
+    # the rotations that commute with σ form a subgroup H of Z/k: the
+    # multiples of the least t > 0 among them, which is |A|/|H|
+    step = next((t for t in range(1, k) if system.is_letter_automorphism(
+        str.maketrans(a, a[t:] + a[:t]))), k)
+    outs = a.encode()
+    twins = [bytes.maketrans(outs, outs[t:] + outs[:t])
+             for t in range(step, k, step)]
     by_id = bytearray(256)
     missing = _missing_short_words(system, radius, master)
     results = []
@@ -356,20 +362,25 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
                 return False
         return True
 
+    def code_of(leaf, image):
+        code = SlidingBlockCode(system, radius, {
+            b: chr(leaf[i]) for i, b in enumerate(blocks)})
+        code.test_images[check_len] = image.decode()
+        return code
+
     def keep_if_endomorphism(leaf):
-        rule = {b: chr(leaf[i]) for i, b in enumerate(blocks)}
-        code = SlidingBlockCode(system, radius, rule)
-        full = ids.translate(leaf).decode()
-        if system.is_admissible(full) and _maps_short_words(code, missing):
-            code.test_images[check_len] = full
+        image = ids.translate(leaf)
+        code = code_of(leaf, image)
+        if system.is_admissible(code.test_image(check_len)) and \
+                _maps_short_words(code, missing):
             results.append(code)
+            results.extend(code_of(leaf.translate(tab), image.translate(tab))
+                           for tab in twins)
 
     def dfs(j):
         nonlocal nodes
         if j == len(order):
             keep_if_endomorphism(by_id)
-            for tab in twins:
-                keep_if_endomorphism(by_id.translate(tab))
             return
         for out in outs[:step] if j == 0 else outs:
             nodes += 1
@@ -385,29 +396,6 @@ def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):
     for c in codes:
         c.certified_len = check_len
     return codes
-
-
-def _rotation_step(lang, outs):
-    """The least t > 0 such that rotating the alphabet `outs` (as bytes)
-    by t maps every word of `lang` into `lang`, or len(outs).
-
-    A rotation maps the finite set `lang` into itself iff onto it, so
-    the rotations that pass form a subgroup H of Z/k, k the alphabet's
-    size.  H is generated by its least positive element, which divides
-    k: trying t = 1, 2, ... in turn, each with one `bytes.translate` per
-    word, the first that passes is |A|/|H|."""
-    k = len(outs)
-    for t in range(1, k):
-        tab = _rotation(outs, t)
-        if all(w.translate(tab) in lang for w in lang):
-            return t
-    return k
-
-
-def _rotation(outs, t):
-    """The `bytes.translate` table of the rotation a -> a + t of the
-    alphabet `outs`, a list of symbol codes in order."""
-    return bytes.maketrans(bytes(outs), bytes(outs[t:] + outs[:t]))
 
 
 def _sorted_codes(codes, blocks):

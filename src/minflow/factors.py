@@ -21,7 +21,7 @@ from typing import NamedTuple
 from .errors import (AmbiguityError, DomainError, IntegrityError,
                      NoParseError, ResourceError)
 from .points import HORIZON_CAP, AddressPoint, FlippedPoint, ShiftedPoint
-from .words import block_length, flip_word, refuse_over_block_cap
+from .words import FLIP, block_length, flip_word, refuse_over_block_cap
 
 # most censuses one sample draws: each keeps its record until the end
 SAMPLE_CAP = 10_000
@@ -240,7 +240,9 @@ def point_address(point, k: int) -> OdometerAddress:
             shift += base.k
             base = base.base
         elif isinstance(base, FlippedPoint):
-            # a flip (of flip-closed systems only) keeps block boundaries
+            # a flip commutes with σ (FlippedPoint refuses any other), so
+            # it maps each block σ^j(a) in place to σ^j(flip(a)): proven
+            # to keep block boundaries
             base = base.base
         else:
             break
@@ -319,7 +321,7 @@ def fiber_census(system, addr: OdometerAddress, resolution: int) -> FiberCensus:
         levels.append(wins)
     final = levels[-1]
     stabilized = len(levels) >= 2 and levels[-1] == levels[-2]
-    if system.flip_closed:
+    if system.is_letter_automorphism(FLIP):
         quotient = len({frozenset((w, flip_word(w))) for w in final})
     else:
         quotient = None

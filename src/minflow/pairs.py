@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import defaults, factors, kernels
 from .errors import DomainError
 from .points import seam_points
-from .words import flip_word
+from .words import FLIP, flip_word
 
 POSITIVE = "positively-asymptotic"
 NEGATIVE = "negatively-asymptotic"
@@ -169,11 +169,12 @@ def distal_certificate(p, horizon=defaults.HORIZON,
                                  "census not stabilized; raise the level")
     candidates = []
     unmatched = []
-    seams = seam_points(system) if system.flip_closed else {}
+    # the seam points exist iff the flip is an automorphism
+    seams = seam_points(system) if system.is_letter_automorphism(FLIP) else {}
     for w in census.windows:
         if w == base_window:
             continue
-        if system.flip_closed and w == flip_word(base_window):
+        if seams and w == flip_word(base_window):
             candidates.append(("flip", p.flip()))
             continue
         found = None

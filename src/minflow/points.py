@@ -2,9 +2,10 @@
 
 A point is a constructor tree: a splice of two one-sided fixed-point
 specs, a shift or flip of another point, or a partial point pinned by an
-odometer address.  A flip needs a flip-closed system; a splice checks
-each window it builds against the language, so a bad construction fails
-loudly with the offending window instead of silently emitting junk.
+odometer address.  A flip needs a system whose σ it commutes with
+(`is_letter_automorphism`); a splice checks each window it builds
+against the language, so a bad construction fails loudly with the
+offending window instead of silently emitting junk.
 """
 
 import itertools
@@ -12,7 +13,7 @@ import re
 
 from .errors import DomainError, ResourceError, UndeterminedError
 from .words import (block_length, first_windows, flip_word,
-                    refuse_over_block_cap, refuse_unless_flip_closed)
+                    refuse_over_block_cap, refuse_unless_flip_commutes)
 
 HORIZON_CAP = 1 << 20
 # an integer of the spec grammars: an optional sign, then ASCII digits
@@ -32,7 +33,7 @@ class OneSidedSpec:
         if self.seed not in system.alphabet:
             raise DomainError("seed %r outside alphabet" % self.seed)
         if flipped:
-            refuse_unless_flip_closed(system)
+            refuse_unless_flip_commutes(system)
         self.flipped = flipped
         self.reversed_ = reversed_
 
@@ -177,11 +178,11 @@ class ShiftedPoint(Point):
 
 
 class FlippedPoint(Point):
-    """Coordinatewise 0<->1 exchange of the base point; only a flip-closed
-    system has one, so its windows need no check."""
+    """Coordinatewise 0<->1 exchange of the base point; only a system
+    whose σ the flip commutes with has one, so its windows need no check."""
 
     def __init__(self, base):
-        refuse_unless_flip_closed(base.system)
+        refuse_unless_flip_commutes(base.system)
         self.base = base
         self.system = base.system
 
@@ -258,7 +259,7 @@ def seam_points(system) -> dict:
 
     mu = rev(Q)+Q, mu_prime = rev(Q')+Q', nu = rev(Q')+Q and
     nu_prime = rev(Q)+Q', where Q is the one-sided fixed point and Q' its
-    flip, which a system not closed under the flip refuses.
+    flip, which is refused unless the flip commutes with the substitution.
     """
     q = OneSidedSpec(system)
     qp = q.flip()

@@ -38,8 +38,9 @@ it), `language_cap`, `language(n)`, `is_admissible(word)`,
 `test_word(length)`, `block_ids(radius, length)` (the test word's
 windows as indices among the sorted admissible blocks, one byte each,
 cached), `first_starts(width, length)` (the first starts of the test
-word's distinct windows, cached), `flip_closed`, `constant_length`
-(None unless all images have one length ℓ) and `almost_automorphic`.
+word's distinct windows, cached), `is_letter_automorphism(table)` (the
+one test of a letter map), `constant_length` (None unless all images
+have one length ℓ) and `almost_automorphic`.
 `SubshiftSystem` adds `substitution`, `seed`, `fixed_prefix` and
 `complexity`; when the images have one length, `level_images` (the
 cached σ^j images up to a level); and, when they are also pairwise
@@ -48,8 +49,8 @@ call), `valid_phases`, `recognizability` and `parse_images`; these raise
 DomainError on any other system.
 `FullShiftSystem`, the full shift, has the protocol alone.  Every layer
 refuses a flip and a block structure by two helpers that read
-`flip_closed` and `constant_length`: `refuse_unless_flip_closed` and
-`block_length`.
+`is_letter_automorphism` and `constant_length`: `refuse_unless_flip_commutes`
+and `block_length`.
 """
 
 import functools
@@ -79,19 +80,14 @@ def flip_word(word: str) -> str:
     return word.translate(FLIP)
 
 
-def refuse_unless_flip_closed(system):
-    """DomainError unless `system` is closed under the symbol flip.
-
-    This refuses no point of the system.  A minimal system and its flip
-    are both minimal, so equal or disjoint, and `flip_closed` is False
-    only on a certificate (True is bounded evidence): an alphabet other
-    than 01, where no flip is defined, or an inadmissible flipped word.
-    So every flipped point, or splice with a flipped half, of such a
-    system lies outside it.
-    """
-    if not system.flip_closed:
-        raise DomainError("%r is not closed under the symbol flip"
-                          % system.name)
+def refuse_unless_flip_commutes(system):
+    """DomainError unless the system's `is_letter_automorphism` proves
+    the symbol flip an automorphism: the one raise site for a flip.  A
+    flip that fails may still preserve the language, so the message says
+    only what is proven."""
+    if not system.is_letter_automorphism(FLIP):
+        raise DomainError("%r: the symbol flip does not commute with its "
+                          "substitution" % system.name)
 
 
 def block_length(system, what):
@@ -394,7 +390,6 @@ class SubshiftSystem(_System):
         self._lang = {}
         self._ids = {}
         self._starts = {}
-        self._flip_closed = None
         self._recog = None
         self._prefix = {}
         self._decode = None
@@ -636,21 +631,23 @@ class SubshiftSystem(_System):
                                     % (RECOG_CAP, self.name))
         return self._recog
 
-    # -- structure flags ----------------------------------------------
+    def is_letter_automorphism(self, table) -> bool:
+        """Whether the letter map g of the str.translate `table` permutes
+        the alphabet and commutes with σ: g(σ(a)) = σ(g(a)) for each a.
 
-    @property
-    def flip_closed(self) -> bool:
-        """Whether the 0<->1 exchange preserves the language (binary only)."""
-        if self._flip_closed is None:
-            if self.alphabet != "01":
-                self._flip_closed = False
-            else:
-                lang8 = self.language(min(8, self.language_cap))
-                ok = all(flip_word(w) in lang8 for w in lang8)
-                if ok:
-                    ok = self.is_admissible(flip_word(self.test_word(4096)))
-                self._flip_closed = ok
-        return self._flip_closed
+        Then g maps σ^n(a) to σ^n(g(a)) for every n, by induction, so it
+        maps each admissible word (a factor of some σ^n(a)) to one, and
+        each finite language level one-to-one onto itself: g is a
+        radius-0 automorphism (Coven, Quas and Yassawi 2016; Lemańczyk
+        and Mentzen 1988).  O(Σ|σ(a)|), reading no language.  False says
+        only that g does not commute: commuting suffices for an
+        automorphism, but is not necessary.
+        """
+        images = [a.translate(table) for a in self.alphabet]
+        rule = self.substitution.rule
+        return sorted(images) == list(self.alphabet) and all(
+            rule[a].translate(table) == rule[b]
+            for a, b in zip(self.alphabet, images))
 
     def __repr__(self):
         return "SubshiftSystem(%r)" % self.name
@@ -667,7 +664,6 @@ class FullShiftSystem(_System):
         self.name = "full-shift-%s" % alphabet
         self.alphabet = _digit_alphabet("".join(sorted(alphabet)))
         self.language_cap = 24
-        self.flip_closed = self.alphabet == "01"
         self.constant_length = None
         self.almost_automorphic = False
         self._lang = {}
@@ -688,6 +684,12 @@ class FullShiftSystem(_System):
 
     def is_admissible(self, word):
         return _over_alphabet(word, self.alphabet)
+
+    def is_letter_automorphism(self, table):
+        """Whether `table` permutes the alphabet: every permutation maps
+        the full shift's language onto itself."""
+        return sorted(a.translate(table) for a in self.alphabet) == \
+            list(self.alphabet)
 
     def test_word(self, length):
         # a de Bruijn cycle of order ~log covers every short block

@@ -282,27 +282,29 @@ def test_input_faults_name_themselves_on_one_line(capsys, argv, line):
     assert usage_failure(capsys, *argv) == (2, "minflow: %s\n" % line)
 
 
+NO_FLIP = "'%s': the symbol flip does not commute with its substitution"
+
+
 @pytest.mark.parametrize("argv,message", [
-    # a flipped point of a system the flip maps off itself is refused at
-    # construction, before any window is printed
+    # a flipped point of a system whose substitution the flip does not
+    # commute with is refused at construction, before any window is
+    # printed
     (["point", "period-doubling", "flip(addr(0101,0))", "--lo", "0", "--hi",
-      "0"], "'period-doubling' is not closed under the symbol flip"),
+      "0"], NO_FLIP % "period-doubling"),
     (["point", "period-doubling", "flip(addr(0101,0))", "--lo", "-2", "--hi",
-      "3"], "'period-doubling' is not closed under the symbol flip"),
+      "3"], NO_FLIP % "period-doubling"),
     (["point", "fibonacci", "splice(rev(flip(fix0)),fix0)"],
-     "'fibonacci' is not closed under the symbol flip"),
+     NO_FLIP % "fibonacci"),
     (["dichotomy", "period-doubling", "addr(010101010101010101,0)",
-      "shift(addr(010101010101010101,0),2)"],
-     "'period-doubling' is not closed under the symbol flip"),
+      "shift(addr(010101010101010101,0),2)"], NO_FLIP % "period-doubling"),
     # at L = 0 each flipped window is one admissible symbol, and the
     # flipped target pair was once reported as a Case 1 witness
     (["dichotomy", "period-doubling", "addr(010101010101010101,0)",
       "shift(addr(010101010101010101,0),2)", "--resolution", "0"],
-     "'period-doubling' is not closed under the symbol flip"),
+     NO_FLIP % "period-doubling"),
     (["collapse", "fibonacci", "--direction", "forward"],
-     "'fibonacci' is not closed under the symbol flip"),
-    (["aut", "fibonacci", "--apply", "flip"],
-     "'fibonacci' is not closed under the symbol flip"),
+     NO_FLIP % "fibonacci"),
+    (["aut", "fibonacci", "--apply", "flip"], NO_FLIP % "fibonacci"),
     (["factor", "fibonacci", "--word", "0100101"],
      "desubstitutions need a constant-length system, 'fibonacci' is not"),
     (["factor", "fibonacci", "--address-of", "fix0"],

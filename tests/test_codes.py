@@ -18,8 +18,8 @@ from minflow.codes import (SlidingBlockCode, classify_aut_group, compose,
 from minflow.defaults import CHECK_LEN
 from minflow.errors import DomainError, ResourceError
 from minflow.joins import coalescence_check
-from minflow.words import (REGISTRY, FullShiftSystem, Substitution,
-                           SubshiftSystem, first_windows)
+from minflow.words import (FLIP, REGISTRY, FullShiftSystem, Substitution,
+                           SubshiftSystem, first_windows, flip_word)
 
 
 def is_identity(code):
@@ -253,8 +253,8 @@ def test_enumeration_is_pinned(name, radius):
 
 
 # (system, radius, node cap) -> normal forms and digest of the partial list;
-# a leaf's relabellings by the alphabet rotations that preserve the prune
-# level join it there (Morse: each code and its flip)
+# a leaf's relabellings by the alphabet rotations that commute with σ
+# join it there (Morse: each code and its flip)
 NODE_CAP_PINS = {
     ("morse", 3, 50): ([(-2, 0), (-2, 1)], "d37de4cd4f1ae521"),
     ("fibonacci", 3, 25): ([(-1, 0)], "6239888a82fc47ec"),
@@ -289,7 +289,7 @@ def test_enumeration_refuses_tables_over_the_cap(morse, monkeypatch):
 # system -> the smallest node cap that completes its enumeration at
 # r = 0, 1, ..., as the search counted nodes before it pruned ranges at
 # precomputed windows, with one first output per orbit of the alphabet
-# rotations that preserve the prune level: half of them on Morse (flip),
+# rotations that commute with σ: half of them on Morse (flip),
 # a third on ternary Thue-Morse, and all of them where no rotation but
 # the identity does (Fibonacci, period-doubling)
 NODE_COUNTS = {
@@ -790,10 +790,15 @@ def symmetric_system(spec):
         fresh_system(spec)
 
 
-# systems that some rotation of the alphabet preserves, where the search
-# takes one first output per rotation orbit and relabels its leaves; the
-# ternary full shift is searched below a check length of 16 + 2r, since
-# its language(16) exceeds the cap
+# a system whose language(3) the flip preserves but not its language(4)
+PRUNE_LEVEL_ONLY = {"0": "001", "1": "011"}
+
+# systems with a rotation of the alphabet that commutes with σ (on a
+# full shift, any rotation), where the search takes one first output per
+# rotation orbit and relabels its leaves; the ternary full shift is
+# searched below a check length of 16 + 2r, since its language(16)
+# exceeds the cap.  Last, PRUNE_LEVEL_ONLY, searched in full although
+# the flip preserves its prune level at check length 3.
 SYMMETRIC_CASES = [
     (spec, radius, check_len)
     for spec, radius in [("morse", 0), ("morse", 1), ("ternary", 0),
@@ -801,7 +806,8 @@ SYMMETRIC_CASES = [
         (rule, radius)
         for rule in rotation_equivariant_rules(random.Random(3), 8)
         for radius in brute_force_radii(rule)]
-    for check_len in (16, 64, 512)] + [("012", 0, 5), ("012", 0, 8)]
+    for check_len in (16, 64, 512)] + [("012", 0, 5), ("012", 0, 8)] + [
+    (PRUNE_LEVEL_ONLY, 0, 3), (PRUNE_LEVEL_ONLY, 0, 4)]
 
 
 @pytest.mark.parametrize("spec,radius,check_len", SYMMETRIC_CASES, ids=repr)
@@ -812,13 +818,13 @@ def test_orbit_search_matches_a_brute_force_search(spec, radius, check_len):
                        radius, check_len)
 
 
-@pytest.mark.parametrize("name,radius,checks", [("morse", 3, 14),
-                                                ("ternary", 2, 15)])
-def test_relabelled_leaves_are_checked_not_assumed(name, radius, checks,
-                                                   monkeypatch):
-    # every code found, a searched leaf or a relabelled one, is the image
-    # of one admissibility check on the full test image, and there are as
-    # many checks as when every first output was searched
+@pytest.mark.parametrize("name,radius,searched", [("morse", 3, 7),
+                                                  ("ternary", 2, 5)])
+def test_only_searched_leaves_parse_their_test_image(name, radius, searched,
+                                                    monkeypatch):
+    # one admissibility check of a full test image per searched leaf;
+    # each leaf that passes adds its relabellings by the rotations that
+    # commute with σ, whose images pass with it
     system = fresh_system(name)
     checked = []
     is_admissible = system.is_admissible
@@ -830,18 +836,47 @@ def test_relabelled_leaves_are_checked_not_assumed(name, radius, checks,
 
     monkeypatch.setattr(system, "is_admissible", spy)
     codes = enumerate_endomorphisms(system, radius)
-    assert len(checked) == checks
-    assert sorted(checked) == sorted(c.test_image(CHECK_LEN) for c in codes)
+    assert len(checked) == searched
+    assert len(codes) == searched * len(system.alphabet)
+    assert set(checked) <= {c.test_image(CHECK_LEN) for c in codes}
 
 
-def test_rotations_are_read_off_the_prune_level_not_the_flip(monkeypatch):
-    # the flip check is bounded evidence; the search must not rest on it
-    def refuse(system):
-        raise AssertionError("flip_closed read by the search")
+@pytest.mark.parametrize("name,radius", [("morse", 3), ("ternary", 2)])
+def test_each_relabelled_leaf_is_a_letter_automorphism_after_its_leaf(
+        name, radius):
+    system = fresh_system(name)
+    codes = enumerate_endomorphisms(system, radius)
+    a = system.alphabet
+    first = system.test_word(2 * radius + 1)
+    searched = [c for c in codes if c.rule[first] == a[0]]
+    twins = []
+    for t in range(1, len(a)):
+        g = str.maketrans(a, a[t:] + a[:t])
+        g_code = SlidingBlockCode(system, 0, {c: c.translate(g) for c in a})
+        for code in searched:
+            twin = next(c for c in codes if c == compose(g_code, code))
+            assert twin.test_images[CHECK_LEN] == \
+                code.test_images[CHECK_LEN].translate(g) == \
+                twin.apply(system.test_word(CHECK_LEN))
+            twins.append(twin)
+    assert len(searched) + len(twins) == len(codes)
 
-    monkeypatch.setattr(SubshiftSystem, "flip_closed", property(refuse))
-    for name, radius in sorted(ENUMERATION_PINS):
-        if name in ("morse", "ternary"):
-            codes = enumerate_endomorphisms(fresh_system(name), radius)
-            assert (len(codes), codes_digest(codes)) == \
-                ENUMERATION_PINS[name, radius]
+
+def test_enumeration_pins_hold_with_no_letter_automorphism(monkeypatch):
+    # with no map accepted, every first output is searched in full
+    for cls in (SubshiftSystem, FullShiftSystem):
+        monkeypatch.setattr(cls, "is_letter_automorphism",
+                            lambda self, table: False)
+    for (name, radius), pin in sorted(ENUMERATION_PINS.items()):
+        codes = enumerate_endomorphisms(fresh_system(name), radius)
+        assert (len(codes), codes_digest(codes)) == pin
+
+
+def test_a_rotation_that_preserves_only_short_levels_is_not_used():
+    # the case SYMMETRIC_CASES searches at check lengths 3 and 4: its
+    # prune level, language(3) and then language(4), is flip-invariant
+    # only at 3, and the flip does not commute with σ
+    system = symmetric_system(PRUNE_LEVEL_ONLY)
+    assert {flip_word(w) for w in system.language(3)} == system.language(3)
+    assert {flip_word(w) for w in system.language(4)} != system.language(4)
+    assert not system.is_letter_automorphism(FLIP)

@@ -14,7 +14,7 @@ from minflow.factors import (FiberCensus, OdometerAddress, address,
                              point_address, recognizability_length,
                              sample_censuses, word_frequencies)
 from minflow.points import fixed_point, point_from_address, seam_points
-from minflow.words import Substitution, SubshiftSystem, flip_word
+from minflow.words import FLIP, Substitution, SubshiftSystem, flip_word
 
 
 def test_odometer_address_arithmetic():
@@ -98,6 +98,23 @@ def test_address_of_address_point_round_trips(morse):
     assert point_address(p.shift(3), 14).digits == \
         OdometerAddress(digits).plus(3).digits
     assert point_address(p.flip(), 14).digits == digits
+
+
+def test_the_flip_shortcut_of_point_address_matches_the_window_parse(morse):
+    # point_address reads a flipped address point's digits off its
+    # construction, as the flip commutes with σ; the window parse of the
+    # flipped point must agree at every level its windows determine
+    rng = random.Random(31)
+    top = 10
+    base = deep_point(morse, [rng.randrange(2) for _ in range(top)])
+    points = [base.shift(rng.randint(-2 ** top, 2 ** top))
+              for _ in range(6)]
+    points += [q.shift(rng.randint(-4096, 4096))
+               for q in seam_points(morse).values()]
+    for p in points:
+        for k in range(top + 1):
+            assert point_address(p.flip(), k) == \
+                address(morse, p.flip(), k) == point_address(p, k), k
 
 
 def test_ternary_recognizability_length(ternary):
@@ -213,7 +230,7 @@ def applied_census(system, addr, L):
             for v in system.language(t1 - t0 + 1)))
     final = levels[-1]
     quotient = None
-    if system.flip_closed:
+    if system.is_letter_automorphism(FLIP):
         quotient = len({frozenset((w, flip_word(w))) for w in final})
     return FiberCensus(addr, addr.level, L, tuple(sorted(final)), len(final),
                        quotient, len(levels) >= 2 and levels[-1] == levels[-2])
@@ -491,7 +508,7 @@ def test_address_matches_the_level_by_level_decode(make, request):
     top = max(k for k in range(1, 20) if ell ** k * r <= 4096)
     rng = random.Random(28)
     bases = [deep_point(system, (rng.randrange(ell) for _ in range(top)))]
-    if system.flip_closed:
+    if system.is_letter_automorphism(FLIP):
         bases.append(fixed_point(system))
     for base in bases:
         for _ in range(12):

@@ -188,7 +188,8 @@ def test_inadmissible_flip_fails_loudly(pd):
         p.flip()
 
 
-FLIP_REFUSAL = "^'%s' is not closed under the symbol flip$"
+FLIP_REFUSAL = ("^'%s': the symbol flip does not commute with its "
+                "substitution$")
 
 
 @pytest.mark.parametrize("name", ["fib", "pd", "ternary"])

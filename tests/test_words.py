@@ -11,10 +11,10 @@ from hypothesis import given, settings, strategies as st
 from minflow import factors, kernels, points, words
 from minflow.errors import (ConstructionError, DomainError, IntegrityError,
                             ResourceError)
-from minflow.words import (BLOCK_CAP, PREFIX_MIN, REGISTRY, SHORT_WORD_LEN,
-                           FullShiftSystem, Substitution, SubshiftSystem,
-                           first_windows, fixed_point_prefix, flip_word,
-                           get_system, pack_pair)
+from minflow.words import (BLOCK_CAP, FLIP, PREFIX_MIN, REGISTRY,
+                           SHORT_WORD_LEN, FullShiftSystem, Substitution,
+                           SubshiftSystem, first_windows, fixed_point_prefix,
+                           flip_word, get_system, pack_pair)
 
 TM = {"0": "01", "1": "10"}
 PD = {"0": "01", "1": "00"}
@@ -386,9 +386,74 @@ def test_registry():
 
 
 def test_flip_closures(morse, fib, pd):
-    assert morse.flip_closed
-    assert not fib.flip_closed
-    assert not pd.flip_closed
+    assert morse.is_letter_automorphism(FLIP)
+    assert not fib.is_letter_automorphism(FLIP)
+    assert not pd.is_letter_automorphism(FLIP)
+
+
+def letter_automorphisms(system):
+    """The images of the alphabet, in order, under each permutation of it
+    that the system accepts as a letter automorphism."""
+    a = system.alphabet
+    return {"".join(g) for g in itertools.permutations(a)
+            if system.is_letter_automorphism(str.maketrans(a, "".join(g)))}
+
+
+def language_preserving_permutations(system, n):
+    a = system.alphabet
+    lang = system.language(n)
+    return {"".join(g) for g in itertools.permutations(a)
+            if {w.translate(str.maketrans(a, "".join(g)))
+                for w in lang} == lang}
+
+
+def test_letter_automorphism_groups(morse, fib, pd, ternary):
+    assert letter_automorphisms(morse) == {"01", "10"}
+    assert letter_automorphisms(fib) == {"01"}
+    assert letter_automorphisms(pd) == {"01"}
+    assert letter_automorphisms(ternary) == {"012", "120", "201"}
+
+
+def test_a_letter_map_must_permute_the_alphabet(morse, ternary):
+    # on ternary the flip (2 fixed) permutes the alphabet but does not
+    # commute with σ; a map that merges letters, maps one to a word or
+    # leaves the alphabet permutes nothing
+    assert not ternary.is_letter_automorphism(FLIP)
+    assert not morse.is_letter_automorphism(str.maketrans("01", "00"))
+    assert not morse.is_letter_automorphism({ord("0"): "10", ord("1"): ""})
+    assert not FullShiftSystem("0").is_letter_automorphism(FLIP)
+    assert FullShiftSystem("012").is_letter_automorphism(FLIP)
+    assert FullShiftSystem("012").is_letter_automorphism(
+        str.maketrans("012", "201"))
+
+
+LETTER_MAP_SYSTEMS = [SubshiftSystem("random", Substitution(rule), "0")
+                      for rule in random_primitive_rules(random.Random(5),
+                                                         400)]
+
+
+def test_accepted_letter_maps_preserve_the_language():
+    accepted = 0
+    for system in LETTER_MAP_SYSTEMS:
+        found = letter_automorphisms(system)
+        assert found <= language_preserving_permutations(system, 16)
+        accepted += len(found) - 1
+    assert accepted == 7
+
+
+def test_accepted_letter_maps_are_the_language_preserving_ones():
+    # measured, not proven: commuting with σ is sufficient but not
+    # necessary.  The periodic systems are left out (Morse-Hedlund:
+    # p(n) = p(n + 1) for some n): 0 -> 01, 1 -> 01 commutes with the
+    # identity alone, and the flip preserves every level of it.
+    aperiodic = [system for system in LETTER_MAP_SYSTEMS
+                 if all(system.complexity(n) < system.complexity(n + 1)
+                        for n in range(1, 16))]
+    assert len(aperiodic) == 388
+    for system in aperiodic:
+        assert letter_automorphisms(system) == \
+            language_preserving_permutations(system, 16), \
+            system.substitution
 
 
 @pytest.mark.parametrize("name", ["morse", "full-shift"])
