@@ -18,7 +18,7 @@ import sys
 
 from . import defaults
 from .errors import DomainError, MinflowError
-from .words import REGISTRY, fixed_point_prefix, get_system
+from .words import REGISTRY, get_system
 
 CHECK_FAILED = True  # handler return value mapped to exit status 1
 
@@ -57,8 +57,8 @@ def cmd_lang(args):
         _emit(args, system.substitution.apply(args.substitute) + "\n", "txt")
         return
     if args.fixed_point is not None:
-        _emit(args, fixed_point_prefix(system.substitution, system.seed,
-                                       args.fixed_point) + "\n", "txt")
+        _emit(args, system.fixed_prefix(system.seed, args.fixed_point)
+              + "\n", "txt")
         return
     if args.check is not None:
         ok = system.is_admissible(args.check)

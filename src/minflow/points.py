@@ -8,7 +8,6 @@ against the language, so a bad construction fails loudly with the
 offending window instead of silently emitting junk.
 """
 
-import itertools
 import re
 
 from .errors import DomainError, ResourceError, UndeterminedError
@@ -221,22 +220,21 @@ class AddressPoint(Point):
         self.sheet = sheet
         self.level = len(digits)
         self.offset = sum(d * ell ** j for j, d in enumerate(digits))
-        self._block = None
-
-    def _ensure(self):
-        if self._block is None:
-            images = next(itertools.islice(
-                self.system.substitution.powers(), self.level, None))
-            self._block = images[self.sheet]
-        return self._block
 
     def determined_range(self):
         size = self.system.constant_length ** self.level
         return (-self.offset, size - self.offset - 1)
 
     def _eval(self, lo, hi):
-        block = self._ensure()
-        return block[lo + self.offset:hi + self.offset + 1]
+        # σ^k(sheet) = σ^m(σ^n(sheet)), n = k // 4, m = k - n: the window
+        # joins the few level-m images under it, so the tower stops short of k
+        n = self.level // 4
+        images = self.system.level_images(self.level - n)
+        size = len(images[-1][self.sheet])
+        i, j = lo + self.offset, hi + self.offset + 1
+        start = i - i % size
+        under = images[n][self.sheet][i // size:(j - 1) // size + 1]
+        return "".join([images[-1][c] for c in under])[i - start:j - start]
 
     def label(self):
         return "addr(%s,%s)" % ("".join(map(str, self.digits)), self.sheet)

@@ -12,24 +12,22 @@ truncation, and otherwise by that scan.
 
 Iterated images come from `Substitution.powers`, which builds each level
 σ^(j+1)(a) by joining the level-j images of the letters of σ(a), so no
-Python loop runs once per symbol; languages, fixed-point prefixes and
-address points read it.  Addresses and fiber censuses read the levels
-that a system keeps from one such walk (`level_images`), and addresses
-the images of its recognizability table's words (`parse_images`).
+Python loop runs once per symbol.  A system makes one such walk, its
+tower of levels {a: σ^j(a)}, built only as far as a reader asks and kept
+for its lifetime; every reader of iterated images reads it.
 
 Admissibility of words longer than SHORT_WORD_LEN is decided exactly.
-First occurrence: a word found in the fixed-point prefix already cached
-for the seed is a factor of the fixed point, so admissible; the prefix
-is never grown for this.  Then, when the images have one length ℓ and
-are pairwise distinct, the desubstitution certificate: a word is
-admissible iff some phase of it is valid, that is, it decomposes as
-(suffix of an image) + image of an admissible word + (prefix of an
-image); the first valid phase ends the search.  `valid_phases` lists
-them all for desubstitution and the recognizability table that
-addresses read.  The block decoding table and the rule tables of codes
-come from `dense_table`.  Every other system reads the covers that
-build its language: an n-word is admissible iff it occurs in
-σ^k(a) + σ^k(b)[:n - 1] for an admissible 2-word ab.
+First occurrence: a word found in σ^j(seed) at the first level with
+PREFIX_MIN symbols is a factor of the fixed point, so admissible.  Then,
+when the images have one length ℓ and are pairwise distinct, the
+desubstitution certificate: a word is admissible iff some phase of it is
+valid, that is, it decomposes as (suffix of an image) + image of an
+admissible word + (prefix of an image); the first valid phase ends the
+search.  `valid_phases` lists them all for desubstitution and the
+recognizability table that addresses read.  The block decoding table and
+the rule tables of codes come from `dense_table`.  Every other system
+reads the covers that build its language: an n-word is admissible iff it
+occurs in σ^k(a) + σ^k(b)[:n - 1] for an admissible 2-word ab.
 
 A system is one of two sibling classes; other modules read only this
 protocol of either: `name`, `alphabet` (the digits 0..k-1, since the
@@ -43,7 +41,7 @@ one test of a letter map), `constant_length` (None unless all images
 have one length ℓ) and `almost_automorphic`.
 `SubshiftSystem` adds `substitution`, `seed`, `fixed_prefix` and
 `complexity`; when the images have one length, `level_images` (the
-cached σ^j images up to a level); and, when they are also pairwise
+tower's σ^j images up to a level); and, when they are also pairwise
 distinct, `decode` (the full ℓ-blocks of a byte word, by one kernel
 call), `valid_phases`, `recognizability` and `parse_images`; these raise
 DomainError on any other system.
@@ -62,7 +60,7 @@ from .errors import ConstructionError, DomainError, ResourceError
 MAX_ALPHABET = 10
 LANGUAGE_CAP = 256        # longest n the language cache will enumerate
 SHORT_WORD_LEN = 64       # direct membership below, certificates above
-PREFIX_MIN = 4096         # shortest fixed-point prefix a system caches
+PREFIX_MIN = 4096         # shortest seed image the occurrence check reads
 RECOG_CAP = 64            # longest recognizability length searched for
 BLOCK_CAP = 1 << 22       # symbols of a fixed-point prefix or level-k block
 TABLE_CAP = 1 << 24       # entries (base ** width) of a dense kernel table
@@ -284,12 +282,16 @@ def dense_table(entries, base, width, what):
 
 
 def fixed_point_prefix(sub: Substitution, seed: str, n: int) -> str:
-    """First n symbols of the one-sided fixed point grown from `seed`.
+    """`SubshiftSystem.fixed_prefix` from a walk of its own: its reference."""
+    _refuse_prefix(sub, seed, n)
+    for images in sub.powers():
+        if len(images[seed]) >= n:
+            return images[seed][:n]
 
-    Requires rule(seed) to begin with seed and be longer than it
-    (prolongable), so the prefix is stable under further substitution.
-    Over BLOCK_CAP symbols raise ResourceError before any is built.
-    """
+
+def _refuse_prefix(sub, seed, n):
+    """Refuse a fixed-point prefix of n symbols unless 1 <= n <= BLOCK_CAP
+    and rule(seed) begins with seed and is longer (prolongable)."""
     if n < 1:
         raise DomainError("prefix length must be >= 1")
     if n > BLOCK_CAP:
@@ -300,9 +302,6 @@ def fixed_point_prefix(sub: Substitution, seed: str, n: int) -> str:
         raise DomainError("seed %r outside alphabet" % seed)
     if image[0] != seed or len(image) < 2:
         raise ConstructionError("seed %r is not prolongable" % seed)
-    for images in sub.powers():
-        if len(images[seed]) >= n:
-            return images[seed][:n]
 
 
 def refuse_over_block_cap(ell, k):
@@ -381,9 +380,17 @@ class SubshiftSystem(_System):
         self.substitution = substitution
         self.constant_length = substitution.constant_length
         # the block parse needs images of one length that name their letter
-        images = substitution.rule.values()
+        rule = substitution.rule
         self._block_parse = (self.constant_length is not None
-                             and len(set(images)) == len(images))
+                             and len(set(rule.values())) == len(rule))
+        # the admissible 2-words, which the covers read: the 2-factors of
+        # the images, closed under ab -> the 2-factors of σ(a)σ(b)
+        self._two, todo = set(), list(rule.values())
+        while todo:
+            word = todo.pop()
+            found = {word[i:i + 2] for i in range(len(word) - 1)} - self._two
+            self._two |= found
+            todo += [rule[a] + rule[b] for a, b in found]
         self.seed = seed
         self.language_cap = LANGUAGE_CAP
         self.almost_automorphic = almost_automorphic
@@ -391,28 +398,40 @@ class SubshiftSystem(_System):
         self._ids = {}
         self._starts = {}
         self._recog = None
-        self._prefix = {}
         self._decode = None
-        self._powers = substitution.powers()
-        self._images = []
+        self._walk = substitution.powers()
+        self._levels = []
+        self._seed_image = None
         self._parse_images = None
-        fixed_point_prefix(substitution, seed, 2)  # validate prolongable now
+        _refuse_prefix(substitution, seed, 2)  # validate prolongable now
 
-    # -- language ----------------------------------------------------
+    # -- the tower of iterated images --------------------------------
+
+    def _level(self, j):
+        """{a: σ^j(a)}: level j of the tower, built only as far as asked."""
+        levels = self._levels
+        while len(levels) <= j:
+            levels.append(next(self._walk))
+        return levels[j]
+
+    def _first_level(self, n, letters):
+        """The first level where σ^j(a) has n symbols or more, a in letters."""
+        for images in map(self._level, itertools.count()):
+            if all(len(images[a]) >= n for a in letters):
+                return images
 
     def fixed_prefix(self, seed: str, n: int) -> str:
-        """Cached fixed-point prefix; grows geometrically, up to
-        BLOCK_CAP, and serves slices."""
-        have = self._prefix.get(seed, "")
-        if len(have) < n:
-            have = fixed_point_prefix(self.substitution, seed, max(
-                n, min(2 * len(have), BLOCK_CAP), PREFIX_MIN))
-            self._prefix[seed] = have
-        return have[:max(n, 0)]
+        """First n symbols of the fixed point grown from `seed`, refused as
+        `_refuse_prefix` says: σ^j(seed) cut to n, at the top level if long
+        enough (σ^j(seed) begins σ^(j+1)(seed)), else the first that is."""
+        _refuse_prefix(self.substitution, seed, n)
+        top = self._levels[-1][seed] if self._levels else ""
+        return (top if len(top) >= n else self._first_level(n, seed)[seed])[:n]
 
     def test_word(self, length: int) -> str:
-        """A generated admissible word of the given length (orbit prefix)."""
-        return self.fixed_prefix(self.seed, length)
+        """A generated admissible word of the given length (orbit prefix);
+        empty for a length below 1, as on the full shift."""
+        return self.fixed_prefix(self.seed, length) if length > 0 else ""
 
     def language(self, n: int) -> frozenset:
         """Exactly the admissible words of length n, as a frozenset.
@@ -445,36 +464,19 @@ class SubshiftSystem(_System):
         """σ^k(a) + σ^k(b)[:n - 1] for each admissible 2-word ab, at the
         first k where every σ^k(c) has n - 1 symbols or more: each
         admissible n-word starts inside σ^k(a) in one of them."""
-        # the admissible 2-words: the 2-factors of the images, closed
-        # under ab -> the 2-factors of σ(a)σ(b)
-        rule = self.substitution.rule
-        two, todo = set(), list(rule.values())
-        while todo:
-            word = todo.pop()
-            found = {word[i:i + 2] for i in range(len(word) - 1)} - two
-            two |= found
-            todo += [rule[a] + rule[b] for a, b in found]
-        for images in self.substitution.powers():
-            if min(map(len, images.values())) >= n - 1:
-                break
-        return (images[a] + images[b][:n - 1] for a, b in two)
+        images = self._first_level(n - 1, self.alphabet)
+        return (images[a] + images[b][:n - 1] for a, b in self._two)
 
     def level_images(self, top):
-        """[{a: σ^j(a)} for j = 0..top]: the level-j blocks of a
-        constant-length system, which addresses and fiber censuses read.
-
-        The levels come from one `Substitution.powers` walk, built up to
-        the highest level asked for and kept for the system's lifetime:
-        at most 2·|A|·ℓ^top symbols, 16 MB for Morse once a level-22
-        census has run (BENCH_28).  A top level whose blocks exceed
-        BLOCK_CAP symbols raises ResourceError before any level is built;
-        a system whose images differ in length, DomainError."""
-        levels = self._images
-        if len(levels) <= top:
-            refuse_over_block_cap(block_length(self, "level images"), top)
-            while len(levels) <= top:
-                levels.append(next(self._powers))
-        return levels[:top + 1]
+        """[{a: σ^j(a)} for j = 0..top]: the tower's level-j blocks of a
+        constant-length system, at most 2·|A|·ℓ^top symbols (16 MB for
+        Morse at level 22).  ResourceError before any level is built when
+        level-top blocks exceed BLOCK_CAP symbols; DomainError on others."""
+        ell = block_length(self, "level images")
+        if len(self._levels) <= top:
+            refuse_over_block_cap(ell, top)
+            self._level(top)
+        return self._levels[:top + 1]
 
     def parse_images(self):
         """({σ^j(w): start} for j = 0, 1, ...): each word w of the
@@ -483,13 +485,12 @@ class SubshiftSystem(_System):
         run while that is at most PARSE_KEY_CAP.  Built at first use."""
         if self._parse_images is None:
             r, phases = self.recognizability()
-            top = 0
-            while r * self.constant_length ** (top + 1) <= PARSE_KEY_CAP:
-                top += 1
             self._parse_images = tuple(
                 {"".join([images[a] for a in w]): start
                  for w, start in phases.items()}
-                for images in self.level_images(top))
+                for images in itertools.takewhile(
+                    lambda images: r * len(images[self.seed]) <= PARSE_KEY_CAP,
+                    map(self._level, itertools.count())))
         return self._parse_images
 
     def complexity(self, n: int) -> int:
@@ -517,13 +518,12 @@ class SubshiftSystem(_System):
         return next(self._phases(word), None) is not None
 
     def _seed_prefix(self):
-        """The whole fixed-point prefix cached for the seed (at least
-        PREFIX_MIN symbols), to search for occurrences in."""
-        prefix = self._prefix.get(self.seed, "")
-        if len(prefix) < PREFIX_MIN:
-            self.fixed_prefix(self.seed, PREFIX_MIN)
-            prefix = self._prefix[self.seed]
-        return prefix
+        """σ^j(seed) at the first level with PREFIX_MIN symbols, found
+        once: the occurrence check runs at every level of every parse."""
+        if self._seed_image is None:
+            self._seed_image = self._first_level(
+                PREFIX_MIN, self.seed)[self.seed]
+        return self._seed_image
 
     def _refuse_unless_block_parse(self):
         if not self._block_parse:

@@ -49,6 +49,24 @@ def kernel_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def walks(monkeypatch):
+    """Each `Substitution.powers` walk that the test iterates, in order of
+    its first step, as the list of its levels built so far, each level
+    as {a: len(σ^j(a))}."""
+    started = []
+    powers = Substitution.powers
+
+    def counted(sub):
+        built = []
+        started.append(built)
+        for images in powers(sub):
+            built.append({a: len(image) for a, image in images.items()})
+            yield images
+    monkeypatch.setattr(Substitution, "powers", counted)
+    return started
+
+
 def random_primitive_rules(rng, count):
     """`count` primitive rules on 2-3 letters, each with a prolongable 0."""
     rules = []

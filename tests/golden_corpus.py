@@ -45,13 +45,32 @@ FLIP_REFUSALS = [
     ["collapse", "fibonacci", "--direction", "forward"],
     ["aut", "fibonacci", "--apply", "flip"],
 ]
+# the README example the one-shot commands leave out, and the edges and
+# refusals of what reads σ's iterated images: fixed-point prefixes, seam
+# splices, address points, level images and the block cap
+EDGES = [
+    ["census", "morse", "--sample", "20", "--levels", "14",
+     "--expect-cardinality", "2"],
+    ["lang", "morse", "--fixed-point", "0"],
+    *[["lang", system, "--fixed-point", "12"] for system in SYSTEMS],
+    ["lang", "morse", "--fixed-point", "5000000"],
+    ["point", "period-doubling", "fix1"],
+    ["point", "fibonacci", "fix0"],
+    ["point", "morse", "addr(%s,0)" % ("0" * 24)],
+    ["aut", "morse", "--radius", "0", "--check-len", "5000000"],
+    ["freq", "morse", "--length", "2", "--steps", "5000000"],
+    ["factor", "morse", "--address-of", "addr(0110,1)", "--levels", "4"],
+    ["census", "period-doubling", "--address", "0110"],
+    ["aut", "morse", "--apply", "id", "--word", "0120"],
+    ["--conf", "l.cfg", "lang", "morse"],
+]
 
 
 def commands():
     """Every command line of the corpus, each once, in a fixed order: the
     benchmark's one-shot commands at ONESHOT_SEEDS, every --help, aut, sr
-    and coalesce at r = 0..3 on each built-in system, and the flip
-    refusals."""
+    and coalesce at r = 0..3 on each built-in system, the flip refusals,
+    and the edges."""
     root = str(pathlib.Path(__file__).parents[1])
     if root not in sys.path:
         sys.path.insert(0, root)
@@ -62,7 +81,7 @@ def commands():
     argvs += [[name, system, "--radius", str(r)]
               for name in ("aut", "sr", "coalesce") for system in SYSTEMS
               for r in range(4)]
-    argvs += FLIP_REFUSALS
+    argvs += FLIP_REFUSALS + EDGES
     unique = {" ".join(argv): argv for argv in argvs}
     return list(unique.values())
 

@@ -175,6 +175,57 @@ CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
               "emptykey.cfg": b" = 5\n"}
 
 
+# The names these cases were first collected under, kept literally so
+# that rewording a message renames no test.
+BAD_INPUT_IDS = [
+    "argv0---config needs a FILE argument",
+    "argv1---config needs a FILE argument",
+    "argv2-cannot read code file",
+    "argv3-bad code spec 'shift^x'",
+    "argv4-factor needs --word or --address-of",
+    "argv5-need resolution >= 0 and steps >= 0",
+    "argv6-a code object needs \"radius\" and \"blocks\"",
+    "argv7-a code object needs \"radius\" and \"blocks\"",
+    "argv8-code radius must be an integer >= 0, got 0.5",
+    "argv9-code file latin1.json is not JSON",
+    "argv10-code file deep.json is not JSON",
+    "argv11-config file latin1.cfg is not text",
+    "argv12-bad point spec 'shift(fix0,-_1)': expected integer (at 11)",
+    "argv13-bad point spec 'shift(fix0,+)': expected integer (at 11)",
+    "argv14-bad point spec 'shift(fix0,\u00b2)': expected integer (at 11)",
+    "argv15-bad point spec 'addr(\u0663,0)': expected digit string (at 5)",
+    "argv16-a radius-20 code needs a rule table of 2^41 entries, over "
+    "the cap",
+    "argv17-a radius-12 code needs a rule table of 2^25 entries, over "
+    "the cap",
+    "argv18-bad code spec 'shift^1_0'",
+    "argv19-bad code spec 'shift^ 3'",
+    "argv20-bad code spec 'shift^\u0661'",
+    "argv21-bad code spec 'shift^+-1'",
+    "argv22-the empty word has no phase to desubstitute",
+    "argv23-the empty word has no phase to desubstitute",
+    "argv24-radius must be >= 0, got -1",
+    "argv25-check_len must be >= 1, got -4",
+    "argv26-check_len must be >= 1, got 0",
+    "argv27-radius must be >= 0, got -1",
+    "argv28-check_len must be >= 1, got -4",
+    "argv29-radius must be >= 0, got -1",
+    "argv30-radius must be >= 0, got -2",
+    "argv31-max_shift must be >= 0, got -1",
+    "argv32-bad address '01x': expected ASCII digits",
+    "argv33-bad address '\uff10\uff1101': expected ASCII digits",
+    "argv34---sample must be >= 1, got 0",
+    "argv35---sample must be >= 1, got -3",
+    "argv36-member windows need length 2L+1 = 65",
+    "argv37-census needs --address or --sample",
+    "argv38-pairs needs two point specs (or --certify)",
+    "argv39-cannot write report file",
+    "argv40-config file nokey.cfg line 3: expected key=value",
+    "argv41-config file nokey.cfg line 3: expected key=value",
+    "argv42-config file emptykey.cfg line 1: expected key=value",
+]
+
+
 @pytest.mark.parametrize("argv,message", [
     (["--config"], "--config needs a FILE argument"),
     (["lang", "morse", "--config"], "--config needs a FILE argument"),
@@ -250,7 +301,7 @@ CODE_FILES = {"empty.json": b"{}", "list.json": b"[1, 2]",
      "config file nokey.cfg line 3: expected key=value"),
     (["--config", "emptykey.cfg", "lang", "morse"],
      "config file emptykey.cfg line 1: expected key=value"),
-])
+], ids=BAD_INPUT_IDS)
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):
     monkeypatch.chdir(tmp_path)
@@ -259,6 +310,18 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     code, err = usage_failure(capsys, *argv)
     assert code == 2
     assert err.startswith("minflow: " + message) and err.count("\n") == 1
+
+
+# The names these cases were first collected under, kept literally so
+# that rewording a message renames no test.
+INPUT_FAULT_IDS = [
+    "argv0-window '2' at 2 has no rule entry",
+    "argv1-window '000' at 0 has no rule entry",
+    "argv2-window '00x' at 5 has no rule entry",
+    "argv3-test word of length 3 misses 5 admissible blocks",
+    "argv4-splice splice(rev(fix(0)),fix(0)) produced inadmissible window "
+    "'00100100' at coordinate -4",
+]
 
 
 @pytest.mark.parametrize("argv,line", [
@@ -277,12 +340,37 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
      "test word of length 3 misses 5 admissible blocks"),
     (["point", "fibonacci", "fix0"],
      "splice splice(rev(fix(0)),fix(0)) produced inadmissible window "
-     "'00100100' at coordinate -4")])
+     "'00100100' at coordinate -4")], ids=INPUT_FAULT_IDS)
 def test_input_faults_name_themselves_on_one_line(capsys, argv, line):
     assert usage_failure(capsys, *argv) == (2, "minflow: %s\n" % line)
 
 
 NO_FLIP = "'%s': the symbol flip does not commute with its substitution"
+
+
+# The names these cases were first collected under, kept literally so
+# that rewording a message renames no test.
+STRUCTURAL_REFUSAL_IDS = [
+    "argv0-'period-doubling': the symbol flip does not commute with its "
+    "substitution",
+    "argv1-'period-doubling': the symbol flip does not commute with its "
+    "substitution",
+    "argv2-'fibonacci': the symbol flip does not commute with its "
+    "substitution",
+    "argv3-'period-doubling': the symbol flip does not commute with its "
+    "substitution",
+    "argv4-'period-doubling': the symbol flip does not commute with its "
+    "substitution",
+    "argv5-'fibonacci': the symbol flip does not commute with its "
+    "substitution",
+    "argv6-'fibonacci': the symbol flip does not commute with its "
+    "substitution",
+    "argv7-desubstitutions need a constant-length system, 'fibonacci' is not",
+    "argv8-addresses need a constant-length system, 'fibonacci' is not",
+    "argv9-fiber censuses need a constant-length system, 'fibonacci' is not",
+    "argv10-fiber censuses need a constant-length system, 'fibonacci' is not",
+    "argv11-address points need a constant-length system, 'fibonacci' is not",
+]
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -315,7 +403,7 @@ NO_FLIP = "'%s': the symbol flip does not commute with its substitution"
      "fiber censuses need a constant-length system, 'fibonacci' is not"),
     (["point", "fibonacci", "addr(01,0)"],
      "address points need a constant-length system, 'fibonacci' is not"),
-])
+], ids=STRUCTURAL_REFUSAL_IDS)
 def test_structural_refusals_exit_2_with_one_line(capsys, argv, message):
     code, err = usage_failure(capsys, *argv)
     assert (code, err) == (2, "minflow: %s\n" % message)
@@ -568,3 +656,21 @@ def test_fuzz_config_lines(capsys, tmp_path_factory, command, text, raw):
         path.write_bytes(raw)
     argv = ["--config", str(path)] + command
     assert exit_status(capsys, argv) in (0, 1, 2)
+
+
+@pytest.mark.parametrize("argv", [
+    ["dichotomy", "morse", "addr(010101010101010101,0)",
+     "shift(addr(010101010101010101,0),2)"],
+    ["join", "morse", "addr(010101010101010101,0)",
+     "shift(addr(010101010101010101,0),-7)", "--check-addresses", "8"],
+    ["factor", "morse", "--address-of", "shift(fix0,-25992)", "--levels",
+     "8"],
+    ["pairs", "morse", "splice(rev(fix0),fix0)",
+     "splice(rev(flip(fix0)),fix0)", "--horizon", "65536"]],
+    ids=lambda argv: argv[0])
+def test_a_cold_command_walks_sigma_once(argv, walks, monkeypatch, capsys):
+    # fixed-point prefixes, language covers, the occurrence check, level
+    # images and address points all read the system's one tower
+    monkeypatch.setattr("minflow.words._instances", {})
+    assert main(argv) == 0
+    assert len(walks) == 1

@@ -679,14 +679,17 @@ def test_invert_every_morse_code(morse):
 
 
 @pytest.mark.parametrize("name", ["morse", "fibonacci", "period-doubling"])
-def test_cold_enumeration_certifies_images_by_occurrence(name):
-    # shifted images occur in the cached fixed point, Morse flip images'
-    # preimages too, so no parse reaches the language levels 33..64
+def test_cold_enumeration_certifies_images_by_occurrence(name, walks):
+    # shifted images occur in the fixed point's first 4096 symbols, Morse
+    # flip images' preimages too, so no parse reaches the language levels
+    # 33..64, and the system's one walk stops at the first level with
+    # 4096 symbols, which the test word and the occurrence check read
     system = fresh_system(name)
     assert len(enumerate_endomorphisms(system, 3)) == \
         (14 if name == "morse" else 7)
     assert max(system._lang) <= 32
-    assert len(system._prefix[system.seed]) == 4096
+    [tower] = walks
+    assert tower[-1][system.seed] >= 4096 > tower[-2][system.seed]
 
 
 @pytest.mark.parametrize("name,radius,check_len", [

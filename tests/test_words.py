@@ -213,13 +213,16 @@ def test_fixed_point_prefix_over_the_cap_builds_nothing(monkeypatch):
         fixed_point_prefix(Substitution(TM), "0", BLOCK_CAP + 1)
 
 
-def test_cached_prefix_doubles_up_to_the_cap():
-    # doubling 3/4 of the cap would pass it; the cache stops at the cap,
-    # so every legal request is served
+def test_fixed_prefix_serves_every_length_up_to_the_cap(walks):
+    # a prefix is cut from the first level long enough, so requests past
+    # 3/4 of the cap read the level of BLOCK_CAP symbols and build none
+    # above it, and every legal request is served
     system = SubshiftSystem("morse", Substitution(TM), "0")
     system.fixed_prefix("0", 3 << 20)
     assert len(system.fixed_prefix("0", (3 << 20) + 1)) == (3 << 20) + 1
-    assert len(system._prefix["0"]) == BLOCK_CAP
+    assert len(system.fixed_prefix("0", BLOCK_CAP)) == BLOCK_CAP
+    [tower] = walks
+    assert tower[-1]["0"] == BLOCK_CAP
     assert system.fixed_prefix("0", BLOCK_CAP) == \
         fixed_point_prefix(system.substitution, "0", BLOCK_CAP)
 
@@ -729,19 +732,30 @@ def oracle_systems():
 
 
 @pytest.mark.parametrize("make", oracle_systems())
-def test_admissibility_matches_the_parse_oracle(make):
+def test_admissibility_matches_the_parse_oracle(make, walks):
     system = make()                            # cold caches
     oracle = ParseOracle(system.name, system.substitution, system.seed)
     cases = oracle_cases(system, random.Random(system.name))
     cached = system.test_word(words.PREFIX_MIN)
-    assert len(system._prefix[system.seed]) == words.PREFIX_MIN
+    # the one walk stops at the first level with PREFIX_MIN symbols
+    [tower] = walks[1:]                        # walks[0] is oracle_cases'
+    top = len(tower)
+    assert tower[-1][system.seed] >= words.PREFIX_MIN > \
+        tower[-2][system.seed]
     beyond = [w for w in cases if w not in cached]
     assert len(beyond) > len(cases) // 2       # the parse runs on these
+    # the occurrence certificate reads that level's image and builds no
+    # level above it
+    assert system.is_admissible(cached[1000:3000])
+    assert len(tower) == top
     verdicts = [system.is_admissible(w) for w in cases]
+    # nor does a parse, which reads language levels of at most 64
+    # symbols; only the covers of long words go higher, on the same walk
+    if system.constant_length is not None:
+        assert len(tower) == top
+    assert len(walks) == 2
     assert verdicts == [oracle.is_admissible(w) for w in cases]
     assert any(verdicts) and not all(verdicts)
-    # the occurrence certificate never grows the prefix
-    assert len(system._prefix[system.seed]) == words.PREFIX_MIN
 
 
 def mutant(word, alphabet):
@@ -985,11 +999,16 @@ def test_language_matches_a_long_prefix(rule):
         assert system.language(n) == windows, n
 
 
-def test_language_reads_no_fixed_point_prefix():
+def test_language_reads_no_fixed_point_prefix(walks, monkeypatch):
+    # the build reads only its covers: the walk stops at the first level
+    # whose every image has 63 symbols
+    monkeypatch.setattr(SubshiftSystem, "fixed_prefix",
+                        lambda *args: pytest.fail("fixed-point prefix read"))
     for name in sorted(ORACLE_SYSTEMS):
-        system = ORACLE_SYSTEMS[name]()
-        system.language(64)
-        assert system._prefix == {}, name
+        ORACLE_SYSTEMS[name]().language(64)
+        tower = walks.pop()
+        assert min(tower[-1].values()) >= 63 > min(tower[-2].values()), name
+        assert walks == [], name
 
 
 def invariant_cases():
