@@ -64,13 +64,47 @@ EDGES = [
     ["aut", "morse", "--apply", "id", "--word", "0120"],
     ["--conf", "l.cfg", "lang", "morse"],
 ]
+X0 = "addr(010101010101010101,0)"
+# flipped points of every kind, and the reports that build a flip: the
+# address of a flipped point, the distal certificate, a pair and a join
+# with a flipped member, and dichotomy's flipped candidate
+FLIPS = [
+    *[["point", "morse", spec] for spec in (
+        "flip(fix0)", "flip(flip(fix0))", "shift(flip(fix(0)),-3)",
+        "flip(addr(0101,1))", "flip(shift(addr(0101,1),3))")],
+    ["factor", "morse", "--address-of", "flip(addr(0101,1))", "--levels",
+     "2"],
+    ["factor", "morse", "--address-of", "flip(shift(fix0,777))", "--levels",
+     "8"],
+    ["pairs", "morse", "--certify", "fix0"],
+    ["pairs", "morse", "--certify", "flip(addr(0101010101010101,1))"],
+    ["pairs", "morse", "fix0", "flip(fix0)", "--horizon", "4096",
+     "--resolution", "16"],
+    ["dichotomy", "morse", X0, "flip(shift(%s,2))" % X0],
+    ["join", "morse", "fix0", "flip(fix0)", "--steps", "1024",
+     "--resolution", "4", "--member", "010110011", "101001100"],
+]
+# the subcommand paths no command above runs
+HANDLERS = [
+    ["lang", "morse", "--check", "0110"],
+    ["lang", "morse", "--check", "000"],
+    ["lang", "morse", "--substitute", "0110"],
+    ["lang", "morse", "--length", "5", "--count"],
+    ["factor", "morse", "--word", "0110100110010110"],
+    ["factor", "morse", "--word", "01"],
+    ["freq", "morse", "--length", "2", "--steps", "1024", "--format", "tsv"],
+    ["aut", "morse", "--apply", "shift^1", "--compose", "flip"],
+    ["census", "morse", "--address", "01", "--resolution", "0",
+     "--expect-cardinality", "3"],
+    ["sr", "odometer"],
+]
 
 
 def commands():
     """Every command line of the corpus, each once, in a fixed order: the
     benchmark's one-shot commands at ONESHOT_SEEDS, every --help, aut, sr
     and coalesce at r = 0..3 on each built-in system, the flip refusals,
-    and the edges."""
+    the edges, the flipped points and the remaining handler paths."""
     root = str(pathlib.Path(__file__).parents[1])
     if root not in sys.path:
         sys.path.insert(0, root)
@@ -81,7 +115,7 @@ def commands():
     argvs += [[name, system, "--radius", str(r)]
               for name in ("aut", "sr", "coalesce") for system in SYSTEMS
               for r in range(4)]
-    argvs += FLIP_REFUSALS + EDGES
+    argvs += FLIP_REFUSALS + EDGES + FLIPS + HANDLERS
     unique = {" ".join(argv): argv for argv in argvs}
     return list(unique.values())
 
