@@ -20,7 +20,7 @@ from typing import NamedTuple
 
 from .errors import (AmbiguityError, DomainError, IntegrityError,
                      NoParseError, ResourceError)
-from .points import HORIZON_CAP, AddressPoint, FlippedPoint, ShiftedPoint
+from .points import HORIZON_CAP, AddressPoint, ShiftedPoint
 from .words import FLIP, block_length, flip_word, refuse_over_block_cap
 
 # most censuses one sample draws: each keeps its record until the end
@@ -231,21 +231,12 @@ def _letters(word, positions, images, level, zero):
 
 
 def point_address(point, k: int) -> OdometerAddress:
-    """Address of a point, using construction digits when the window
-    parse cannot reach level k (partial address-constructed points)."""
-    shift = 0
-    base = point
-    while True:
-        if isinstance(base, ShiftedPoint):
-            shift += base.k
-            base = base.base
-        elif isinstance(base, FlippedPoint):
-            # a flip commutes with σ (FlippedPoint refuses any other), so
-            # it maps each block σ^j(a) in place to σ^j(flip(a)): proven
-            # to keep block boundaries
-            base = base.base
-        else:
-            break
+    """Address of a point: an address point's digits, or a shift of
+    one's, at the levels it determines, else the window parse.  A flipped
+    point is a point of its own kind (an address point's flip keeps its
+    digits), and shifts collapse, so one shift at most wraps the base."""
+    shift, base = ((point.k, point.base) if isinstance(point, ShiftedPoint)
+                   else (0, point))
     if isinstance(base, AddressPoint) and base.level >= k:
         return OdometerAddress.from_int(base.offset + shift, k,
                                         base.system.constant_length)

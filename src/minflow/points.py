@@ -1,11 +1,14 @@
 """Bi-infinite points of a subshift as lazy window evaluators.
 
 A point is a constructor tree: a splice of two one-sided fixed-point
-specs, a shift or flip of another point, or a partial point pinned by an
-odometer address.  A flip needs a system whose σ it commutes with
-(`is_letter_automorphism`); a splice checks each window it builds
-against the language, so a bad construction fails loudly with the
-offending window instead of silently emitting junk.
+specs, a shift of another point, or a partial point pinned by an
+odometer address.  A flip is not a node of the tree.  It needs a system
+whose σ it commutes with (`is_letter_automorphism`), and such a flip g
+maps σⁿ(a) to σⁿ(g(a)), so it acts on a point's construction data: each
+kind's `flip()` builds a point of its own kind from the flipped seeds,
+base or sheet.  A splice checks each window it builds against the
+language, so a bad construction fails loudly with the offending window
+instead of silently emitting junk.
 """
 
 import re
@@ -23,35 +26,31 @@ _DIGITS = re.compile(r"[0-9]+")
 
 
 class OneSidedSpec:
-    """A one-sided sequence: the system's fixed point from `seed`,
-    optionally flipped; `reversed_` marks left-half orientation."""
+    """A one-sided sequence: the system's fixed point from `seed`;
+    `reversed_` marks left-half orientation."""
 
-    def __init__(self, system, seed=None, flipped=False, reversed_=False):
+    def __init__(self, system, seed=None, reversed_=False):
         self.system = system
         self.seed = system.seed if seed is None else seed
         if self.seed not in system.alphabet:
             raise DomainError("seed %r outside alphabet" % self.seed)
-        if flipped:
-            refuse_unless_flip_commutes(system)
-        self.flipped = flipped
         self.reversed_ = reversed_
 
     def rev(self):
-        return OneSidedSpec(self.system, self.seed, self.flipped,
-                            not self.reversed_)
+        return OneSidedSpec(self.system, self.seed, not self.reversed_)
 
     def flip(self):
-        return OneSidedSpec(self.system, self.seed, not self.flipped,
+        """The fixed point of the flipped seed: g(fix(s)) = fix(g(s)), and
+        g(s) is prolongable since σ(g(s)) = g(σ(s))."""
+        refuse_unless_flip_commutes(self.system)
+        return OneSidedSpec(self.system, flip_word(self.seed),
                             self.reversed_)
 
     def prefix(self, n: int) -> str:
-        s = self.system.fixed_prefix(self.seed, n)
-        return flip_word(s) if self.flipped else s
+        return self.system.fixed_prefix(self.seed, n)
 
     def label(self):
         core = "fix(%s)" % self.seed
-        if self.flipped:
-            core = "flip(%s)" % core
         return "rev(%s)" % core if self.reversed_ else core
 
 
@@ -86,7 +85,9 @@ class Point:
         return ShiftedPoint(self, k)
 
     def flip(self):
-        return FlippedPoint(self)
+        """The coordinatewise 0<->1 exchange of this point, refused unless
+        the flip commutes with the system's σ."""
+        raise NotImplementedError
 
     def label(self):
         return repr(self)
@@ -128,12 +129,14 @@ class SplicePoint(Point):
         self._buf = ""
 
     def _ensure(self, half):
+        """Hold coordinates -t..t-1, t the least power of two >= 64 and
+        >= `half`."""
         if half <= self._half:
             return
         target = 64
         while target < half:
             target *= 2
-        buf = self.left.prefix(target)[::-1] + self.right.prefix(target + 1)
+        buf = self.left.prefix(target)[::-1] + self.right.prefix(target)
         if not self.system.is_admissible(buf):
             bad, at = _find_violation(self.system, buf, -target)
             raise DomainError(
@@ -145,8 +148,11 @@ class SplicePoint(Point):
         self._half = target
 
     def _eval(self, lo, hi):
-        self._ensure(max(abs(lo), abs(hi)))
+        self._ensure(max(-lo, hi + 1))
         return self._buf[lo + self._half:hi + self._half + 1]
+
+    def flip(self):
+        return SplicePoint(self.left.flip(), self.right.flip())
 
     def label(self):
         return "splice(%s,%s)" % (self.left.label(), self.right.label())
@@ -172,30 +178,11 @@ class ShiftedPoint(Point):
             return self.base
         return ShiftedPoint(self.base, self.k + k)
 
+    def flip(self):
+        return ShiftedPoint(self.base.flip(), self.k)
+
     def label(self):
         return "shift(%s,%d)" % (self.base.label(), self.k)
-
-
-class FlippedPoint(Point):
-    """Coordinatewise 0<->1 exchange of the base point; only a system
-    whose σ the flip commutes with has one, so its windows need no check."""
-
-    def __init__(self, base):
-        refuse_unless_flip_commutes(base.system)
-        self.base = base
-        self.system = base.system
-
-    def flip(self):
-        return self.base
-
-    def _eval(self, lo, hi):
-        return flip_word(self.base.window(lo, hi))
-
-    def determined_range(self):
-        return self.base.determined_range()
-
-    def label(self):
-        return "flip(%s)" % self.base.label()
 
 
 class AddressPoint(Point):
@@ -236,6 +223,12 @@ class AddressPoint(Point):
         under = images[n][self.sheet][i // size:(j - 1) // size + 1]
         return "".join([images[-1][c] for c in under])[i - start:j - start]
 
+    def flip(self):
+        """The same digits on the flipped sheet: g(σᵏ(s)) = σᵏ(g(s))
+        block for block, so the flip keeps every block in place."""
+        refuse_unless_flip_commutes(self.system)
+        return AddressPoint(self.system, self.digits, flip_word(self.sheet))
+
     def label(self):
         return "addr(%s,%s)" % ("".join(map(str, self.digits)), self.sheet)
 
@@ -246,9 +239,9 @@ def point_from_address(system, digits, sheet) -> Point:
     return AddressPoint(system, digits, sheet)
 
 
-def fixed_point(system, seed=None, flipped=False) -> Point:
+def fixed_point(system, seed=None) -> Point:
     """The seam splice rev(fix seed) + fix seed (two-sided fixed point)."""
-    spec = OneSidedSpec(system, seed, flipped=flipped)
+    spec = OneSidedSpec(system, seed)
     return SplicePoint(spec.rev(), spec)
 
 
@@ -257,7 +250,8 @@ def seam_points(system) -> dict:
 
     mu = rev(Q)+Q, mu_prime = rev(Q')+Q', nu = rev(Q')+Q and
     nu_prime = rev(Q)+Q', where Q is the one-sided fixed point and Q' its
-    flip, which is refused unless the flip commutes with the substitution.
+    flip, the fixed point of the flipped seed, which is refused unless the
+    flip commutes with the substitution.
     """
     q = OneSidedSpec(system)
     qp = q.flip()

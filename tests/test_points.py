@@ -7,8 +7,9 @@ from minflow.points import (HORIZON_CAP, AddressPoint, OneSidedSpec,
                             ShiftedPoint, SplicePoint, fixed_point,
                             parse_point_spec, point_from_address, seam_points)
 from minflow.codes import flip_code
-from minflow.words import (Substitution, fibonacci, fixed_point_prefix,
-                           flip_word)
+from minflow.factors import point_address
+from minflow.words import (REGISTRY, Substitution, fibonacci,
+                           fixed_point_prefix, flip_word)
 
 
 @pytest.fixture(scope="module")
@@ -57,7 +58,9 @@ def test_flip_commutes_with_splicing(seam):
 
 def test_flip_involution_collapses(seam):
     mu = seam["mu"]
-    assert mu.flip().flip() is mu
+    twice = mu.flip().flip()
+    assert type(twice) is SplicePoint and twice.label() == mu.label()
+    assert twice.window(-300, 300) == mu.window(-300, 300)
 
 
 def test_shift_composition_collapses(seam):
@@ -202,7 +205,6 @@ def test_a_system_not_closed_under_the_flip_refuses_every_flip(name,
     digits = (0,) * 3 if system.constant_length else None
     builds = [lambda: fixed_point(system).flip(),
               lambda: fixed_point(system).shift(5).flip(),
-              lambda: fixed_point(system, flipped=True),
               lambda: OneSidedSpec(system).flip(),
               lambda: seam_points(system),
               lambda: parse_point_spec(system, "splice(rev(flip(fix0)),fix0)"),
@@ -218,10 +220,47 @@ def test_a_system_not_closed_under_the_flip_refuses_every_flip(name,
 
 def test_a_flipped_address_point_is_the_flip_of_its_windows(morse):
     p = point_from_address(morse, (0, 1, 0, 1), "1")
+    q = p.flip()
+    assert type(q) is AddressPoint
+    assert (q.digits, q.sheet) == (p.digits, "0")
     lo, hi = p.determined_range()
-    assert p.flip().window(lo, hi) == flip_word(p.window(lo, hi))
-    assert p.flip().flip() is p
-    assert vars(p.flip()).keys() == {"base", "system"}
+    assert q.window(lo, hi) == flip_word(p.window(lo, hi))
+
+
+@pytest.mark.parametrize("spec", [
+    "splice(rev(fix0),fix0)", "splice(rev(fix1),fix1)",
+    "splice(rev(fix1),fix0)", "splice(rev(fix0),fix1)",
+    "shift(splice(rev(fix1),fix0),-77)", "addr(0110100111,0)",
+    "addr(0110100111,1)", "shift(addr(0110100111,1),5)"])
+def test_a_flip_is_a_point_of_its_own_kind(morse, spec):
+    # a flip that commutes with σ acts on the construction: the flip of a
+    # shift is the same shift of the flipped base, and its windows and
+    # its address are the flipped point's
+    p = parse_point_spec(morse, spec)
+    q = p.flip()
+    base = p.base if isinstance(p, ShiftedPoint) else p
+    if base is p:
+        assert type(q) is type(p)
+    else:
+        assert type(q) is ShiftedPoint and q.k == p.k
+        assert type(q.base) is type(base)
+    lo, hi = p.determined_range()
+    lo, hi = max(lo, -4096), min(hi, 4096)
+    assert q.determined_range() == p.determined_range()
+    assert q.window(lo, hi) == flip_word(p.window(lo, hi))
+    for k in range(getattr(base, "level", 12) + 1):
+        assert point_address(q, k) == point_address(p, k), k
+
+
+def test_a_seam_window_reads_prefixes_of_its_buffer_width(walks):
+    # the pair-verdicts set-up window of +-(2^16 + 1088) around each seam
+    # fits the buffer of coordinates -2^17..2^17-1, whose halves are
+    # prefixes of 2^17 symbols: the tower stops at level 17
+    reach = (1 << 16) + 1088
+    for p in seam_points(REGISTRY["morse"]()).values():
+        assert len(p.window(-reach, reach)) == 2 * reach + 1
+    [tower] = walks
+    assert tower[-1] == {"0": 1 << 17, "1": 1 << 17}
 
 
 def test_seam_points_need_flip_closure(fib):
