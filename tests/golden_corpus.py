@@ -98,13 +98,22 @@ HANDLERS = [
      "--expect-cardinality", "3"],
     ["sr", "odometer"],
 ]
+# one pair of each verdict no command above reaches: doubly-asymptotic,
+# negatively-asymptotic, proximal, and distal with windows that partly
+# agree (its separation reads the per-window counts)
+VERDICTS = [
+    ["pairs", "morse", *pair, "--horizon", "4096", "--resolution", "16"]
+    for pair in (("fix0", "fix0"),
+                 ("splice(rev(fix0),fix0)", "splice(rev(fix0),flip(fix0))"),
+                 ("fix0", "shift(fix0,1024)"), ("fix0", "shift(fix0,1)"))]
 
 
 def commands():
     """Every command line of the corpus, each once, in a fixed order: the
     benchmark's one-shot commands at ONESHOT_SEEDS, every --help, aut, sr
     and coalesce at r = 0..3 on each built-in system, the flip refusals,
-    the edges, the flipped points and the remaining handler paths."""
+    the edges, the flipped points, the remaining handler paths and the
+    missing pair verdicts."""
     root = str(pathlib.Path(__file__).parents[1])
     if root not in sys.path:
         sys.path.insert(0, root)
@@ -115,7 +124,7 @@ def commands():
     argvs += [[name, system, "--radius", str(r)]
               for name in ("aut", "sr", "coalesce") for system in SYSTEMS
               for r in range(4)]
-    argvs += FLIP_REFUSALS + EDGES + FLIPS + HANDLERS
+    argvs += FLIP_REFUSALS + EDGES + FLIPS + HANDLERS + VERDICTS
     unique = {" ".join(argv): argv for argv in argvs}
     return list(unique.values())
 
