@@ -4,10 +4,11 @@
 Workloads mirror the package's hot paths: sliding local rules of radius
 0..3 along a long Thue-Morse prefix (code enumeration and verification),
 plus one radius-4 rule whose codes do not fit a byte; mismatch profiles
-of two long windows (pair classification at H = 2^16); and 2-block
-decoding (odometer addresses).  Each kernel is checked against its loop
-and timed beside it.  Whole `classify_pair` calls on the three kinds of
-seam pair at the same H are timed too.
+and the first and last mismatch of two long windows (pair
+classification at H = 2^16); and 2-block decoding (odometer addresses).
+Each kernel is checked against its loop and timed beside it.  Whole
+`classify_pair` calls on the three kinds of seam pair at the same H are
+timed too.
 
 The window scan `words.first_windows` is timed through its callers
 (`joint_language` at L = 32, T = 2^16, and a cold `language(64)` of each
@@ -87,6 +88,12 @@ def naive_diffs(a, b, width):
         run += (a[i + width - 1] != b[i + width - 1]) - (a[i - 1] != b[i - 1])
         out.append(run)
     return out
+
+
+def naive_ends(a, b):
+    """mismatch_ends by a per-symbol scan."""
+    differ = [i for i in range(len(a)) if a[i] != b[i]]
+    return (differ[0], differ[-1]) if differ else (-1, -1)
 
 
 def naive_decode(word, start, block_len, table, base):
@@ -295,6 +302,8 @@ def main():
     workloads += [
         ("window_diffs H=2^16, L=64", kernels.window_diffs, naive_diffs,
          (a, b, 2 * l + 1)),
+        ("mismatch_ends H=2^16, L=64", kernels.mismatch_ends, naive_ends,
+         (a, b)),
         ("decode_blocks %.1e syms" % len(word), kernels.decode_blocks,
          naive_decode, (word, 0, 2, decode_table, 2)),
     ]

@@ -1,11 +1,12 @@
-"""The three hot loops of the package, in pure Python.
+"""The hot loops of the package, in pure Python.
 
 Words travel as ASCII digit bytes (symbols '0' .. '0' + base - 1), rule
 tables as flat byte arrays indexed by the base-`base` value of a block
 (most significant symbol first), with 0xFF marking entries outside the
 admissible set.  `apply_rule` builds a system's block ids and backs
 `SlidingBlockCode.apply`; `decode_blocks` serves the parse certificate;
-`window_diffs` gives pair separation.
+`mismatch_ends`, `mismatch_map` and `window_counts` serve pair
+classification, and `window_diffs` gives pair separation.
 
 No kernel runs Python code once per symbol.  `apply_rule` asks one
 question, which `_lookup` answers: the table entry of each width-`width`
@@ -13,8 +14,12 @@ window at start, start + step, ... (step 1 for a sliding rule, the block
 length for a block decoding).  The codes of all windows come out of a
 few big-integer shifts, products and sums (`_window_codes`); codes that
 fit a byte are read in the table with `bytes.translate`, wider ones
-through `array` and `map`.  `window_diffs` subtracts prefix sums of the
-byte map `mismatch_map`, which pair classification reads too.
+through `array` and `map`.  `mismatch_ends` finds the first and last
+positions where two words differ by comparing slices in place,
+galloping from each end over slices that double in length, then halving
+inside the first slice that differs; it never builds the byte map
+`mismatch_map`.  `window_counts` subtracts prefix sums of such a map,
+and `window_diffs` is the two together.
 
 `decode_blocks` first tries a key column (`_key_column`): a block offset
 whose symbol alone names the table entry, as offset 0 does for Morse and
@@ -45,6 +50,8 @@ _PAD = bytes([UNSET]) * 256
 _MAPPED = bytes([1]) * 255 + bytes([0])
 # array typecode of each slot size that wider codes travel in
 _TYPECODES = {array(c).itemsize: c for c in "LIH"}
+# bytes in the first slice that `mismatch_ends` compares from each end
+_GALLOP = 64
 
 
 def apply_rule(word: bytes, radius: int, table: bytes, base: int) -> bytes:
@@ -76,7 +83,12 @@ def window_diffs(a: bytes, b: bytes, width: int) -> list:
         raise ValueError("length mismatch")
     if width < 1 or width > n:
         raise ValueError("bad window width")
-    mismatches = mismatch_map(a, b)
+    return window_counts(mismatch_map(a, b), width)
+
+
+def window_counts(mismatches: bytes, width: int) -> list:
+    """Sum of the 0/1 bytes of `mismatches` in every length-`width`
+    window, len(mismatches) - width + 1 sums in all."""
     # window i's count is the difference of two prefix sums; tee keeps
     # only the `width` sums between them, not all n + 1
     hi, lo = itertools.tee(itertools.accumulate(mismatches, initial=0))
@@ -87,6 +99,43 @@ def mismatch_map(a: bytes, b: bytes) -> bytes:
     """Byte i is 1 where a[i] != b[i] and 0 where they agree."""
     x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
     return x.to_bytes(len(a), "big").translate(_DIFFERS)
+
+
+def mismatch_ends(a: bytes, b: bytes) -> tuple:
+    """(first, last) index where a and b (of equal length) differ, or
+    (-1, -1) where they agree: `mismatch_map(a, b)`'s find(1) and
+    rfind(1)."""
+    n = len(a)
+    # a.startswith(b[lo:hi], lo) compares a[lo:hi] with b[lo:hi] in
+    # place; a slice of a memoryview copies nothing
+    b = memoryview(b)
+    # a and b agree before lo; each slice [lo, hi) that agrees is
+    # followed by one twice as long, and the halving keeps a mismatch
+    # in [lo, hi)
+    lo, hi = 0, min(n, _GALLOP)
+    while a.startswith(b[lo:hi], lo):
+        if hi == n:
+            return -1, -1
+        lo, hi = hi, min(n, hi + 2 * (hi - lo))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a.startswith(b[lo:mid], lo):
+            lo = mid
+        else:
+            hi = mid
+    first = lo
+    # the same from the end, where a and b agree from hi on; no slice
+    # reaches below first, so the gallop stops by the slice holding it
+    lo, hi = max(first, n - _GALLOP), n
+    while a.startswith(b[lo:hi], lo):
+        lo, hi = max(first, lo - 2 * (hi - lo)), lo
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if a.startswith(b[mid:hi], mid):
+            hi = mid
+        else:
+            lo = mid
+    return first, lo
 
 
 def decode_blocks(word: bytes, start: int, block_len: int, table: bytes,

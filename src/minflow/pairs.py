@@ -5,12 +5,16 @@ and "distal up to horizon H" at window resolution L.  Asymptotic
 verdicts record the window index from which (or up to which) the two
 points agree window-for-window.
 
-Verdicts come from the pair's mismatch map, one byte per coordinate, 1
-where the two points differ: `find`/`rfind` on it locate the first and
-last bad window and the agreeing windows nearest the center, so no
-Python loop runs per symbol or per window.  Only a distal pair whose
-windows partly agree needs the per-window counts of
-`kernels.window_diffs`, for its separation.
+The asymptotic verdicts (doubly, positively, negatively) read only the
+first and last coordinates where the two points differ, which
+`kernels.mismatch_ends` finds by comparing slices of the two windows;
+their cost grows with the distance from each end to the nearest
+mismatch, not with the horizon.  Only a proximal or distal verdict
+builds the pair's mismatch map, one byte per coordinate, 1 where the
+points differ: `find`/`rfind` on it locate the agreeing windows nearest
+the center, so no Python loop runs per symbol or per window.  A distal
+pair whose windows partly agree also sums that map per window
+(`kernels.window_counts`) for its separation.
 """
 
 from typing import NamedTuple
@@ -51,14 +55,14 @@ def classify_pair(p, q, horizon=defaults.HORIZON,
     a = p.window(-H - L, H + L).encode()
     b = q.window(-H - L, H + L).encode()
     width = 2 * L + 1
-    m = kernels.mismatch_map(a, b)
-    n = len(m) - width + 1                  # windows, centers -H..H
-    # window i covers m[i:i + width], so it is bad iff it holds a 1
-    first = m.find(1)
+    n = len(a) - width + 1                  # windows, centers -H..H
+    # window i covers coordinates i..i + width - 1, so it is bad iff it
+    # holds a mismatch
+    first, last = kernels.mismatch_ends(a, b)
     if first < 0:
         return PairClassification(DOUBLE, H, L, -H, 0)
     first_bad = max(0, first - width + 1)
-    last_bad = min(n - 1, m.rfind(1))
+    last_bad = min(n - 1, last)
     pos_from = (last_bad + 1) - H          # windows agree on [pos_from, H]
     neg_to = (first_bad - 1) - H           # windows agree on [-H, neg_to]
     positive = last_bad + 1 < n and pos_from <= H // 2
@@ -72,6 +76,7 @@ def classify_pair(p, q, horizon=defaults.HORIZON,
         return PairClassification(NEGATIVE, H, L, neg_to, 0)
     # the agreeing windows nearest the center on either side; a tie
     # goes to the right one
+    m = kernels.mismatch_map(a, b)
     clean = bytes(width)
     right = m.find(clean, H)
     left = m.rfind(clean, 0, H - 1 + width)
@@ -79,7 +84,7 @@ def classify_pair(p, q, horizon=defaults.HORIZON,
     if zeros:
         witness = min(zeros, key=lambda t: (abs(t), t < 0))
         return PairClassification(PROXIMAL, H, L, witness, 0)
-    sep = width if m.find(0) < 0 else min(kernels.window_diffs(a, b, width))
+    sep = width if m.find(0) < 0 else min(kernels.window_counts(m, width))
     return PairClassification(DISTAL, H, L, None, sep)
 
 

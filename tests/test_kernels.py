@@ -190,6 +190,52 @@ def test_window_diffs_matches_naive():
     assert kernels.window_diffs(a, b, 129) == naive_diffs(a, b, 129)
 
 
+def gallop_ends(n):
+    """The last index of each slice that `mismatch_ends` compares from
+    the front of a length-n word, then the first index of each slice it
+    compares from the back."""
+    ends = [kernels._GALLOP * ((1 << k) - 1) - 1 for k in range(1, 16)]
+    return [e for e in ends if e < n] + [n - 1 - e for e in ends if e < n]
+
+
+def check_mismatch_ends(a, b):
+    m = kernels.mismatch_map(a, b)
+    got = kernels.mismatch_ends(a, b)
+    assert got == (m.find(1), m.rfind(1)), (len(a), got)
+    return got
+
+
+def test_mismatch_ends_matches_the_map():
+    rng = random.Random(3)
+    for _ in range(600):
+        n, base = rng.randint(0, 5000), rng.choice((2, 3))
+        a = bytes(rng.randrange(base) + 48 for _ in range(n))
+        b = bytearray(a)
+        mode = rng.randrange(3)
+        if mode == 0:                # independent words
+            b = bytes(rng.randrange(base) + 48 for _ in range(n))
+        elif n:                      # a few mismatches, anywhere
+            for _ in range(rng.randint(1, 3)):
+                b[rng.randrange(n)] = 48 + rng.randrange(base)
+        check_mismatch_ends(a, bytes(b))
+    for n in (1, 63, 64, 65, 191, 192, 5000):
+        a = bytes(rng.randrange(2) + 48 for _ in range(n))
+        assert check_mismatch_ends(a, a) == (-1, -1)
+        everywhere = a.translate(bytes.maketrans(b"01", b"10"))
+        assert check_mismatch_ends(a, everywhere) == (0, n - 1)
+        spots = {0, n - 1} | {e + d for e in gallop_ends(n)
+                              for d in (-1, 0, 1) if 0 <= e + d < n}
+        for i in spots:
+            # one mismatch, then a second one at each other spot
+            b = a[:i] + b"2" + a[i + 1:]
+            assert check_mismatch_ends(a, b) == (i, i)
+            for j in spots:
+                if j != i:
+                    c = b[:j] + b"2" + b[j + 1:]
+                    assert check_mismatch_ends(a, c) == (min(i, j),
+                                                         max(i, j))
+
+
 def test_decode_blocks():
     # Thue-Morse inverse table: 01 -> 0, 10 -> 1
     table = bytearray(b"\xff" * 4)

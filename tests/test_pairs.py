@@ -4,11 +4,12 @@ import random
 
 import pytest
 
+from minflow import kernels
 from minflow.errors import DomainError, UndeterminedError
 from minflow.pairs import (DISTAL, DOUBLE, NEGATIVE, POSITIVE, PROXIMAL,
                            PairClassification, asymptotic_collapse,
                            classify_pair, distal_certificate)
-from minflow.points import point_from_address, seam_points
+from minflow.points import parse_point_spec, point_from_address, seam_points
 from minflow.words import Substitution, SubshiftSystem
 
 
@@ -116,6 +117,44 @@ def test_classify_pair_matches_naive_on_random_windows():
     assert partial_distal > 0
 
 
+def test_classify_pair_matches_naive_on_long_windows():
+    """Windows long enough that `kernels.mismatch_ends` gallops over
+    several slices from each end, with mismatches at the slices' ends,
+    near both ends of the window and in every window."""
+    rng = random.Random(11)
+    ends = [kernels._GALLOP * ((1 << k) - 1) - 1 for k in range(1, 8)]
+    verdicts = collections.Counter()
+    partial_distal = 0
+    for _ in range(160):
+        H, L = rng.randint(200, 2500), rng.randint(0, 12)
+        size, width = 2 * (H + L) + 1, 2 * L + 1
+        a = [rng.randrange(2) for _ in range(size)]
+        near = [rng.randrange(3 * width), size - 1 - rng.randrange(3 * width)]
+        mode = rng.randrange(4)
+        if mode == 0:            # at the ends of the gallop's slices
+            edges = [x for e in ends for x in (e, size - 1 - e)]
+            spots = [x + d for x in edges for d in (-1, 0, 1)
+                     if 0 <= x + d < size]
+            spots = rng.sample(spots, rng.randint(1, 3))
+        elif mode == 1:          # near both ends of the window
+            spots = near
+        elif mode == 2:          # one end, and a slice end or the center
+            spots = [rng.choice(near),
+                     rng.choice([H + L] + [e for e in ends if e < size])]
+        else:                    # in every window but (maybe) a few
+            spots = [i for i in range(rng.randrange(width), size, width)
+                     if rng.random() > 0.002]
+        b = list(a)
+        for i in spots:
+            b[i] = 1 - b[i]
+        got = check_against_naive("".join(map(str, a)),
+                                  "".join(map(str, b)), H, L)
+        verdicts[got.verdict] += 1
+        partial_distal += got.verdict == DISTAL and 0 < got.separation < width
+    assert set(verdicts) == {DOUBLE, POSITIVE, NEGATIVE, PROXIMAL, DISTAL}
+    assert partial_distal > 0
+
+
 @pytest.mark.parametrize("H,L", [(20, 1), (9, 0), (40, 6)])
 def test_classify_pair_edge_windows(H, L):
     size, width = 2 * (H + L) + 1, 2 * L + 1
@@ -168,6 +207,36 @@ def test_proximal_without_asymptotic_under_short_horizon(seam):
     # degrades to the weaker proximality claim with the witness recorded
     got = classify_pair(seam["mu"], seam["nu"], 96, 64)
     assert got.verdict == PROXIMAL and got.witness_time == 64
+
+
+@pytest.mark.parametrize("first,second,verdict,maps", [
+    ("mu", "mu", DOUBLE, 0),
+    ("mu", "nu", POSITIVE, 0),
+    ("mu", "nu_prime", NEGATIVE, 0),
+    ("fix0", "shift(fix0,1024)", PROXIMAL, 1),
+    ("mu", "mu_prime", DISTAL, 1),
+    ("fix0", "shift(fix0,1)", DISTAL, 1),
+])
+def test_only_proximal_and_distal_verdicts_build_the_mismatch_map(
+        morse, seam, monkeypatch, first, second, verdict, maps):
+    built = []
+    mismatch_map = kernels.mismatch_map
+    monkeypatch.setattr("minflow.kernels.mismatch_map",
+                        lambda a, b: built.append(len(a)) or mismatch_map(a, b))
+    p, q = (seam[s] if s in seam else parse_point_spec(morse, s)
+            for s in (first, second))
+    assert classify_pair(p, q, 4096, 16).verdict == verdict
+    assert len(built) == maps
+
+
+def test_a_bad_core_between_agreeing_tails_builds_no_map(monkeypatch):
+    monkeypatch.setattr("minflow.kernels.mismatch_map", None)
+    H, L = 1000, 8
+    a = "0" * (2 * (H + L) + 1)
+    # coordinates -L..L differ, so the windows centred in -2L..2L do
+    b = a[:H] + "1" * (2 * L + 1) + a[H + 2 * L + 1:]
+    got = check_against_naive(a, b, H, L)
+    assert got == PairClassification(DOUBLE, H, L, 2 * L + 1, 0)
 
 
 def test_classification_is_symmetric(seam):
