@@ -106,14 +106,30 @@ VERDICTS = [
     for pair in (("fix0", "fix0"),
                  ("splice(rev(fix0),fix0)", "splice(rev(fix0),flip(fix0))"),
                  ("fix0", "shift(fix0,1024)"), ("fix0", "shift(fix0,1)"))]
+X1 = "addr(0101010101010101010101,0)"
+# codes too wide for a dense table of all (2r+1)-words, and the refusals
+# of a negative census resolution and a negative radius budget
+WIDE_CODES = [
+    ["dichotomy", "morse", X1, "shift(%s,12)" % X1, "--radius-budget",
+     "12"],
+    ["aut", "morse", "--apply", "shift^12", "--word",
+     "01101001100101101001011001101001"],
+    ["aut", "morse", "--apply", "id", "--compose", "shift^20", "--word",
+     "011010011001011010010110011010011001011001101001"],
+    ["census", "morse", "--address", "0110", "--resolution", "-1"],
+    ["census", "morse", "--sample", "2", "--resolution", "-1"],
+    ["pairs", "morse", "--certify", X0, "--resolution", "-1"],
+    ["dichotomy", "morse", X1, "shift(%s,12)" % X1, "--radius-budget",
+     "-1"],
+]
 
 
 def commands():
     """Every command line of the corpus, each once, in a fixed order: the
     benchmark's one-shot commands at ONESHOT_SEEDS, every --help, aut, sr
     and coalesce at r = 0..3 on each built-in system, the flip refusals,
-    the edges, the flipped points, the remaining handler paths and the
-    missing pair verdicts."""
+    the edges, the flipped points, the remaining handler paths, the
+    missing pair verdicts, and the wide codes and negative scales."""
     root = str(pathlib.Path(__file__).parents[1])
     if root not in sys.path:
         sys.path.insert(0, root)
@@ -124,7 +140,7 @@ def commands():
     argvs += [[name, system, "--radius", str(r)]
               for name in ("aut", "sr", "coalesce") for system in SYSTEMS
               for r in range(4)]
-    argvs += FLIP_REFUSALS + EDGES + FLIPS + HANDLERS + VERDICTS
+    argvs += FLIP_REFUSALS + EDGES + FLIPS + HANDLERS + VERDICTS + WIDE_CODES
     unique = {" ".join(argv): argv for argv in argvs}
     return list(unique.values())
 
