@@ -2,8 +2,9 @@
 """Benchmark the kernels against the per-symbol loops they replaced.
 
 Workloads mirror the package's hot paths: sliding local rules of radius
-0..3 along a long Thue-Morse prefix (code enumeration and verification),
-plus one radius-4 rule whose codes do not fit a byte; mismatch profiles
+0..3 along a long Thue-Morse prefix (the block ids that code enumeration
+and verification read), plus one radius-4 rule whose codes do not fit a
+byte; mismatch profiles
 and the first and last mismatch of two long windows (pair
 classification at H = 2^16); and 2-block decoding (odometer addresses).
 Each kernel is checked against its loop and timed beside it.  Whole
@@ -53,7 +54,7 @@ from minflow.factors import address
 from minflow.joins import joint_language
 from minflow.pairs import classify_pair
 from minflow.points import point_from_address, seam_points
-from minflow.words import REGISTRY, first_windows, get_system
+from minflow.words import REGISTRY, dense_table, first_windows, get_system
 
 
 def best_of(repeat, fn, *args):
@@ -295,7 +296,9 @@ def main():
 
     workloads = []
     for radius in (0, 1, 2, 3, 4):
-        table = shift_code(morse, min(radius, 1), radius=radius)._rule_table()
+        rule = shift_code(morse, min(radius, 1), radius=radius).rule
+        table = bytes(dense_table(rule.items(), 2, 2 * radius + 1,
+                                  "a radius-%d rule table" % radius))
         workloads.append((
             "apply_rule r=%d, %.1e syms" % (radius, len(word)),
             kernels.apply_rule, naive_apply, (word, radius, table, 2)))

@@ -24,28 +24,27 @@ those rotations (half the nodes on Thue-Morse, a third on its ternary
 version).  A leaf that passes the exact leaf check adds its
 relabellings, which pass it too, with no second check.
 
-Evaluation: a code applies itself to a long word through the kernel, one
-table lookup per window.  Its image of the system's test word of a given
-length is made once (`test_image`), and with no kernel call of its own:
-the system caches the block ids of that word (`block_ids`, one kernel
-call per radius and length), and the image is their `bytes.translate`
-through the code's outputs.  Only a code with more blocks than a byte
-names applies itself to the word.  The enumeration hands each survivor
-the image it already holds.  Short words are read window by window in
-the rule dict instead: each block of a composition, each block an
-inversion has to check, and each short word the test word misses.  The
-windows of an admissible word are admissible, so the rule is total on
-them.
+Evaluation: a code is its rule dict, and `apply` reads it window by
+window, whatever the radius; no table of all (2r+1)-words is built.
+Each block of a composition, each block an inversion has to check and
+each short word the test word misses is applied so.  The windows of an
+admissible word are admissible, so the rule is total on them.  The image
+of the system's test word of a given length is made once (`test_image`),
+and with no kernel call of its own: the system caches the block ids of
+that word (`block_ids`, one kernel call per radius and length), and the
+image is their `bytes.translate` through the code's outputs.  Where the
+system refuses ids at the radius (more blocks than a byte names, or an
+id table over its cap), the code applies itself to the word.  The
+enumeration hands each survivor the image it already holds.
 """
 
 from bisect import bisect_left
 from itertools import chain
 from typing import NamedTuple
 
-from . import defaults, kernels
+from . import defaults
 from .errors import DomainError, ResourceError
-from .words import (FLIP, dense_table, flip_word, id_blocks,
-                    refuse_unless_flip_commutes)
+from .words import FLIP, flip_word, id_blocks, refuse_unless_flip_commutes
 
 _PRUNE_WINDOW = 16
 _NODE_CAP = 2_000_000
@@ -65,52 +64,42 @@ class SlidingBlockCode:
         self.system = system
         self.radius = radius
         self.rule = dict(rule)
-        self._table = None
         # length -> the image of the system's test word of that length
         self.test_images = {}
 
     # -- evaluation ----------------------------------------------------
 
-    def _rule_table(self):
-        if self._table is None:
-            self._table = bytes(dense_table(
-                self.rule.items(), len(self.system.alphabet),
-                2 * self.radius + 1,
-                "a radius-%d code needs a rule table" % self.radius))
-        return self._table
-
     def apply(self, word: str) -> str:
-        """Image word of length len(word) - 2r (Curtis-Hedlund-Lyndon).
+        """Image word of length len(word) - 2r (Curtis-Hedlund-Lyndon),
+        read window by window in the rule dict.
 
         DomainError names the first window of `word` outside the rule: the
-        kernel says only that one is, as the table maps exactly the rule's
-        blocks."""
+        first KeyError, whose window occurs nowhere before."""
         width = 2 * self.radius + 1
         if len(word) < width:
             raise DomainError("word shorter than the code window")
-        table = self._rule_table()
+        rule = self.rule
         try:
-            return kernels.apply_rule(word.encode(), self.radius, table,
-                                      len(self.system.alphabet)).decode()
-        except ValueError:
-            pass
-        at = next(i for i in range(len(word) - width + 1)
-                  if word[i:i + width] not in self.rule)
-        raise DomainError("window %r at %d has no rule entry"
-                          % (word[at:at + width], at))
+            return "".join([rule[word[j:j + width]]
+                            for j in range(len(word) - width + 1)])
+        except KeyError as exc:
+            window = exc.args[0]
+            raise DomainError("window %r at %d has no rule entry"
+                              % (window, word.find(window))) from None
 
     def test_image(self, length):
         """The image of the system's test word of the given length, made
         once per code and length: the system's block ids of that word
-        translated through the rule, or applied when they do not fit a
-        byte."""
+        translated through the rule, or applied where the system refuses
+        ids at the radius."""
         image = self.test_images.get(length)
         if image is None:
             system = self.system
-            if len(self.rule) > kernels.UNSET:
+            try:
+                blocks, ids = system.block_ids(self.radius, length)
+            except ResourceError:
                 image = self.apply(system.test_word(length))
             else:
-                blocks, ids = system.block_ids(self.radius, length)
                 image = ids.translate(bytes(
                     [ord(self.rule[b]) for b in blocks]).ljust(256, b"\xff")
                 ).decode()
@@ -179,15 +168,6 @@ class SlidingBlockCode:
         return "<SlidingBlockCode r=%d%s>" % (self.radius, tag)
 
 
-def _rule_image(code, word):
-    """`code.apply(word)` read window by window in the rule dict, which
-    beats a kernel call on short words; KeyError on a window outside the
-    rule's domain."""
-    rule, width = code.rule, 2 * code.radius + 1
-    return "".join([rule[word[j:j + width]]
-                    for j in range(len(word) - width + 1)])
-
-
 # -- constructors -------------------------------------------------------
 
 def identity_code(system, radius=0):
@@ -227,7 +207,7 @@ def _composite(c1, c2, block):
     read in the rule dicts; DomainError when c2 maps it outside c1's
     domain.  The windows of an admissible block are admissible, so c2's
     rule is total on them."""
-    mid = _rule_image(c2, block)
+    mid = c2.apply(block)
     out = c1.rule.get(mid)
     if out is None:
         raise DomainError("composition hits block %r outside the left "
@@ -268,7 +248,7 @@ def _maps_short_words(code, words):
     system = code.system
     out_lang = system.language(_short_len(system, code.radius)
                                - 2 * code.radius)
-    return all(_rule_image(code, w) in out_lang for w in words)
+    return all(code.apply(w) in out_lang for w in words)
 
 
 def enumerate_endomorphisms(system, radius, check_len=defaults.CHECK_LEN):

@@ -290,6 +290,8 @@ def fiber_census(system, addr: OdometerAddress, resolution: int) -> FiberCensus:
     k = addr.level
     if k < 1:
         raise DomainError("census needs at least one digit")
+    if resolution < 0:
+        raise DomainError("resolution must be >= 0, got %r" % (resolution,))
     L = resolution
     levels = []
     for j, images in enumerate(system.level_images(k)[1:], 1):

@@ -107,6 +107,9 @@ def dichotomy(x0, x, resolution=defaults.JOIN_RESOLUTION,
     observed in the joint language.  Case 2: the observed output map is
     the graph of a local rule which verifies as an automorphism.
     """
+    if radius_budget < 0:
+        raise DomainError("radius_budget must be >= 0, got %r"
+                          % (radius_budget,))
     system = x0.system
     if certificate is None:
         certificate = pairs_mod.distal_certificate(x0, level=certificate_level)

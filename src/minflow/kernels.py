@@ -3,10 +3,13 @@
 Words travel as ASCII digit bytes (symbols '0' .. '0' + base - 1), rule
 tables as flat byte arrays indexed by the base-`base` value of a block
 (most significant symbol first), with 0xFF marking entries outside the
-admissible set.  `apply_rule` builds a system's block ids and backs
-`SlidingBlockCode.apply`; `decode_blocks` serves the parse certificate;
-`mismatch_ends`, `mismatch_map` and `window_counts` serve pair
-classification, and `window_diffs` gives pair separation.
+admissible set.  `apply_rule` builds a system's block ids and nothing
+else (a code applies itself through its rule dict); `decode_blocks`
+serves the parse certificate; `mismatch_ends`, `mismatch_map` and
+`window_counts` serve pair classification and separation.
+`window_diffs` has no caller in the package: `pairs` sums the map it
+already holds with `window_counts`.  The name stays only because
+perfbench traces it.
 
 No kernel runs Python code once per symbol.  `apply_rule` asks one
 question, which `_lookup` answers: the table entry of each width-`width`
@@ -28,8 +31,7 @@ column's strided slice to the entries and checks every other column
 against the symbols the entries expect with one comparison.  Every table
 without a key column goes to `_lookup`.
 
-A kernel says only that a word fails, by a ValueError with no position;
-a caller that shows the fault names it (`SlidingBlockCode.apply`).
+A kernel says only that a word fails, by a ValueError with no position.
 """
 
 import functools

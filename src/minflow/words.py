@@ -25,7 +25,7 @@ valid, that is, it decomposes as (suffix of an image) + image of an
 admissible word + (prefix of an image); the first valid phase ends the
 search.  `valid_phases` lists them all for desubstitution and the
 recognizability table that addresses read.  The block decoding table and
-the rule tables of codes come from `dense_table`.  Every other system
+the block-id tables come from `dense_table`.  Every other system
 reads the covers that build its language: an n-word is admissible iff it
 occurs in σ^k(a) + σ^k(b)[:n - 1] for an admissible 2-word ab.
 
@@ -197,7 +197,7 @@ class Substitution:
         if len(alphabet) > MAX_ALPHABET:
             raise DomainError("alphabet capped at %d symbols" % MAX_ALPHABET)
         for sym, image in rule.items():
-            if len(sym) != 1 or not sym.isdigit():
+            if len(sym) != 1 or sym not in "0123456789":
                 raise DomainError("symbols must be single ASCII digits, got %r" % sym)
             if not image:
                 raise DomainError("empty image for symbol %r" % sym)

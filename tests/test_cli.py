@@ -194,10 +194,6 @@ BAD_INPUT_IDS = [
     "argv13-bad point spec 'shift(fix0,+)': expected integer (at 11)",
     "argv14-bad point spec 'shift(fix0,\u00b2)': expected integer (at 11)",
     "argv15-bad point spec 'addr(\u0663,0)': expected digit string (at 5)",
-    "argv16-a radius-20 code needs a rule table of 2^41 entries, over "
-    "the cap",
-    "argv17-a radius-12 code needs a rule table of 2^25 entries, over "
-    "the cap",
     "argv18-bad code spec 'shift^1_0'",
     "argv19-bad code spec 'shift^ 3'",
     "argv20-bad code spec 'shift^\u0661'",
@@ -223,6 +219,8 @@ BAD_INPUT_IDS = [
     "argv40-config file nokey.cfg line 3: expected key=value",
     "argv41-config file nokey.cfg line 3: expected key=value",
     "argv42-config file emptykey.cfg line 1: expected key=value",
+    "argv43-resolution must be >= 0, got -1",
+    "argv44-resolution must be >= 0, got -1",
 ]
 
 
@@ -254,12 +252,6 @@ BAD_INPUT_IDS = [
      "bad point spec 'shift(fix0,\u00b2)': expected integer (at 11)"),
     (["point", "morse", "addr(\u0663,0)"],
      "bad point spec 'addr(\u0663,0)': expected digit string (at 5)"),
-    (["aut", "morse", "--apply", "id", "--compose", "shift^20", "--word",
-      "011010011001011010010110011010011001011001101001"],
-     "a radius-20 code needs a rule table of 2^41 entries, over the cap"),
-    (["aut", "morse", "--apply", "shift^12", "--word",
-      "01101001100101101001011001101001"],
-     "a radius-12 code needs a rule table of 2^25 entries, over the cap"),
     (["aut", "morse", "--apply", "shift^1_0"], "bad code spec 'shift^1_0'"),
     (["aut", "morse", "--apply", "shift^ 3"], "bad code spec 'shift^ 3'"),
     (["aut", "morse", "--apply", "shift^\u0661"],
@@ -301,6 +293,11 @@ BAD_INPUT_IDS = [
      "config file nokey.cfg line 3: expected key=value"),
     (["--config", "emptykey.cfg", "lang", "morse"],
      "config file emptykey.cfg line 1: expected key=value"),
+    # a negative census resolution, named before any census is built
+    (["census", "morse", "--address", "0110", "--resolution", "-1"],
+     "resolution must be >= 0, got -1"),
+    (["pairs", "morse", "--certify", "addr(010101010101010101,0)",
+      "--resolution", "-1"], "resolution must be >= 0, got -1"),
 ], ids=BAD_INPUT_IDS)
 def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
                                          argv, message):
@@ -310,6 +307,22 @@ def test_bad_input_exits_2_with_one_line(capsys, tmp_path, monkeypatch,
     code, err = usage_failure(capsys, *argv)
     assert code == 2
     assert err.startswith("minflow: " + message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["aut", "morse", "--apply", "id", "--compose", "shift^20", "--word",
+     "011010011001011010010110011010011001011001101001"],
+    ["aut", "morse", "--apply", "shift^12", "--word",
+     "01101001100101101001011001101001"],
+], ids=["radius-20", "radius-12"])
+def test_wide_codes_apply_through_their_rule_dicts(capsys, kernel_calls,
+                                                   argv):
+    # a table of all 2^(2r+1) words would be over the cap at these radii;
+    # the rule dict holds only the admissible blocks, and is read with no
+    # kernel call.  The word is a Morse word, so shift^k of it is its
+    # tail from 2k on.
+    assert run(capsys, *argv) == (0, "01101001\n")
+    assert kernel_calls == []
 
 
 # The names these cases were first collected under, kept literally so
@@ -436,8 +449,8 @@ def test_census_sample_is_refused_over_its_cap_before_any_census(capsys):
 
 
 def test_compose_needs_no_rule_table(capsys):
-    # composition reads the rule dicts, so only applying the radius-20
-    # composite to a word needs its 2^41-entry table
+    # composition reads the rule dicts, and so does applying the radius-20
+    # composite to a word: no 2^41-entry table is built
     code, report = run_json(capsys, "aut", "morse", "--apply", "id",
                             "--compose", "shift^20")
     assert code == 0 and report["normal_form"] == [20, 0]

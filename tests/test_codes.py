@@ -168,6 +168,23 @@ def test_invert_absence_is_a_value(full_shift):
     assert invert(constant, max_radius=2, check_len=512) is None
 
 
+def test_wide_codes_verify_and_invert_through_their_rule_dicts(
+        morse, kernel_calls):
+    # the system's ids at r=12 would need a table of 2^25 entries, over
+    # its cap; the code holds only the 80 admissible 25-blocks, and reads
+    # its test image in them
+    code = shift_code(morse, 12)
+    assert len(code.rule) == 80
+    with pytest.raises(ResourceError, match="^a radius-12 code needs a "
+                                            "rule table of 2\\^25"):
+        morse.block_ids(12, CHECK_LEN)
+    assert verify_endomorphism(code)
+    word = morse.test_word(CHECK_LEN)
+    assert code.test_image(CHECK_LEN) == word[24:]
+    assert invert(code, max_radius=12) == shift_code(morse, -12)
+    assert kernel_calls == []
+
+
 def test_verify_endomorphism(morse, full_shift):
     assert verify_endomorphism(shift_code(morse, 1))
     blocks = sorted(morse.language(1))
@@ -438,14 +455,16 @@ def test_test_images_share_the_systems_block_ids(kernel_calls):
 
 def test_codes_over_255_blocks_apply_themselves_to_the_test_word(
         kernel_calls):
-    # 512 blocks at r=4 have no one-byte ids, so the code's own table
-    # gives its test image
+    # 512 blocks at r=4 have no one-byte ids, so the code reads its test
+    # image in its rule dict, with no kernel call
     system = FullShiftSystem("01")
     code = SlidingBlockCode(system, 4, {b: str(b.count("1") % 2)
                                         for b in system.language(9)})
+    word = system.test_word(4096)
     image = code.test_image(4096)
-    assert len(kernel_calls) == 1
-    assert image == code.apply(system.test_word(4096))
+    assert kernel_calls == []
+    assert image == "".join(str(word[i:i + 9].count("1") % 2)
+                            for i in range(len(word) - 8))
     with pytest.raises(ResourceError, match="^512 admissible 9-blocks"):
         system.block_ids(4, 4096)
 

@@ -267,6 +267,12 @@ def test_address_point_windows_match_applied_images(name, request):
         images = {a: system.substitution.apply(w) for a, w in images.items()}
 
 
+def test_fiber_census_refuses_a_negative_resolution(morse):
+    with pytest.raises(DomainError, match="^resolution must be >= 0, got "
+                                          "-1$"):
+        fiber_census(morse, OdometerAddress((0, 1, 1, 0)), -1)
+
+
 def test_census_block_cap(morse, monkeypatch):
     # a level-22 Morse census (blocks of 2^22 symbols) runs, a level-23
     # one is refused before any block is built

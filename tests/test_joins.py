@@ -135,6 +135,22 @@ def test_coalescence_check_makes_one_kernel_call(morse, r, kernel_calls,
     assert len(kernel_calls) == 1
 
 
+def test_dichotomy_extracts_a_code_too_wide_for_a_dense_table(morse):
+    # shift^12 has 80 admissible 25-blocks; a table of all 2^25 words
+    # would be over the cap, and the extracted rule dict needs none
+    x1 = point_from_address(morse, tuple(j % 2 for j in range(22)), "0")
+    verdict = dichotomy(x1, x1.shift(12), radius_budget=12)
+    assert (verdict.case, verdict.fitted_radius) == ("case2", 12)
+    assert verdict.code.normal_form == (12, 0)
+
+
+@pytest.mark.parametrize("budget", [-1, -5])
+def test_dichotomy_refuses_a_negative_radius_budget(x0, budget):
+    with pytest.raises(DomainError, match="^radius_budget must be >= 0, "
+                                          "got %d$" % budget):
+        dichotomy(x0, x0.shift(3), radius_budget=budget)
+
+
 def test_dichotomy_requires_distal_base(morse):
     mu = fixed_point(morse)
     with pytest.raises(PreconditionError):

@@ -337,6 +337,14 @@ def test_substitution_validation():
         Substitution({"0": "02"})
 
 
+@pytest.mark.parametrize("digit", ["\u0663", "\u00b2"])
+def test_substitution_takes_only_ascii_digits(digit):
+    # str.isdigit() holds for an Arabic-Indic three and a superscript two
+    with pytest.raises(DomainError, match="^symbols must be single ASCII "
+                                          "digits, got %r$" % digit):
+        Substitution({digit: digit * 2})
+
+
 # the kernels read symbol c as the digit ord(c) - 48, so both kinds of
 # system take only the digits 0..k-1; a rule's letters are dict keys, so
 # only the full shift can be given a repeated symbol
